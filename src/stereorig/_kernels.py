@@ -23,17 +23,41 @@ _FORCE_NUMPY = os.environ.get("STEREORIG_NO_NUMBA", "") == "1"
 _WR, _WG, _WB = 0.299, 0.587, 0.114
 
 
-def anaglyph_numpy(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    lum_l = left[..., 0] * _WR + left[..., 1] * _WG + left[..., 2] * _WB
-    lum_r = right[..., 0] * _WR + right[..., 1] * _WG + right[..., 2] * _WB
-    out = np.zeros(left.shape, dtype=np.uint8)
-    out[..., 0] = np.minimum(np.floor(lum_r + 0.5), 255.0).astype(np.uint8)
-    out[..., 2] = np.minimum(np.floor(lum_l + 0.5), 255.0).astype(np.uint8)
+def anaglyph_numpy(
+    left: np.ndarray,
+    right: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Anaglyph of two (h, w, 3) uint8 frames, written into `out` (h, w, 3) uint8.
+
+    `scratch` is float64 of shape (2, h, w).  Either buffer is allocated when
+    not given; passing them lets a caller reuse both across frames.  Each
+    luma is summed left to right in float64, as `anaglyph_oracle` does.
+    """
+    h, w = left.shape[:2]
+    if out is None:
+        out = np.empty((h, w, 3), dtype=np.uint8)
+    if scratch is None:
+        scratch = np.empty((2, h, w), dtype=np.float64)
+    lum, term = scratch
+    for src, channel in ((right, 0), (left, 2)):
+        np.multiply(src[..., 0], _WR, out=lum)
+        np.multiply(src[..., 1], _WG, out=term)
+        lum += term
+        np.multiply(src[..., 2], _WB, out=term)
+        lum += term
+        lum += 0.5
+        np.floor(lum, out=lum)
+        np.minimum(lum, 255.0, out=lum)
+        out[..., channel] = lum
+    out[..., 1] = 0
     return out
 
 
-def sbs_numpy(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return np.concatenate([left, right], axis=1)
+def sbs_numpy(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Left and right (h, w, 3) frames side by side in `out` (h, 2w, 3), allocated if not given."""
+    return np.concatenate([left, right], axis=1, out=out)
 
 
 def _anaglyph_loops(left, right, out):
@@ -80,28 +104,39 @@ def active_backend() -> str:
     return "numpy" if (_FORCE_NUMPY or numba is None) else "numba"
 
 
-def anaglyph_numba(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def anaglyph_numba(
+    left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     if _anaglyph_jit is None:
         raise RuntimeError("numba is not available")
-    out = np.zeros(left.shape, dtype=np.uint8)
+    if out is None:
+        out = np.zeros(left.shape, dtype=np.uint8)
     return _anaglyph_jit(left, right, out)
 
 
-def sbs_numba(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def sbs_numba(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if _sbs_jit is None:
         raise RuntimeError("numba is not available")
-    h, w = left.shape[0], left.shape[1]
-    out = np.zeros((h, 2 * w, 3), dtype=np.uint8)
+    if out is None:
+        h, w = left.shape[0], left.shape[1]
+        out = np.zeros((h, 2 * w, 3), dtype=np.uint8)
     return _sbs_jit(left, right, out)
 
 
-def anaglyph_pixels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def anaglyph_pixels(
+    left: np.ndarray,
+    right: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Anaglyph through the active backend; see `anaglyph_numpy` for the buffers."""
     if active_backend() == "numba":
-        return anaglyph_numba(left, right)
-    return anaglyph_numpy(left, right)
+        return anaglyph_numba(left, right, out)
+    return anaglyph_numpy(left, right, out, scratch)
 
 
-def sbs_pixels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def sbs_pixels(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Side by side through the active backend, into `out` when given."""
     if active_backend() == "numba":
-        return sbs_numba(left, right)
-    return sbs_numpy(left, right)
+        return sbs_numba(left, right, out)
+    return sbs_numpy(left, right, out)

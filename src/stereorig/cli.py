@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import DEFAULT_IPD_MM, alignment, guidance, merge, ppmio, svgio, syncproto, templates
+from . import DEFAULT_IPD_MM, alignment, guidance, svgio, syncproto, templates
 from .registry import RegistryError, load_registry, lookup, parse_device_specs
 
 
@@ -154,10 +154,14 @@ def _cmd_simulate_sync(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    left = merge.load_stream(args.left, "left")
-    right = merge.load_stream(args.right, "right")
+    # imported here so that the other subcommands start without numpy;
+    # MergeError and PpmError are ValueErrors, caught by main()
+    from . import merge, ppmio
+
+    left = merge.scan_stream(args.left)
+    right = merge.scan_stream(args.right)
     result = merge.pair_frames(left, right, args.tol)
-    frames = merge.merge_pairs(result.pairs, args.mode)
+    frames = merge.stream_merge(result.pairs, args.mode)
     os.makedirs(args.output, exist_ok=True)
     entries = []
     for i, frame in enumerate(frames):
@@ -256,8 +260,6 @@ _DOMAIN_ERRORS = (
     alignment.InfeasibleLayoutError,
     templates.TemplateError,
     guidance.GuidanceError,
-    merge.MergeError,
-    ppmio.PpmError,
     OSError,
     ValueError,
 )

@@ -8,16 +8,18 @@ glasses accordingly; this is the reverse of the common red-left habit.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
-from .ppmio import read_manifest, read_ppm
+from .ppmio import read_manifest, read_ppm, read_ppm_header
 
 
 class MergeError(ValueError):
-    """Raised for unsorted streams, dimension mismatches, or bad frames."""
+    """Raised for unsorted or non-finite timestamps, dimension mismatches, or bad frames."""
 
 
 @dataclass(eq=False)
@@ -44,22 +46,36 @@ class Frame:
 
 
 @dataclass(frozen=True)
+class FrameRef:
+    """A frame known by its manifest entry and PPM header; its pixels stay on disk."""
+
+    timestamp: float  # ms
+    path: str
+    width: int
+    height: int
+
+
+@dataclass(frozen=True)
 class FramePair:
-    left: Frame
-    right: Frame
+    left: Frame | FrameRef
+    right: Frame | FrameRef
     timestamp_skew: float
 
 
 @dataclass
 class PairingResult:
     pairs: list[FramePair] = field(default_factory=list)
-    dropped_left: list[Frame] = field(default_factory=list)
-    dropped_right: list[Frame] = field(default_factory=list)
+    dropped_left: list[Frame | FrameRef] = field(default_factory=list)
+    dropped_right: list[Frame | FrameRef] = field(default_factory=list)
 
 
-def _check_sorted(frames: list[Frame], name: str) -> None:
-    for i in range(1, len(frames)):
-        if frames[i].timestamp < frames[i - 1].timestamp:
+def _check_timestamps(frames: list[Frame | FrameRef], name: str) -> None:
+    for i, frame in enumerate(frames):
+        if not math.isfinite(frame.timestamp):
+            raise MergeError(
+                f"{name} stream has non-finite timestamp {frame.timestamp} at index {i}"
+            )
+        if i and frame.timestamp < frames[i - 1].timestamp:
             raise MergeError(
                 f"{name} stream not timestamp-sorted at index {i}: "
                 f"{frames[i].timestamp} after {frames[i - 1].timestamp}"
@@ -67,19 +83,22 @@ def _check_sorted(frames: list[Frame], name: str) -> None:
 
 
 def pair_frames(
-    left_stream: list[Frame], right_stream: list[Frame], tolerance: float
+    left_stream: list[Frame | FrameRef],
+    right_stream: list[Frame | FrameRef],
+    tolerance: float,
 ) -> PairingResult:
     """Greedy nearest-timestamp pairing.
 
     Walking the left stream in order, each frame takes the not-yet-matched
     right frame closest in time within the tolerance (earlier frame wins a
     tie).  Unmatched frames on either side are reported, never silently
-    discarded.
+    discarded.  Only each frame's `timestamp` is read, so `FrameRef`s pair
+    without their pixels being loaded.
     """
     if tolerance < 0:
         raise MergeError(f"tolerance must be non-negative, got {tolerance}")
-    _check_sorted(left_stream, "left")
-    _check_sorted(right_stream, "right")
+    _check_timestamps(left_stream, "left")
+    _check_timestamps(right_stream, "right")
 
     right_ts = [f.timestamp for f in right_stream]
     taken = [False] * len(right_stream)
@@ -123,26 +142,50 @@ def _check_dims(pair: FramePair) -> None:
         )
 
 
-def side_by_side(pair: FramePair) -> Frame:
-    """Double-width frame: left view in columns [0, w), right in [w, 2w)."""
+def side_by_side(pair: FramePair, out: np.ndarray | None = None) -> Frame:
+    """Double-width frame: left view in columns [0, w), right in [w, 2w).
+
+    The pixels go into `out`, (h, 2w, 3) uint8, when it is given.
+    """
     _check_dims(pair)
-    px = _kernels.sbs_pixels(pair.left.pixels, pair.right.pixels)
+    px = _kernels.sbs_pixels(pair.left.pixels, pair.right.pixels, out)
     return Frame.from_pixels(px, pair.left.timestamp, "sbs")
 
 
-def anaglyph(pair: FramePair) -> Frame:
-    """Blue = left luminance, red = right luminance, green = 0 (BT.601)."""
+def anaglyph(
+    pair: FramePair, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> Frame:
+    """Blue = left luminance, red = right luminance, green = 0 (BT.601).
+
+    The pixels go into `out`, (h, w, 3) uint8, when it is given; `scratch`
+    is float64 (2, h, w) work space.
+    """
     _check_dims(pair)
-    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels)
+    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels, out, scratch)
     return Frame.from_pixels(px, pair.left.timestamp, "anaglyph")
 
 
-def merge_pairs(pairs: list[FramePair], mode: str) -> list[Frame]:
+def _output_buffers(mode: str, width: int, height: int) -> dict[str, np.ndarray]:
+    """Preallocated `out` (and `scratch`) for the composer of `mode`."""
     if mode == "sbs":
-        return [side_by_side(p) for p in pairs]
+        return {"out": np.empty((height, 2 * width, 3), dtype=np.uint8)}
+    return {
+        "out": np.empty((height, width, 3), dtype=np.uint8),
+        "scratch": np.empty((2, height, width), dtype=np.float64),
+    }
+
+
+def _composer(mode: str):
+    if mode == "sbs":
+        return side_by_side
     if mode == "anaglyph":
-        return [anaglyph(p) for p in pairs]
+        return anaglyph
     raise MergeError(f"merge mode must be 'sbs' or 'anaglyph', got {mode!r}")
+
+
+def merge_pairs(pairs: list[FramePair], mode: str) -> list[Frame]:
+    compose = _composer(mode)
+    return [compose(p) for p in pairs]
 
 
 def load_stream(manifest_path: str, source: str) -> list[Frame]:
@@ -151,3 +194,39 @@ def load_stream(manifest_path: str, source: str) -> list[Frame]:
         px = read_ppm(ppm_path)
         frames.append(Frame.from_pixels(px, ts, source))
     return frames
+
+
+def scan_stream(manifest_path: str) -> list[FrameRef]:
+    """A manifest's frames with every PPM header checked; no pixels are read."""
+    return [
+        FrameRef(ts, path, *read_ppm_header(path)) for ts, path in read_manifest(manifest_path)
+    ]
+
+
+def stream_merge(pairs: list[FramePair], mode: str) -> Iterator[Frame]:
+    """Merged frames of `FrameRef` pairs, each pair read only when its turn comes.
+
+    The mode and every pair's dimensions are checked before this returns,
+    so a caller that writes output while iterating writes none for a bad
+    input.  While the frame size stays the same, every pair is read into the
+    same two arrays and composed into the same output buffer: a yielded
+    frame is valid only until the next one is requested.
+    """
+    compose = _composer(mode)
+    for pair in pairs:
+        _check_dims(pair)
+    return _stream(pairs, compose, mode)
+
+
+def _stream(pairs: list[FramePair], compose, mode: str) -> Iterator[Frame]:
+    size = None
+    for pair in pairs:
+        lref, rref = pair.left, pair.right
+        if (lref.width, lref.height) != size:
+            size = (lref.width, lref.height)
+            left_px = np.empty((lref.height, lref.width, 3), dtype=np.uint8)
+            right_px = np.empty_like(left_px)
+            buffers = _output_buffers(mode, *size)
+        left = Frame.from_pixels(read_ppm(lref.path, left_px), lref.timestamp, "left")
+        right = Frame.from_pixels(read_ppm(rref.path, right_px), rref.timestamp, "right")
+        yield compose(FramePair(left, right, pair.timestamp_skew), **buffers)

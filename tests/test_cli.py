@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from stereorig import alignment, svgio
 from stereorig.cli import main
+from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
 
@@ -268,3 +271,85 @@ class TestMerge:
                    "--mode", "sbs", "-o", str(tmp_path / "out")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_timestamp_exits_1_without_output(self, capsys, tmp_path):
+        for name, times in (("left", ("0.0", "nan")), ("right", ("0.0", "33.0"))):
+            manifest = tmp_path / f"{name}.txt"
+            _write_stream(tmp_path, name, [0.0, 33.0], 1)
+            manifest.write_text("".join(f"{t} {name}/{i}.ppm\n" for i, t in enumerate(times)))
+        outdir = tmp_path / "out"
+        rc = main(["merge", "--left", str(tmp_path / "left.txt"),
+                   "--right", str(tmp_path / "right.txt"),
+                   "--mode", "sbs", "--tol", "10", "-o", str(outdir)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    # each case rewrites the last frame of a 3-pair stream, or adds a dropped one
+    BAD_LAST_FRAME = {
+        "other dimensions": ("right/2.ppm", b"P6\n5 4\n255\n" + b"\0" * 60, 1),
+        "truncated raster": ("right/2.ppm", b"P6\n4 4\n255\n" + b"\0" * 47, 1),
+        "bad magic": ("left/2.ppm", b"P5\n4 4\n255\n" + b"\0" * 16, 1),
+        "dropped frame bad magic": ("left/3.ppm", b"P3\n4 4\n255\n", 1),
+        "long comment": (
+            "right/2.ppm",
+            b"P6\n# " + b"c" * 100 + b"\n4 4\n255\n" + b"\0" * 48,
+            0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LAST_FRAME))
+    def test_bad_last_frame_leaves_no_output(self, capsys, tmp_path, case):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0, 500.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        rel, data, want_rc = self.BAD_LAST_FRAME[case]
+        (tmp_path / rel).write_bytes(data)
+        outdir = tmp_path / "out"
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", "anaglyph", "--tol", "10", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == want_rc
+        if want_rc:
+            assert "error:" in captured.err
+            assert not outdir.exists()
+        else:
+            assert "paired 3 frames (dropped 1 left, 0 right)" in captured.out
+            assert (read_ppm(str(outdir / "anaglyph_0002.ppm")) == [0, 0, 255]).all()
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_streamed_frames_match_merge_pairs(self, capsys, tmp_path, mode):
+        # two frame sizes, so the streaming buffers are replaced once
+        rng = np.random.default_rng(41)
+        sizes = [(4, 6), (4, 6), (3, 5), (3, 5), (3, 5)]
+        manifests = {}
+        for name, times in (("left", [0.0, 33.3, 66.7, 100.0, 133.3]),
+                            ("right", [2.0, 35.1, 64.9, 101.5, 300.0])):
+            (tmp_path / name).mkdir()
+            entries = []
+            for i, ((h, w), t) in enumerate(zip(sizes, times)):
+                p = tmp_path / name / f"{i}.ppm"
+                write_ppm(str(p), rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+                entries.append((t, str(p)))
+            manifests[name] = str(tmp_path / f"{name}.txt")
+            write_manifest(manifests[name], entries)
+        outdir = tmp_path / "out"
+        rc = main(["merge", "--left", manifests["left"], "--right", manifests["right"],
+                   "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        assert rc == 0
+        assert "paired 4 frames (dropped 1 left, 1 right)" in capsys.readouterr().out
+
+        result = pair_frames(load_stream(manifests["left"], "left"),
+                             load_stream(manifests["right"], "right"), 10.0)
+        frames = merge_pairs(result.pairs, mode)
+        assert len(frames) == 4
+        for i, frame in enumerate(frames):
+            want = tmp_path / f"want_{i}.ppm"
+            write_ppm(str(want), frame.pixels)
+            assert (outdir / f"{mode}_{i:04d}.ppm").read_bytes() == want.read_bytes()
+
+
+def test_cli_import_leaves_numpy_unloaded(subprocess_env):
+    code = "import sys, stereorig.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -4,17 +4,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stereorig import _kernels
 from stereorig.merge import (
     Frame,
     FramePair,
+    FrameRef,
     MergeError,
     anaglyph,
     load_stream,
     merge_pairs,
     pair_frames,
+    scan_stream,
     side_by_side,
+    stream_merge,
 )
 from stereorig.ppmio import write_manifest, write_ppm
 
@@ -70,6 +76,13 @@ class TestPairFrames:
     def test_unsorted_right_rejected(self):
         with pytest.raises(MergeError, match="right stream"):
             pair_frames(_stream([0]), _stream([38, 5], "right"), 10.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected(self, bad):
+        with pytest.raises(MergeError, match="left stream has non-finite timestamp"):
+            pair_frames(_stream([0.0, bad]), _stream([0.0, 33.0], "right"), 10.0)
+        with pytest.raises(MergeError, match="right stream has non-finite timestamp"):
+            pair_frames(_stream([0.0]), _stream([bad], "right"), 10.0)
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(MergeError, match="non-negative"):
@@ -236,6 +249,8 @@ class TestMergePairs:
     def test_unknown_mode_rejected(self):
         with pytest.raises(MergeError, match="mode"):
             merge_pairs([], "cross-eye")
+        with pytest.raises(MergeError, match="mode"):
+            stream_merge([], "cross-eye")
 
 
 class TestFrameValidation:
@@ -247,6 +262,56 @@ class TestFrameValidation:
         with pytest.raises(MergeError, match="does not match"):
             Frame(width=3, height=2, pixels=np.zeros((2, 2, 3), dtype=np.uint8),
                   timestamp=0.0, source="left")
+
+
+@st.composite
+def _same_shape_frame_pairs(draw):
+    """1-3 (left, right) uint8 frame pairs of one random shape; some all-0 or all-255."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)), 3)
+    frame = st.one_of(
+        arrays(np.uint8, shape),
+        st.sampled_from([0, 255]).map(lambda v: np.full(shape, v, dtype=np.uint8)),
+    )
+    return draw(st.lists(st.tuples(frame, frame), min_size=1, max_size=3))
+
+
+class TestKernelBuffers:
+    @settings(max_examples=60, deadline=None)
+    @given(_same_shape_frame_pairs())
+    def test_anaglyph_matches_oracle_fresh_and_reused(self, pairs):
+        h, w = pairs[0][0].shape[:2]
+        out = np.full((h, w, 3), 0xAB, dtype=np.uint8)
+        scratch = np.full((2, h, w), np.nan)
+        for left, right in pairs:
+            want = anaglyph_oracle(left, right)
+            assert (_kernels.anaglyph_numpy(left, right) == want).all()
+            assert _kernels.anaglyph_numpy(left, right, out, scratch) is out
+            assert (out == want).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_same_shape_frame_pairs())
+    def test_sbs_matches_oracle_fresh_and_reused(self, pairs):
+        h, w = pairs[0][0].shape[:2]
+        out = np.full((h, 2 * w, 3), 0xAB, dtype=np.uint8)
+        for left, right in pairs:
+            want = sbs_oracle(left, right)
+            assert (_kernels.sbs_numpy(left, right) == want).all()
+            assert _kernels.sbs_numpy(left, right, out) is out
+            assert (out == want).all()
+
+    def test_composers_fill_given_buffers(self):
+        rng = np.random.default_rng(21)
+        pair = FramePair(
+            Frame.from_pixels(rng.integers(0, 256, (5, 7, 3), dtype=np.uint8), 0.0, "left"),
+            Frame.from_pixels(rng.integers(0, 256, (5, 7, 3), dtype=np.uint8), 1.0, "right"),
+            1.0,
+        )
+        out = np.empty((5, 7, 3), dtype=np.uint8)
+        assert anaglyph(pair, out, np.empty((2, 5, 7))).pixels is out
+        assert (out == anaglyph_oracle(pair.left.pixels, pair.right.pixels)).all()
+        wide = np.empty((5, 14, 3), dtype=np.uint8)
+        assert side_by_side(pair, wide).pixels is wide
+        assert (wide == sbs_oracle(pair.left.pixels, pair.right.pixels)).all()
 
 
 class TestKernelBackends:
@@ -323,3 +388,30 @@ class TestLoadStream:
         assert [f.timestamp for f in frames] == times
         assert all(f.source == "left" for f in frames)
         assert frames[0].pixels.shape == (8, 8, 3)
+
+    def test_scan_stream_reads_headers_only(self, tmp_path):
+        entries = []
+        for i, (w, h) in enumerate([(8, 8), (3, 5)]):
+            p = tmp_path / f"f{i}.ppm"
+            write_ppm(str(p), np.zeros((h, w, 3), dtype=np.uint8))
+            entries.append((i * 33.3, str(p)))
+        manifest = tmp_path / "s.txt"
+        write_manifest(str(manifest), entries)
+        refs = scan_stream(str(manifest))
+        assert [(r.timestamp, r.path, r.width, r.height) for r in refs] == [
+            (0.0, entries[0][1], 8, 8),
+            (33.3, entries[1][1], 3, 5),
+        ]
+
+    def test_stream_merge_checks_every_pair_before_reading(self, tmp_path):
+        # the first pair's files do not exist: the mismatch on the second
+        # pair is reported before any file is opened
+        refs = [
+            (FrameRef(0.0, str(tmp_path / "missing"), 4, 4),
+             FrameRef(1.0, str(tmp_path / "missing"), 4, 4)),
+            (FrameRef(33.0, str(tmp_path / "missing"), 4, 4),
+             FrameRef(34.0, str(tmp_path / "missing"), 5, 4)),
+        ]
+        pairs = [FramePair(l, r, 1.0) for l, r in refs]
+        with pytest.raises(MergeError, match="dimension mismatch: left 4x4 vs right 5x4"):
+            stream_merge(pairs, "sbs")

@@ -7,6 +7,7 @@ from stereorig.ppmio import (
     PpmError,
     read_manifest,
     read_ppm,
+    read_ppm_header,
     write_manifest,
     write_ppm,
 )
@@ -50,6 +51,20 @@ class TestPpmHeaderParsing:
                       + pixels.tobytes())
         assert (read_ppm(str(p)) == pixels).all()
 
+    def test_comment_longer_than_a_read_chunk(self, tmp_path):
+        pixels = _random_pixels(2, w=3, h=2)
+        p = tmp_path / "long.ppm"
+        p.write_bytes(b"P6\n# " + b"x" * 5000 + b"\n3 # " + b"y" * 70 + b"\n2\n255\n"
+                      + pixels.tobytes())
+        assert read_ppm_header(str(p)) == (3, 2)
+        assert (read_ppm(str(p)) == pixels).all()
+
+    def test_header_pass_rejects_truncated_raster(self, tmp_path):
+        p = tmp_path / "t.ppm"
+        p.write_bytes(b"P6\n2 2\n255\n" + b"\0" * 11)
+        with pytest.raises(PpmError, match="expected 12 raster bytes, got 11"):
+            read_ppm_header(str(p))
+
     def test_p3_rejected(self, tmp_path):
         p = tmp_path / "a.ppm"
         p.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
@@ -85,6 +100,23 @@ class TestPpmHeaderParsing:
         p.write_bytes(b"P6\n0 2\n255\n")
         with pytest.raises(PpmError, match="bad dimensions"):
             read_ppm(str(p))
+
+
+class TestReadInto:
+    def test_reads_into_given_buffer(self, tmp_path):
+        pixels = _random_pixels(3)
+        p = tmp_path / "img.ppm"
+        write_ppm(str(p), pixels)
+        buf = np.full(pixels.shape, 7, dtype=np.uint8)
+        assert read_ppm(str(p), buf) is buf
+        assert (buf == pixels).all()
+
+    @pytest.mark.parametrize("shape,dtype", [((6, 4, 3), np.uint8), ((4, 6, 3), np.uint16)])
+    def test_buffer_of_other_shape_or_dtype_rejected(self, tmp_path, shape, dtype):
+        p = tmp_path / "img.ppm"
+        write_ppm(str(p), _random_pixels(4))
+        with pytest.raises(PpmError, match="does not fit"):
+            read_ppm(str(p), np.zeros(shape, dtype=dtype))
 
 
 class TestWriteValidation:
@@ -142,6 +174,21 @@ class TestManifest:
         manifest = tmp_path / "m.txt"
         write_manifest(str(manifest), [(100.0, str(tmp_path / "a.ppm"))])
         assert manifest.read_text() == "100 a.ppm\n"
+
+    def test_timestamps_round_trip_exactly(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        times = [33.0, 2166.667, 123456.789, 0.1, 1e-7]
+        entries = [(t, str(tmp_path / f"{i}.ppm")) for i, t in enumerate(times)]
+        write_manifest(str(manifest), entries)
+        assert manifest.read_text().splitlines()[0] == "33 0.ppm"
+        assert [ts for ts, _ in read_manifest(str(manifest))] == times
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, text):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"0 a.ppm\n{text} b.ppm\n")
+        with pytest.raises(PpmError, match="m.txt:2: .*not finite"):
+            read_manifest(str(manifest))
 
     def test_missing_path_column_rejected(self, tmp_path):
         manifest = tmp_path / "m.txt"
