@@ -8,8 +8,7 @@ result into deterministic corrective instructions.
 
 The magnetometer comparison is a direct componentwise delta of the two
 field vectors: two identically-oriented devices in the same place read the
-same field.  A transform hook into an earth-fixed frame would slot in
-where _transform_reading sits; it is intentionally the identity here.
+same field.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ class GridOverlay:
 
 def _half_up(v: float) -> int:
     return math.floor(v + 0.5)
-
-
-def _transform_reading(reading: SensorReading) -> SensorReading:
-    # identity placeholder for an earth-frame transform; see module docstring
-    return reading
 
 
 def grid_overlay(
@@ -159,8 +153,6 @@ def check_alignment(
     """
     a.validate()
     b.validate()
-    a = _transform_reading(a)
-    b = _transform_reading(b)
     deltas = tuple(bb - aa for aa, bb in zip(a.magnetometer, b.magnetometer))
     offending = tuple(
         axis for axis, delta in zip(_AXES, deltas) if abs(delta) > mag_tolerance

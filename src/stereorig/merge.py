@@ -152,27 +152,20 @@ def side_by_side(pair: FramePair, out: np.ndarray | None = None) -> Frame:
     return Frame.from_pixels(px, pair.left.timestamp, "sbs")
 
 
-def anaglyph(
-    pair: FramePair, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> Frame:
+def anaglyph(pair: FramePair, out: np.ndarray | None = None) -> Frame:
     """Blue = left luminance, red = right luminance, green = 0 (BT.601).
 
-    The pixels go into `out`, (h, w, 3) uint8, when it is given; `scratch`
-    is float64 (2, h, w) work space.
+    The pixels go into `out`, (h, w, 3) uint8, when it is given.
     """
     _check_dims(pair)
-    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels, out, scratch)
+    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels, out)
     return Frame.from_pixels(px, pair.left.timestamp, "anaglyph")
 
 
-def _output_buffers(mode: str, width: int, height: int) -> dict[str, np.ndarray]:
-    """Preallocated `out` (and `scratch`) for the composer of `mode`."""
-    if mode == "sbs":
-        return {"out": np.empty((height, 2 * width, 3), dtype=np.uint8)}
-    return {
-        "out": np.empty((height, width, 3), dtype=np.uint8),
-        "scratch": np.empty((2, height, width), dtype=np.float64),
-    }
+def _output_buffer(mode: str, width: int, height: int) -> np.ndarray:
+    """Preallocated `out` for the composer of `mode`."""
+    out_width = 2 * width if mode == "sbs" else width
+    return np.empty((height, out_width, 3), dtype=np.uint8)
 
 
 def _composer(mode: str):
@@ -226,7 +219,7 @@ def _stream(pairs: list[FramePair], compose, mode: str) -> Iterator[Frame]:
             size = (lref.width, lref.height)
             left_px = np.empty((lref.height, lref.width, 3), dtype=np.uint8)
             right_px = np.empty_like(left_px)
-            buffers = _output_buffers(mode, *size)
+            out = _output_buffer(mode, *size)
         left = Frame.from_pixels(read_ppm(lref.path, left_px), lref.timestamp, "left")
         right = Frame.from_pixels(read_ppm(rref.path, right_px), rref.timestamp, "right")
-        yield compose(FramePair(left, right, pair.timestamp_skew), **buffers)
+        yield compose(FramePair(left, right, pair.timestamp_skew), out)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -281,11 +284,10 @@ class TestKernelBuffers:
     def test_anaglyph_matches_oracle_fresh_and_reused(self, pairs):
         h, w = pairs[0][0].shape[:2]
         out = np.full((h, w, 3), 0xAB, dtype=np.uint8)
-        scratch = np.full((2, h, w), np.nan)
         for left, right in pairs:
             want = anaglyph_oracle(left, right)
-            assert (_kernels.anaglyph_numpy(left, right) == want).all()
-            assert _kernels.anaglyph_numpy(left, right, out, scratch) is out
+            assert (_kernels.anaglyph_pixels(left, right) == want).all()
+            assert _kernels.anaglyph_pixels(left, right, out) is out
             assert (out == want).all()
 
     @settings(max_examples=60, deadline=None)
@@ -295,8 +297,8 @@ class TestKernelBuffers:
         out = np.full((h, 2 * w, 3), 0xAB, dtype=np.uint8)
         for left, right in pairs:
             want = sbs_oracle(left, right)
-            assert (_kernels.sbs_numpy(left, right) == want).all()
-            assert _kernels.sbs_numpy(left, right, out) is out
+            assert (_kernels.sbs_pixels(left, right) == want).all()
+            assert _kernels.sbs_pixels(left, right, out) is out
             assert (out == want).all()
 
     def test_composers_fill_given_buffers(self):
@@ -307,70 +309,119 @@ class TestKernelBuffers:
             1.0,
         )
         out = np.empty((5, 7, 3), dtype=np.uint8)
-        assert anaglyph(pair, out, np.empty((2, 5, 7))).pixels is out
+        assert anaglyph(pair, out).pixels is out
         assert (out == anaglyph_oracle(pair.left.pixels, pair.right.pixels)).all()
         wide = np.empty((5, 14, 3), dtype=np.uint8)
         assert side_by_side(pair, wide).pixels is wide
         assert (wide == sbs_oracle(pair.left.pixels, pair.right.pixels)).all()
 
+    def test_anaglyph_rejects_mismatched_shapes(self):
+        frame = np.zeros((4, 5, 3), dtype=np.uint8)
+        four_channel = np.zeros((4, 5, 4), dtype=np.uint8)
+        for left, right, out in (
+            (frame, np.zeros((5, 5, 3), dtype=np.uint8), None),
+            (frame, frame, np.zeros((3, 5, 3), dtype=np.uint8)),
+            (four_channel, four_channel, None),
+        ):
+            with pytest.raises(ValueError, match="one shape"):
+                _kernels.anaglyph_pixels(left, right, out)
 
-class TestKernelBackends:
-    def test_numba_importable_here(self):
-        pytest.importorskip("numba")
-        assert _kernels.numba_available()
 
-    def test_active_backend_is_valid(self):
-        assert _kernels.active_backend() in ("numba", "numpy")
+def _rand_pixels(seed: int, h: int, w: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
 
-    @pytest.mark.skipif(not _kernels.numba_available(), reason="numba missing")
-    def test_anaglyph_backends_bit_identical(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            left = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-            right = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-            a = _kernels.anaglyph_numpy(left, right)
-            b = _kernels.anaglyph_numba(left, right)
-            assert a.dtype == b.dtype == np.uint8
-            assert (a == b).all()
 
-    @pytest.mark.skipif(not _kernels.numba_available(), reason="numba missing")
-    def test_sbs_backends_bit_identical(self):
-        rng = np.random.default_rng(13)
-        left = rng.integers(0, 256, size=(9, 7, 3), dtype=np.uint8)
-        right = rng.integers(0, 256, size=(9, 7, 3), dtype=np.uint8)
-        assert (_kernels.sbs_numpy(left, right) == _kernels.sbs_numba(left, right)).all()
+# A strip holds 2**16 // w rows: 4 at w=13108, 2 at w=21846 and 1 at
+# w=65537.  The heights reach past one strip while the looped oracle stays
+# under half a second a frame.
+_EDGE_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 9), st.just(13108)),
+    st.tuples(st.integers(1, 5), st.just(21846)),
+    st.tuples(st.integers(1, 2), st.just(65537)),
+)
 
-    def test_env_flag_forces_numpy_backend(self, subprocess_env):
-        import subprocess
-        import sys
 
-        env = dict(subprocess_env, STEREORIG_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from stereorig import _kernels; print(_kernels.active_backend())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+class TestAnaglyphTiling:
+    def test_every_colour_matches_bt601_formula(self):
+        # big-endian 0x00RRGGBB words: bytes 1-3 of word i are colour i
+        words = np.arange(1 << 24, dtype=">u4").reshape(4096, 4096, 1)
+        colours = words.view(np.uint8)[..., 1:]
+        flipped = colours[::-1, ::-1]
+        out = _kernels.anaglyph_pixels(colours, flipped)
+        for src, channel in ((flipped, 0), (colours, 2)):
+            for y in range(0, 4096, 512):
+                rgb = src[y : y + 512]
+                r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+                want = np.minimum(np.floor(((r * 0.299 + g * 0.587) + b * 0.114) + 0.5), 255)
+                assert (out[y : y + 512, :, channel] == want).all()
+        assert not out[..., 1].any()
 
-    def test_merge_output_independent_of_backend(self, subprocess_env):
-        import subprocess
-        import sys
+    @settings(max_examples=6, deadline=None)
+    @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, 1), seed=0)
+    @example(shape=(1, 65537), seed=1)
+    @example(shape=(7, 13108), seed=2)
+    @example(shape=(5, 21846), seed=3)
+    def test_strip_edges_match_oracle(self, shape, seed):
+        left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
+        want = anaglyph_oracle(left, right)
+        out = np.full(want.shape, 0xAB, dtype=np.uint8)
+        assert (_kernels.anaglyph_pixels(left, right) == want).all()
+        assert _kernels.anaglyph_pixels(left, right, out) is out
+        assert (out == want).all()
+        # the oracle works pixel by pixel, so reversing both inputs reverses it
+        out.fill(0xAB)
+        _kernels.anaglyph_pixels(left[:, ::-1], right[:, ::-1], out)
+        assert (out == want[:, ::-1]).all()
+        _kernels.anaglyph_pixels(left[::-1], right[::-1], out)
+        assert (out == want[::-1]).all()
 
+    def test_concurrent_calls_each_get_the_oracle_output(self):
+        # two strips a frame; each call has its own work space, so calls
+        # from more threads than CPUs must not see each other's strips
+        frames = [(_rand_pixels(2 * i, 2, 65537), _rand_pixels(2 * i + 1, 2, 65537))
+                  for i in range(3)]
+        wants = [anaglyph_oracle(left, right) for left, right in frames]
+        start = threading.Barrier(len(frames))
+        matched = [[] for _ in frames]
+
+        def work(i):
+            left, right = frames[i]
+            out = np.empty_like(left)
+            start.wait(timeout=30)
+            for _ in range(5):
+                _kernels.anaglyph_pixels(left, right, out)
+                matched[i].append(bool((out == wants[i]).all()))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(frames))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert matched == [[True] * 5] * len(frames)
+
+    def test_import_and_composers_start_no_thread(self, subprocess_env):
         script = (
+            "import threading\n"
+            "before = threading.active_count()\n"
             "import numpy as np\n"
-            "from stereorig import _kernels\n"
-            "rng = np.random.default_rng(99)\n"
-            "l = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)\n"
-            "r = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)\n"
-            "print(_kernels.anaglyph_pixels(l, r).tobytes().hex())\n"
+            "import stereorig._kernels, stereorig.cli\n"
+            "from stereorig.merge import Frame, FramePair, anaglyph, side_by_side\n"
+            "px = np.zeros((1080, 1920, 3), dtype=np.uint8)\n"
+            "frame = Frame.from_pixels(px, 0.0, 'left')\n"
+            "side_by_side(FramePair(frame, frame, 0.0))\n"
+            "anaglyph(FramePair(frame, frame, 0.0))\n"
+            "print(before, threading.active_count())\n"
         )
-        outs = []
-        for flag in ("", "1"):
-            env = dict(subprocess_env, STEREORIG_NO_NUMBA=flag)
-            res = subprocess.run([sys.executable, "-c", script],
-                                 env=env, capture_output=True, text=True, check=True)
-            outs.append(res.stdout.strip())
-        assert outs[0] == outs[1]
+        res = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.split() == ["1", "1"]
 
 
 class TestLoadStream:
