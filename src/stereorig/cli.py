@@ -13,11 +13,7 @@ import os
 import sys
 
 from . import DEFAULT_IPD_MM, alignment, guidance, svgio, syncproto, templates
-from .registry import RegistryError, load_registry, lookup, parse_device_specs
-
-
-class CliError(ValueError):
-    """Domain error surfaced to the user with exit code 1."""
+from .registry import load_registry, lookup, parse_device_specs
 
 
 def _load_specs(path: str | None):
@@ -254,15 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    CliError,
-    RegistryError,
-    alignment.InfeasibleLayoutError,
-    templates.TemplateError,
-    guidance.GuidanceError,
-    OSError,
-    ValueError,
-)
+# every domain error (RegistryError, TemplateError, MergeError, ...) subclasses ValueError
+_DOMAIN_ERRORS = (OSError, ValueError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,7 @@ import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
-from .templates import Piece, TemplateLayout, TemplateError
+from .templates import PIECE_KINDS, Piece, TemplateLayout, TemplateError
 
 _STYLE = """\
     .cut { fill: none; stroke: #000000; stroke-width: 0.3; }
@@ -86,7 +86,7 @@ def _piece_to_svg(piece: Piece) -> str:
 def render_svg(layout: TemplateLayout) -> str:
     sx, sy, sw, sh = layout.sheet_bounds
     for piece in layout.pieces:
-        if piece.kind not in ("cut", "fold", "velcro", "aperture"):
+        if piece.kind not in PIECE_KINDS:
             raise TemplateError(
                 f"piece {piece.piece_id!r} has unknown kind {piece.kind!r}"
             )
@@ -140,7 +140,7 @@ def parse_svg(text: str) -> TemplateLayout:
             metadata = json.loads(el.text)
             continue
         cls = el.get("class", "")
-        if cls not in ("cut", "fold", "velcro", "aperture"):
+        if cls not in PIECE_KINDS:
             continue
         piece_id = el.get("id", "")
         panel = el.get("data-panel", "")

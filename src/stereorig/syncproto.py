@@ -5,14 +5,13 @@ sets, agree on a shared capture profile, start capturing at a shared
 future local timestamp, and emit frame ticks at the negotiated fps.  The
 state machines are pure: `step(state, event, local_now)` returns the next
 state plus outbound messages and never touches a clock, socket, or RNG.
-All scheduling, transport loss/jitter, and retransmission policy live in
-the Simulator.
+The state says which sent messages still wait for an answer (`unacked`);
+scheduling, transport loss/jitter, and when to resend live in the Simulator.
 
 Transition table (source of truth; anything not listed fails the session)
 ==========================================================================
 Initiator:
   (Idle,        timer start)       -> Pairing      send PairRequest
-  (Pairing,     timer retransmit)  -> Pairing      resend PairRequest
   (Pairing,     PairAccept)        -> Negotiating
   (Pairing,     CapabilityOffer)   -> Configured   send CapabilityAck   [accept+offer reordered]
   (Negotiating, CapabilityOffer)   -> Configured   send CapabilityAck
@@ -23,7 +22,6 @@ Responder:
   (Idle,        timer start)       -> Pairing
   (Pairing,     PairRequest)       -> Negotiating  send PairAccept, CapabilityOffer
   (Negotiating, PairRequest)       -> Negotiating  resend both          [duplicate request]
-  (Negotiating, timer retransmit)  -> Negotiating  resend both
   (Negotiating, CapabilityAck)     -> Configured   adopt profile (bounded by own caps)
   (Configured,  CapabilityAck)     -> Configured                        [duplicate ack]
 Either role:
@@ -41,18 +39,21 @@ Either role:
   (Failed,      anything)          -> Failed       terminal states absorb
   (Done,        anything but abort)-> Done
 
-Retransmission (simulator policy): while the initiator waits in Pairing or
-the responder waits in Negotiating, the in-flight request is resent up to
-`retry_budget` times with doubling timeouts starting at
-`retry_factor x base_latency`; exhausting the budget fails the session and
-the simulator then forces the peer to Failed as well, so every run ends
-with matching terminal phases.
+Retransmission: `SessionState.unacked` holds the messages an endpoint
+still waits to have answered.  The initiator's start sets it to its
+PairRequest, answered by PairAccept or CapabilityOffer; the responder's
+PairRequest handler sets it to PairAccept + CapabilityOffer, answered by
+CapabilityAck; failing empties it.  While it is non-empty the Simulator
+resends exactly those messages up to RETRY_BUDGET times, with doubling
+timeouts starting at RETRY_FACTOR x base_latency (x 1 ms at zero latency);
+exhausting the budget fails the session and the simulator then forces the
+peer to Failed as well.  CaptureStart, FocusSet and ModeSet are sent once,
+so a lost CaptureStart leaves one end Configured while the other captures.
 
 Clock model: one global simulation clock plus a constant per-endpoint
 offset (no drift).  CaptureStart carries a local timestamp; both devices
 begin when their own clock shows it, so the global start skew equals the
-offset difference.  clock_offset_estimate is a naive bound computed from
-message send stamps (receive_local - send_local); it is diagnostic only.
+offset difference.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ class Message:
     kind: MsgKind
     sender: str
     payload: Any = None
-    sent_at_local: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ class SessionState:
     spec: DeviceSpec
     phase: Phase = Phase.IDLE
     negotiated: CapabilityProfile | None = None
-    clock_offset_estimate: float = 0.0
     last_seq_seen: int = -1
     capture_start: float | None = None  # local clock ms
     next_tick_seq: int = 0
@@ -145,6 +144,7 @@ class SessionState:
     pending_focus: FocusDirective | None = None
     pending_mode: ModeDirective | None = None
     fail_reason: str | None = None
+    unacked: tuple[Message, ...] = ()  # sent, resent until the peer answers
 
 
 def new_session(endpoint_id: str, role: str, spec: DeviceSpec) -> SessionState:
@@ -154,14 +154,10 @@ def new_session(endpoint_id: str, role: str, spec: DeviceSpec) -> SessionState:
 
 
 def _fail(
-    state: SessionState, reason: str, local_now: float, emit: bool = False
+    state: SessionState, reason: str, emit: bool = False
 ) -> tuple[SessionState, list[Message]]:
-    out = (
-        [Message(MsgKind.ERROR, state.endpoint_id, reason, sent_at_local=local_now)]
-        if emit
-        else []
-    )
-    return replace(state, phase=Phase.FAILED, fail_reason=reason), out
+    out = [Message(MsgKind.ERROR, state.endpoint_id, reason)] if emit else []
+    return replace(state, phase=Phase.FAILED, fail_reason=reason, unacked=()), out
 
 
 def _profile_within(profile: CapabilityProfile, spec: DeviceSpec) -> bool:
@@ -200,38 +196,23 @@ def _on_timer(
     me = state.endpoint_id
     kind = timer.kind
     if kind == "abort":
-        return _fail(state, state.fail_reason or "aborted: peer failure", now)
+        return _fail(state, state.fail_reason or "aborted: peer failure")
     if kind == "give_up":
-        return _fail(state, "timeout: retry budget exhausted", now)
+        return _fail(state, "timeout: retry budget exhausted")
 
     if kind == "start":
         if state.phase is not Phase.IDLE:
-            return _fail(state, f"unexpected start in {state.phase.value}", now)
+            return _fail(state, f"unexpected start in {state.phase.value}")
         if state.role == "initiator":
-            return (
-                replace(state, phase=Phase.PAIRING),
-                [Message(MsgKind.PAIR_REQUEST, me, sent_at_local=now)],
-            )
+            request = (Message(MsgKind.PAIR_REQUEST, me),)
+            return replace(state, phase=Phase.PAIRING, unacked=request), list(request)
         return replace(state, phase=Phase.PAIRING), []
-
-    if kind == "retransmit":
-        if state.role == "initiator" and state.phase is Phase.PAIRING:
-            return state, [Message(MsgKind.PAIR_REQUEST, me, sent_at_local=now)]
-        if state.role == "responder" and state.phase is Phase.NEGOTIATING:
-            return state, [
-                Message(MsgKind.PAIR_ACCEPT, me, sent_at_local=now),
-                Message(MsgKind.CAPABILITY_OFFER, me, state.spec, sent_at_local=now),
-            ]
-        return state, []  # stale timer; nothing awaited any more
 
     if kind == "propose_capture":
         if state.role != "initiator" or state.phase is not Phase.CONFIGURED:
-            return _fail(state, f"unexpected propose_capture in {state.phase.value}", now)
+            return _fail(state, f"unexpected propose_capture in {state.phase.value}")
         start = now + float(timer.payload)
-        return (
-            replace(state, capture_start=start),
-            [Message(MsgKind.CAPTURE_START, me, start, sent_at_local=now)],
-        )
+        return replace(state, capture_start=start), [Message(MsgKind.CAPTURE_START, me, start)]
 
     if kind == "capture_begin":
         if state.phase is not Phase.CONFIGURED or state.capture_start is None:
@@ -245,7 +226,7 @@ def _on_timer(
         period = 1000.0 / state.negotiated.frame_rate
         seq = state.next_tick_seq
         ts = state.capture_start + seq * period
-        msg = Message(MsgKind.FRAME_TICK, me, TickStamp(seq, ts), sent_at_local=now)
+        msg = Message(MsgKind.FRAME_TICK, me, TickStamp(seq, ts))
         return replace(state, next_tick_seq=seq + 1), [msg]
 
     if kind == "capture_end":
@@ -255,15 +236,12 @@ def _on_timer(
 
     if kind == "send_directive":
         if state.phase not in (Phase.CONFIGURED, Phase.CAPTURING):
-            return _fail(state, f"unexpected send_directive in {state.phase.value}", now)
+            return _fail(state, f"unexpected send_directive in {state.phase.value}")
         directive = timer.payload
         mk = MsgKind.FOCUS_SET if isinstance(directive, FocusDirective) else MsgKind.MODE_SET
-        return (
-            _stage_directive(state, directive),
-            [Message(mk, me, directive, sent_at_local=now)],
-        )
+        return _stage_directive(state, directive), [Message(mk, me, directive)]
 
-    return _fail(state, f"unknown timer {kind!r}", now)
+    return _fail(state, f"unknown timer {kind!r}")
 
 
 def _on_message(
@@ -274,70 +252,63 @@ def _on_message(
     phase = state.phase
 
     if kind is MsgKind.ERROR:
-        return _fail(state, f"peer error: {msg.payload}", now)
+        return _fail(state, f"peer error: {msg.payload}")
 
     if kind is MsgKind.PAIR_REQUEST:
         if state.role == "responder" and phase in (Phase.PAIRING, Phase.NEGOTIATING):
-            est = msg.sent_at_local - now
-            out = [
-                Message(MsgKind.PAIR_ACCEPT, me, sent_at_local=now),
-                Message(MsgKind.CAPABILITY_OFFER, me, state.spec, sent_at_local=now),
-            ]
-            return (
-                replace(state, phase=Phase.NEGOTIATING, clock_offset_estimate=est),
-                out,
+            replies = (
+                Message(MsgKind.PAIR_ACCEPT, me),
+                Message(MsgKind.CAPABILITY_OFFER, me, state.spec),
             )
-        return _fail(state, f"unexpected PairRequest in {phase.value}", now, emit=True)
+            return replace(state, phase=Phase.NEGOTIATING, unacked=replies), list(replies)
+        return _fail(state, f"unexpected PairRequest in {phase.value}", emit=True)
 
     if kind is MsgKind.PAIR_ACCEPT:
         if state.role == "initiator":
             if phase is Phase.PAIRING:
-                est = msg.sent_at_local - now
-                return (
-                    replace(state, phase=Phase.NEGOTIATING, clock_offset_estimate=est),
-                    [],
-                )
+                return replace(state, phase=Phase.NEGOTIATING, unacked=()), []
             if phase in (Phase.NEGOTIATING, Phase.CONFIGURED):
                 return state, []  # duplicate / reordered
-        return _fail(state, f"unexpected PairAccept in {phase.value}", now, emit=True)
+        return _fail(state, f"unexpected PairAccept in {phase.value}", emit=True)
 
     if kind is MsgKind.CAPABILITY_OFFER:
         if state.role == "initiator":
             if phase in (Phase.PAIRING, Phase.NEGOTIATING):
                 profile = negotiate(state.spec, msg.payload)
                 return (
-                    replace(state, phase=Phase.CONFIGURED, negotiated=profile),
-                    [Message(MsgKind.CAPABILITY_ACK, me, profile, sent_at_local=now)],
+                    replace(state, phase=Phase.CONFIGURED, negotiated=profile, unacked=()),
+                    [Message(MsgKind.CAPABILITY_ACK, me, profile)],
                 )
             if phase is Phase.CONFIGURED:
-                return state, [
-                    Message(MsgKind.CAPABILITY_ACK, me, state.negotiated, sent_at_local=now)
-                ]
-        return _fail(state, f"unexpected CapabilityOffer in {phase.value}", now, emit=True)
+                return state, [Message(MsgKind.CAPABILITY_ACK, me, state.negotiated)]
+        return _fail(state, f"unexpected CapabilityOffer in {phase.value}", emit=True)
 
     if kind is MsgKind.CAPABILITY_ACK:
         if state.role == "responder":
             if phase is Phase.NEGOTIATING:
                 profile = msg.payload
                 if not _profile_within(profile, state.spec):
-                    return _fail(state, "negotiated profile exceeds own capabilities", now, emit=True)
-                return replace(state, phase=Phase.CONFIGURED, negotiated=profile), []
+                    return _fail(state, "negotiated profile exceeds own capabilities", emit=True)
+                return (
+                    replace(state, phase=Phase.CONFIGURED, negotiated=profile, unacked=()),
+                    [],
+                )
             if phase is Phase.CONFIGURED:
                 return state, []  # duplicate ack
-        return _fail(state, f"unexpected CapabilityAck in {phase.value}", now, emit=True)
+        return _fail(state, f"unexpected CapabilityAck in {phase.value}", emit=True)
 
     if kind is MsgKind.CAPTURE_START:
         if phase is Phase.CONFIGURED:
             start = float(msg.payload)
             if start <= now:
-                return _fail(state, "start time in past", now, emit=True)
+                return _fail(state, "start time in past", emit=True)
             return replace(state, capture_start=start), []
-        return _fail(state, f"unexpected CaptureStart in {phase.value}", now, emit=True)
+        return _fail(state, f"unexpected CaptureStart in {phase.value}", emit=True)
 
     if kind in (MsgKind.FOCUS_SET, MsgKind.MODE_SET):
         if phase in (Phase.CONFIGURED, Phase.CAPTURING):
             return _stage_directive(state, msg.payload), []
-        return _fail(state, f"unexpected {kind.value} in {phase.value}", now, emit=True)
+        return _fail(state, f"unexpected {kind.value} in {phase.value}", emit=True)
 
     if kind is MsgKind.FRAME_TICK:
         if phase is Phase.CAPTURING:
@@ -349,15 +320,14 @@ def _on_message(
                     state,
                     f"frame cadence mismatch at seq {tick.seq}: "
                     f"got {tick.timestamp:.6f}, expected {expected:.6f}",
-                    now,
                     emit=True,
                 )
             return replace(state, last_seq_seen=max(state.last_seq_seen, tick.seq)), []
         if phase in (Phase.DONE, Phase.CONFIGURED):
             return state, []  # late or early tick around the capture window
-        return _fail(state, f"unexpected FrameTick in {phase.value}", now, emit=True)
+        return _fail(state, f"unexpected FrameTick in {phase.value}", emit=True)
 
-    return _fail(state, f"unknown message kind {kind!r}", now, emit=True)
+    return _fail(state, f"unknown message kind {kind!r}", emit=True)
 
 
 def step(
@@ -440,9 +410,9 @@ class Simulator:
     """Deterministic discrete-event runner for exactly two sessions.
 
     Owns the event heap, the seeded transport randomness, timer policy
-    (retransmits, capture scheduling), and the transcript.  Guarantees a
-    symmetric outcome: if either session fails, the other is aborted at
-    quiescence so terminal phases always match.
+    (resending each session's `unacked`, capture scheduling), and the
+    transcript.  If either session fails, the other is aborted at
+    quiescence so that neither is left running.
     """
 
     def __init__(
@@ -451,8 +421,6 @@ class Simulator:
         transport: SimulatedTransport,
         seed: int = 0,
         clock_offsets: dict[str, float] | None = None,
-        retry_budget: int = RETRY_BUDGET,
-        retry_factor: float = RETRY_FACTOR,
     ):
         if len(sessions) != 2:
             raise ValueError("simulator needs exactly two sessions")
@@ -462,8 +430,7 @@ class Simulator:
         self.transport = transport
         self.rng = random.Random(seed)
         self.offsets = dict(clock_offsets or {e: 0.0 for e in ids})
-        self.retry_budget = retry_budget
-        self.retry_delay0 = retry_factor * (
+        self.retry_delay0 = RETRY_FACTOR * (
             transport.base_latency if transport.base_latency > 0 else 1.0
         )
         self.transcript: list[TranscriptEntry] = []
@@ -500,50 +467,34 @@ class Simulator:
         self._log(t_global, wire, "send", detail)
         self.schedule(t_global + delay, dst, msg)
 
-    def _awaiting(self, state: SessionState) -> bool:
-        return (state.role == "initiator" and state.phase is Phase.PAIRING) or (
-            state.role == "responder" and state.phase is Phase.NEGOTIATING
-        )
-
     def _update_arming(self, endpoint: str, t_global: float) -> None:
-        state = self.states[endpoint]
-        if self._awaiting(state):
-            if self._armed[endpoint] is None:
-                self._arm_gen[endpoint] += 1
-                gen = self._arm_gen[endpoint]
-                self._armed[endpoint] = gen
-                self._retries[endpoint] = 0
-                self.schedule(
-                    t_global + self.retry_delay0, endpoint, Timer("retransmit", gen)
-                )
-        else:
+        # one retransmit timer per endpoint, armed while something is unacked
+        if not self.states[endpoint].unacked:
             self._armed[endpoint] = None
+        elif self._armed[endpoint] is None:
+            self._arm_gen[endpoint] += 1
+            gen = self._arm_gen[endpoint]
+            self._armed[endpoint] = gen
+            self._retries[endpoint] = 0
+            self.schedule(t_global + self.retry_delay0, endpoint, Timer("retransmit", gen))
 
     def dispatch(self, endpoint: str, event: Message | Timer, t_global: float) -> None:
         old = self.states[endpoint]
         local_now = self.local(endpoint, t_global)
 
         if isinstance(event, Timer) and event.kind == "retransmit":
-            gen = event.payload
-            if self._armed[endpoint] != gen or not self._awaiting(old):
+            if self._armed[endpoint] != event.payload:
                 return  # stale timer
-            if self._retries[endpoint] >= self.retry_budget:
-                self._log(t_global, endpoint, "timer", "give_up")
-                event = Timer("give_up")
-            else:
+            if self._retries[endpoint] < RETRY_BUDGET:
                 self._retries[endpoint] += 1
-                self._log(
-                    t_global,
-                    endpoint,
-                    "timer",
-                    f"retransmit attempt {self._retries[endpoint]}",
-                )
-                self.schedule(
-                    t_global + self.retry_delay0 * 2 ** self._retries[endpoint],
-                    endpoint,
-                    Timer("retransmit", gen),
-                )
-        elif isinstance(event, Timer):
+                n = self._retries[endpoint]
+                self._log(t_global, endpoint, "timer", f"retransmit attempt {n}")
+                self.schedule(t_global + self.retry_delay0 * 2**n, endpoint, event)
+                for msg in old.unacked:
+                    self._send(msg, t_global)
+                return
+            event = Timer("give_up")
+        if isinstance(event, Timer):
             self._log(t_global, endpoint, "timer", event.kind)
         else:
             self._log(
@@ -635,26 +586,31 @@ def _two(states: dict[str, SessionState]) -> tuple[SessionState, SessionState]:
     return sa, sb
 
 
+def _simulator(
+    sessions: tuple[SessionState, SessionState],
+    transport: SimulatedTransport,
+    seed: int,
+    clock_offsets: tuple[float, float],
+) -> Simulator:
+    ids = [s.endpoint_id for s in sessions]
+    return Simulator(
+        dict(zip(ids, sessions)),
+        transport,
+        seed=seed,
+        clock_offsets=dict(zip(ids, clock_offsets)),
+    )
+
+
 def run_pairing(
     spec_a: DeviceSpec,
     spec_b: DeviceSpec,
     transport: SimulatedTransport,
     seed: int = 0,
     clock_offsets: tuple[float, float] = (0.0, 0.0),
-    retry_budget: int = RETRY_BUDGET,
 ) -> PairingRun:
     """Drive both sessions from Idle to a shared terminal phase."""
-    sessions = {
-        "A": new_session("A", "initiator", spec_a),
-        "B": new_session("B", "responder", spec_b),
-    }
-    sim = Simulator(
-        sessions,
-        transport,
-        seed=seed,
-        clock_offsets={"A": clock_offsets[0], "B": clock_offsets[1]},
-        retry_budget=retry_budget,
-    )
+    sessions = (new_session("A", "initiator", spec_a), new_session("B", "responder", spec_b))
+    sim = _simulator(sessions, transport, seed, clock_offsets)
     sim.schedule(0.0, "A", Timer("start"))
     sim.schedule(0.0, "B", Timer("start"))
     sim.run()
@@ -675,12 +631,7 @@ def run_capture_sync(
         if s.phase is not Phase.CONFIGURED:
             raise ValueError(f"session {s.endpoint_id} is {s.phase.value}, need configured")
     initiator = sa if sa.role == "initiator" else sb
-    sim = Simulator(
-        {sa.endpoint_id: sa, sb.endpoint_id: sb},
-        transport,
-        seed=seed,
-        clock_offsets={sa.endpoint_id: clock_offsets[0], sb.endpoint_id: clock_offsets[1]},
-    )
+    sim = _simulator(sessions, transport, seed, clock_offsets)
     sim.schedule(0.0, initiator.endpoint_id, Timer("propose_capture", capture_delay))
     sim.run()
     na, nb = _two(sim.states)
@@ -705,25 +656,19 @@ def run_frame_sync(
     (global_send_time, directive) pairs sent by the initiator mid-capture.
     """
     sa, sb = sessions
-    offsets = {sa.endpoint_id: clock_offsets[0], sb.endpoint_id: clock_offsets[1]}
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:
             raise ValueError(f"session {s.endpoint_id} is not mid-capture")
-    sim = Simulator(
-        {sa.endpoint_id: sa, sb.endpoint_id: sb},
-        transport,
-        seed=seed,
-        clock_offsets=offsets,
-    )
+    sim = _simulator(sessions, transport, seed, clock_offsets)
     for s in (sa, sb):
         fps = s.negotiated.frame_rate
         period = 1000.0 / fps
         count = math.floor(duration * fps / 1000.0 + 1e-9)
         for k in range(s.next_tick_seq, count):
             local_due = s.capture_start + k * period
-            sim.schedule(local_due - offsets[s.endpoint_id], s.endpoint_id, Timer("tick_due"))
+            sim.schedule(local_due - sim.offsets[s.endpoint_id], s.endpoint_id, Timer("tick_due"))
         sim.schedule(
-            s.capture_start + duration - offsets[s.endpoint_id],
+            s.capture_start + duration - sim.offsets[s.endpoint_id],
             s.endpoint_id,
             Timer("capture_end"),
         )

@@ -28,6 +28,7 @@ DEFAULT_APERTURE_RADIUS_MM = 8.0
 DEFAULT_SLOT_LENGTH_MM = 40.0
 _PIECE_GAP_MM = 8.0
 _PANEL_BORDER_MM = 10.0
+_MIRROR_TILT_DEG = 45.0
 
 
 class TemplateError(ValueError):
@@ -41,16 +42,6 @@ class StrapSet:
     strap4_width: float
     velcro_length: float
     cardboard_thickness: float
-
-
-@dataclass(frozen=True)
-class MirrorRig:
-    mirror_a_center: tuple[float, float]  # near mirror: blue, double-sided
-    mirror_b_center: tuple[float, float]  # far mirror: red, single-sided
-    tilt_deg: float = 45.0
-    separation: float = DEFAULT_IPD_MM
-    color_a: str = "blue"
-    color_b: str = "red"
 
 
 @dataclass(frozen=True)
@@ -365,11 +356,10 @@ def mirror_rig_layout(
     cx, cy = spec.camera_center
     near = (margin + cx, margin + cy)
     far = (near[0] + ipd, near[1])
-    rig = MirrorRig(mirror_a_center=near, mirror_b_center=far, separation=ipd)
 
     half = slot_length / 2.0
-    dx = half * math.cos(math.radians(rig.tilt_deg))
-    dy = half * math.sin(math.radians(rig.tilt_deg))
+    dx = half * math.cos(math.radians(_MIRROR_TILT_DEG))
+    dy = half * math.sin(math.radians(_MIRROR_TILT_DEG))
 
     plate_w = max(margin + w, far[0] + dx + margin) + margin
     plate_h = max(margin + l, far[1] + dy + margin) + margin
@@ -406,10 +396,10 @@ def mirror_rig_layout(
         "mirror": {
             "mirror_a_center": list(near),
             "mirror_b_center": list(far),
-            "tilt_deg": rig.tilt_deg,
-            "separation": rig.separation,
-            "color_a": rig.color_a,
-            "color_b": rig.color_b,
+            "tilt_deg": _MIRROR_TILT_DEG,
+            "separation": ipd,
+            "color_a": "blue",
+            "color_b": "red",
             "near_slot": "slot_blue",
             "double_sided": "slot_blue",
         },

@@ -381,3 +381,17 @@ def random_spec(rng, model_id: str):
         focus_modes=frozenset(rng.sample(_FOCUS_POOL, k=rng.randint(1, 3))),
         capture_modes=frozenset(rng.sample(_CAPTURE_POOL, k=rng.randint(1, 2))),
     )
+
+
+# --- sync retransmission ------------------------------------------------------
+
+
+def awaiting_oracle(state) -> bool:
+    """Whether a session still waits for its pairing messages to be answered.
+
+    The simulator's earlier role/phase rule: the initiator waits while
+    Pairing (for PairAccept or CapabilityOffer), the responder while
+    Negotiating (for CapabilityAck).
+    """
+    phase = state.phase.value
+    return (state.role, phase) in (("initiator", "pairing"), ("responder", "negotiating"))

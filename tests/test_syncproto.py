@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereorig.registry import CapabilityProfile, negotiate
 from stereorig.syncproto import (
@@ -24,7 +27,13 @@ from stereorig.syncproto import (
     transcript_text,
 )
 
+from oracles import awaiting_oracle
+
 LOSSLESS = SimulatedTransport(base_latency=10.0, jitter=0.0, loss_rate=0.0)
+
+# digest of _sweep_digest, fixed when the transcripts were known good; any
+# protocol or simulator change that alters behaviour must change it on purpose
+SWEEP_DIGEST = "c5884cbff791d2e222cbed7df03034ed808c9b9c5bdf4d8d8c3e5df5eacc0461"
 
 
 def _configured(endpoint, role, spec, profile, **extra):
@@ -74,7 +83,7 @@ class TestStepTransitions:
     def test_pairing_responder_pair_request(self, j7, a5):
         s = new_session("B", "responder", a5)
         s, _ = step(s, Timer("start"), 0.0)
-        s, out = step(s, Message(MsgKind.PAIR_REQUEST, "A", sent_at_local=0.0), 10.0)
+        s, out = step(s, Message(MsgKind.PAIR_REQUEST, "A"), 10.0)
         assert s.phase is Phase.NEGOTIATING
         assert [m.kind for m in out] == [MsgKind.PAIR_ACCEPT, MsgKind.CAPABILITY_OFFER]
         assert out[1].payload == a5
@@ -82,7 +91,7 @@ class TestStepTransitions:
     def test_pairing_initiator_pair_accept(self, j7):
         s = new_session("A", "initiator", j7)
         s, _ = step(s, Timer("start"), 0.0)
-        s, out = step(s, Message(MsgKind.PAIR_ACCEPT, "B", sent_at_local=10.0), 20.0)
+        s, out = step(s, Message(MsgKind.PAIR_ACCEPT, "B"), 20.0)
         assert s.phase is Phase.NEGOTIATING
         assert out == []
 
@@ -233,7 +242,7 @@ class TestStepTransitions:
     def test_step_is_pure(self, j7, a5):
         s = new_session("B", "responder", a5)
         s, _ = step(s, Timer("start"), 0.0)
-        msg = Message(MsgKind.PAIR_REQUEST, "A", sent_at_local=0.0)
+        msg = Message(MsgKind.PAIR_REQUEST, "A")
         r1 = step(s, msg, 10.0)
         r2 = step(s, msg, 10.0)
         assert r1 == r2
@@ -307,7 +316,7 @@ class TestExhaustiveInterleavings:
     def test_duplicate_pair_request_mid_negotiation(self, j7, a5):
         b = new_session("B", "responder", a5)
         b, _ = step(b, Timer("start"), 0.0)
-        req = Message(MsgKind.PAIR_REQUEST, "A", sent_at_local=0.0)
+        req = Message(MsgKind.PAIR_REQUEST, "A")
         b, first = step(b, req, 10.0)
         b, again = step(b, req, 15.0)
         assert b.phase is Phase.NEGOTIATING
@@ -315,6 +324,92 @@ class TestExhaustiveInterleavings:
             MsgKind.PAIR_ACCEPT,
             MsgKind.CAPABILITY_OFFER,
         ]
+
+
+def _peer_events(spec, peer_spec):
+    """Every timer kind, and every message kind from the peer, with valid payloads."""
+    peer = "Z"
+    return [
+        Timer("start"),
+        Timer("propose_capture", 50.0),
+        Timer("capture_begin"),
+        Timer("tick_due"),
+        Timer("capture_end"),
+        Timer("send_directive", FocusDirective(mode="auto", depth=1.0, effective_seq=2)),
+        Timer("send_directive", ModeDirective(mode="video", effective_seq=1)),
+        Timer("retransmit", 1),
+        Timer("give_up"),
+        Timer("abort"),
+        Message(MsgKind.PAIR_REQUEST, peer),
+        Message(MsgKind.PAIR_ACCEPT, peer),
+        Message(MsgKind.CAPABILITY_OFFER, peer, peer_spec),
+        Message(MsgKind.CAPABILITY_ACK, peer, negotiate(peer_spec, spec)),
+        Message(MsgKind.CAPTURE_START, peer, 150.0),
+        Message(MsgKind.FOCUS_SET, peer, FocusDirective(mode="macro", depth=0.5, effective_seq=1)),
+        Message(MsgKind.MODE_SET, peer, ModeDirective(mode="video", effective_seq=3)),
+        Message(MsgKind.FRAME_TICK, peer, TickStamp(0, 150.0)),
+        Message(MsgKind.ERROR, peer, "boom"),
+    ]
+
+
+# indices into _peer_events along each role's successful session, with
+# duplicates, so that random runs get past pairing
+_HAPPY_PATH = {
+    "initiator": [0, 11, 11, 12, 12, 1, 2, 3, 5, 3, 4],
+    "responder": [0, 10, 10, 13, 13, 14, 2, 17, 3, 16, 4],
+}
+
+
+class TestUnacked:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        role=st.sampled_from(["initiator", "responder"]),
+        picks=st.lists(
+            st.tuples(st.none() | st.integers(0, 18), st.floats(0.0, 100.0)), max_size=14
+        ),
+    )
+    def test_unacked_matches_role_phase_rule(self, j7, a5, role, picks):
+        """`unacked` is set exactly where the old role/phase rule waited.
+
+        Each pick is either the role's next happy-path event (None) or any
+        event at all, at a random local time.
+        """
+        spec, peer_spec = (j7, a5) if role == "initiator" else (a5, j7)
+        events = _peer_events(spec, peer_spec)
+        path = iter(_HAPPY_PATH[role])
+        s = new_session("S", role, spec)
+        for index, now in picks:
+            s, _ = step(s, events[next(path, 0) if index is None else index], now)
+            assert bool(s.unacked) == awaiting_oracle(s)
+            if s.unacked:
+                assert [m.kind for m in s.unacked] in (
+                    [MsgKind.PAIR_REQUEST],
+                    [MsgKind.PAIR_ACCEPT, MsgKind.CAPABILITY_OFFER],
+                )
+                assert all(m.sender == "S" for m in s.unacked)
+
+    def test_each_retransmit_resends_exactly_the_unacked_set(self, j7, a5):
+        expected = {"A": ["pair_request"], "B": ["pair_accept", "capability_offer"]}
+        resent = {"A": 0, "B": 0}
+        for seed in range(20):
+            run = run_pairing(j7, a5, SimulatedTransport(10.0, 2.0, 0.5), seed=seed)
+            entries = run.transcript
+            for i, e in enumerate(entries):
+                if e.kind == "timer" and e.detail.startswith("retransmit attempt"):
+                    sends = [
+                        f.detail.split()[0]
+                        for f in entries[i + 1:]
+                        if f.time == e.time and f.kind == "send" and f.who.startswith(e.who)
+                    ]
+                    assert sends[: len(expected[e.who])] == expected[e.who]
+                    resent[e.who] += 1
+        assert resent["A"] > 0 and resent["B"] > 0
+
+    def test_step_fails_retransmit_timer(self, j7):
+        s, _ = step(new_session("A", "initiator", j7), Timer("start"), 0.0)
+        s, out = step(s, Timer("retransmit", 1), 40.0)
+        assert s.phase is Phase.FAILED and s.unacked == ()
+        assert out == []
 
 
 class TestRunPairing:
@@ -570,3 +665,51 @@ class TestTransport:
         for line in lines:
             assert len(line) >= 26
             float(line[:10])  # fixed-width time column parses
+
+
+def _sweep_digest(j7, a5) -> str:
+    """sha256 over a fixed 300-session pairing -> capture -> frame-sync sweep.
+
+    Covers every transcript plus each end's final phase, fail reason, focus,
+    mode and capture skew, so any change to what the simulator sends, drops,
+    resends or decides shows as a different digest.
+    """
+    digest = hashlib.sha256()
+    directives = (
+        (100.0, FocusDirective(mode="auto", depth=1.25, effective_seq=10)),
+        (150.0, ModeDirective(mode="video", effective_seq=8)),
+    )
+    for loss in (0.0, 0.1, 0.3, 0.5, 1.0):
+        for jitter in (0.0, 5.0):
+            transport = SimulatedTransport(10.0, jitter, loss)
+            for seed in range(30):
+                offsets = (((seed % 5) - 2) * 1.5, ((seed % 3) - 1) * 2.5)
+                run = run_pairing(j7, a5, transport, seed=seed, clock_offsets=offsets)
+                text = [transcript_text(run.transcript)]
+                ends = (run.state_a, run.state_b)
+                skew = None
+                if all(s.phase is Phase.CONFIGURED for s in ends):
+                    capture = run_capture_sync(
+                        ends, transport, 50.0, seed=seed + 1, clock_offsets=offsets
+                    )
+                    text.append(transcript_text(capture.transcript))
+                    ends, skew = (capture.state_a, capture.state_b), capture.skew
+                    if all(s.phase is Phase.CAPTURING for s in ends):
+                        frames = run_frame_sync(
+                            ends, transport, 500.0, seed=seed + 2,
+                            clock_offsets=offsets, directives=directives,
+                        )
+                        text.append(transcript_text(frames.transcript))
+                        ends = (frames.state_a, frames.state_b)
+                for s in ends:
+                    text.append(
+                        f"{s.endpoint_id} {s.phase.value} {s.fail_reason!r} "
+                        f"{s.focus_mode!r} {s.focus_depth!r} {s.capture_mode!r}\n"
+                    )
+                text.append(f"skew {skew!r}\n")
+                digest.update("".join(text).encode())
+    return digest.hexdigest()
+
+
+def test_sweep_transcripts_pinned(j7, a5):
+    assert _sweep_digest(j7, a5) == SWEEP_DIGEST

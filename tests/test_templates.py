@@ -9,7 +9,6 @@ import pytest
 from stereorig.alignment import LayoutConfig, Rect, compute_base_model
 from stereorig.svgio import render_svg
 from stereorig.templates import (
-    MirrorRig,
     TemplateError,
     aperture_separations,
     assembled_aperture_centers,
@@ -288,13 +287,6 @@ class TestMirrorRigLayout:
         assert tuple(near) == pytest.approx(cam, abs=1e-9)
         aperture = next(p for p in layout.pieces if p.kind == "aperture")
         assert aperture.center == pytest.approx(cam, abs=1e-9)
-
-    def test_mirror_rig_value_invariants(self):
-        rig = MirrorRig(mirror_a_center=(0.0, 0.0), mirror_b_center=(65.0, 0.0))
-        assert rig.tilt_deg == 45.0
-        assert rig.separation == 65.0
-        dx = rig.mirror_b_center[0] - rig.mirror_a_center[0]
-        assert dx == rig.separation
 
     def test_reflection_turns_90_degrees(self):
         out = reflect_direction((0.0, 1.0), 45.0)
