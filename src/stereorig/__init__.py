@@ -9,3 +9,12 @@ protocol, and stereo frame merging (side-by-side and anaglyph).
 __version__ = "0.1.0"
 
 DEFAULT_IPD_MM = 65.0
+
+# the CLI's option defaults, kept here so that building its parser imports no
+# other module; `templates` and `guidance` take theirs from here
+DEFAULT_VELCRO_MM = 20.0
+DEFAULT_CARDBOARD_MM = 2.0
+DEFAULT_STRAP_WIDTH_MM = 20.0
+DEFAULT_MAG_TOLERANCE_UT = 5.0
+DEFAULT_GYRO_TOLERANCE_DPS = 2.0
+DEFAULT_GRID_PITCH_MM = 10.0

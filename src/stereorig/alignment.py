@@ -157,6 +157,8 @@ def compute_base_model(
     """
     if not ipd > 0:
         raise ValueError(f"ipd must be positive, got {ipd}")
+    if not math.isfinite(ipd):
+        raise ValueError(f"ipd must be finite, got {ipd}")
     a.validate()
     b.validate()
 
@@ -338,4 +340,4 @@ def model_from_dict(doc: dict) -> BaseModel:
 
 
 def model_to_json(model: BaseModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+    return json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n"

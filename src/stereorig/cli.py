@@ -7,25 +7,42 @@ final reading, failed run), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import importlib.resources
 import json
 import os
 import sys
 
-from . import DEFAULT_IPD_MM, alignment, guidance, svgio, syncproto, templates
-from .registry import load_registry, lookup, parse_device_specs
+# Each _cmd_* imports the modules it uses, so a run compiles only those
+# and only `merge` loads numpy; the parser needs nothing beyond the package.
+from . import (
+    DEFAULT_CARDBOARD_MM,
+    DEFAULT_GRID_PITCH_MM,
+    DEFAULT_GYRO_TOLERANCE_DPS,
+    DEFAULT_IPD_MM,
+    DEFAULT_MAG_TOLERANCE_UT,
+    DEFAULT_STRAP_WIDTH_MM,
+    DEFAULT_VELCRO_MM,
+)
 
 
-def _load_specs(path: str | None):
-    if path:
-        return load_registry(path)
-    data = importlib.resources.files("stereorig.data").joinpath("devices.json")
-    return parse_device_specs(data.read_text(encoding="utf-8"))
+def _devices(args, *models: str) -> list:
+    """Look up each model in the --specs registry, or in the built-in one."""
+    import importlib.resources
+
+    from .registry import load_registry, lookup, parse_device_specs
+
+    if args.specs:
+        specs = load_registry(args.specs)
+    else:
+        data = importlib.resources.files("stereorig.data").joinpath("devices.json")
+        specs = parse_device_specs(data.read_text(encoding="utf-8"))
+    return [lookup(specs, model) for model in models]
 
 
-def _layout_from_args(args) -> alignment.LayoutConfig:
+def _layout_from_args(args):
+    from .alignment import LayoutConfig
+
     stack = {"depth": "depth-stacked"}.get(args.stack, args.stack)
-    return alignment.LayoutConfig(
+    return LayoutConfig(
         axis=args.layout,
         stacking=stack,
         orientation=args.orientation,
@@ -50,17 +67,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_base_model(args) -> int:
-    specs = _load_specs(args.specs)
-    a = lookup(specs, args.a)
-    b = lookup(specs, args.b)
+    from . import alignment
+
+    a, b = _devices(args, args.a, args.b)
     model = alignment.compute_base_model(a, b, _layout_from_args(args), ipd=args.ipd)
     sys.stdout.write(alignment.model_to_json(model))
     return 0
 
 
 def _cmd_gen_template(args) -> int:
-    specs = _load_specs(args.specs)
-    spec = lookup(specs, args.device)
+    from . import alignment, svgio, templates
+
+    (spec,) = _devices(args, args.device)
     if args.mode == "two":
         base = alignment.compute_base_model(spec, spec, _layout_from_args(args), ipd=args.ipd)
         layout = templates.two_phone_layout(
@@ -83,6 +101,8 @@ def _cmd_gen_template(args) -> int:
 
 
 def _cmd_align_check(args) -> int:
+    from . import guidance
+
     pairs = guidance.load_reading_pairs(args.readings)
     status = None
     for i, (a, b) in enumerate(pairs):
@@ -96,11 +116,12 @@ def _cmd_align_check(args) -> int:
 
 
 def _cmd_grid_overlay(args) -> int:
-    specs = _load_specs(args.specs)
-    spec = lookup(specs, args.device)
+    from . import alignment, guidance
+
+    (spec,) = _devices(args, args.device)
     base = alignment.compute_base_model(spec, spec, _layout_from_args(args), ipd=args.ipd)
     overlay = guidance.grid_overlay(base, spec, pitch_mm=args.pitch)
-    print(json.dumps(guidance.overlay_to_dict(overlay), indent=2, sort_keys=True))
+    print(json.dumps(guidance.overlay_to_dict(overlay), indent=2, sort_keys=True, allow_nan=False))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(guidance.overlay_to_svg(overlay))
@@ -109,9 +130,9 @@ def _cmd_grid_overlay(args) -> int:
 
 
 def _cmd_simulate_sync(args) -> int:
-    specs = _load_specs(args.specs)
-    a = lookup(specs, args.a)
-    b = lookup(specs, args.b)
+    from . import syncproto
+
+    a, b = _devices(args, args.a, args.b)
     transport = syncproto.SimulatedTransport(
         base_latency=args.latency, jitter=args.jitter, loss_rate=args.loss
     )
@@ -150,7 +171,6 @@ def _cmd_simulate_sync(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    # imported here so that the other subcommands start without numpy;
     # MergeError and PpmError are ValueErrors, caught by main()
     from . import merge, ppmio
 
@@ -192,13 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", choices=("two", "three", "mirror"), required=True)
     p.add_argument("--device", required=True, metavar="MODEL")
-    p.add_argument("--velcro", type=float, default=templates.DEFAULT_VELCRO_MM, metavar="MM")
-    p.add_argument(
-        "--cardboard", type=float, default=templates.DEFAULT_CARDBOARD_MM, metavar="MM"
-    )
-    p.add_argument(
-        "--strap-width", type=float, default=templates.DEFAULT_STRAP_WIDTH_MM, metavar="MM"
-    )
+    p.add_argument("--velcro", type=float, default=DEFAULT_VELCRO_MM, metavar="MM")
+    p.add_argument("--cardboard", type=float, default=DEFAULT_CARDBOARD_MM, metavar="MM")
+    p.add_argument("--strap-width", type=float, default=DEFAULT_STRAP_WIDTH_MM, metavar="MM")
     p.add_argument("--fillet", type=float, default=0.0, metavar="MM")
     _add_layout_flags(p, default_stack="coplanar")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
@@ -206,22 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align-check", help="judge sensor reading pairs from a fixture file")
     p.add_argument("--readings", required=True, metavar="FILE")
-    p.add_argument(
-        "--mag-tol", type=float, default=guidance.DEFAULT_MAG_TOLERANCE_UT, metavar="UT"
-    )
-    p.add_argument(
-        "--gyro-tol",
-        type=float,
-        default=guidance.DEFAULT_GYRO_TOLERANCE_DPS,
-        metavar="DPS",
-    )
+    p.add_argument("--mag-tol", type=float, default=DEFAULT_MAG_TOLERANCE_UT, metavar="UT")
+    p.add_argument("--gyro-tol", type=float, default=DEFAULT_GYRO_TOLERANCE_DPS, metavar="DPS")
     p.set_defaults(func=_cmd_align_check)
 
     p = sub.add_parser("grid-overlay", help="project a depth-stacked base onto the screen")
     _add_common(p)
     p.add_argument("--device", required=True, metavar="MODEL")
     _add_layout_flags(p, default_stack="depth-stacked")
-    p.add_argument("--pitch", type=float, default=guidance.DEFAULT_GRID_PITCH_MM, metavar="MM")
+    p.add_argument("--pitch", type=float, default=DEFAULT_GRID_PITCH_MM, metavar="MM")
     p.add_argument("--svg", metavar="FILE", help="also write a debug SVG")
     p.set_defaults(func=_cmd_grid_overlay)
 

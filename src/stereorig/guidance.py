@@ -17,12 +17,9 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import DEFAULT_GRID_PITCH_MM, DEFAULT_GYRO_TOLERANCE_DPS, DEFAULT_MAG_TOLERANCE_UT
 from .alignment import BaseModel
 from .registry import DeviceSpec
-
-DEFAULT_MAG_TOLERANCE_UT = 5.0
-DEFAULT_GYRO_TOLERANCE_DPS = 2.0
-DEFAULT_GRID_PITCH_MM = 10.0
 
 _AXES = ("x", "y", "z")
 

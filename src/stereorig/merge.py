@@ -97,6 +97,8 @@ def pair_frames(
     """
     if tolerance < 0:
         raise MergeError(f"tolerance must be non-negative, got {tolerance}")
+    if not math.isfinite(tolerance):
+        raise MergeError(f"tolerance must be finite, got {tolerance}")
     _check_timestamps(left_stream, "left")
     _check_timestamps(right_stream, "right")
 

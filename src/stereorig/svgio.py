@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
 
 from .templates import PIECE_KINDS, Piece, TemplateLayout, TemplateError
 
@@ -26,6 +24,11 @@ _HATCH = """\
     <pattern id="hatch" patternUnits="userSpaceOnUse" width="3" height="3">
       <path d="M 0,3 L 3,0" stroke="#666666" stroke-width="0.4"/>
     </pattern>"""
+
+
+def _escape(text: str) -> str:
+    """Escape `&` (first), `<` and `>`: `xml.sax.saxutils.escape` with no extra entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -62,8 +65,8 @@ def _check_bounds(piece: Piece, sheet: tuple[float, float, float, float]) -> Non
 
 def _piece_to_svg(piece: Piece) -> str:
     cls = piece.kind
-    panel = f' data-panel="{escape(piece.panel)}"' if piece.panel else ""
-    ident = f'id="{escape(piece.piece_id)}" class="{cls}"{panel}'
+    panel = f' data-panel="{_escape(piece.panel)}"' if piece.panel else ""
+    ident = f'id="{_escape(piece.piece_id)}" class="{cls}"{panel}'
     if piece.shape == "rect":
         x, y, w, h = piece.rect
         rx = f' rx="{_fmt(piece.corner_radius)}"' if piece.corner_radius > 0 else ""
@@ -101,7 +104,7 @@ def render_svg(layout: TemplateLayout) -> str:
         "  <style>",
         _STYLE,
         "  </style>",
-        f"  <metadata>{escape(_canonical_metadata(layout.metadata))}</metadata>",
+        f"  <metadata>{_escape(_canonical_metadata(layout.metadata))}</metadata>",
         '  <g id="pieces">',
     ]
     lines.extend(_piece_to_svg(p) for p in layout.pieces)
@@ -119,6 +122,8 @@ def _local_name(tag: str) -> str:
 
 def parse_svg(text: str) -> TemplateLayout:
     """Inverse of render_svg for documents this module emitted."""
+    import xml.etree.ElementTree as ET  # only parsing needs it
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

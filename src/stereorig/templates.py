@@ -13,16 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import DEFAULT_IPD_MM
+from . import DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM
 from .alignment import BaseModel, validate_placement
 from .registry import DeviceSpec
 
 PIECE_KINDS = ("cut", "fold", "velcro", "aperture")
 
 # defaults for quantities the strap drawings leave free; all overridable
-DEFAULT_VELCRO_MM = 20.0
-DEFAULT_CARDBOARD_MM = 2.0
-DEFAULT_STRAP_WIDTH_MM = 20.0
 DEFAULT_MARGIN_MM = 10.0
 DEFAULT_APERTURE_RADIUS_MM = 8.0
 DEFAULT_SLOT_LENGTH_MM = 40.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from xml.sax import saxutils
 
 import numpy as np
 
@@ -204,6 +205,12 @@ def validate_spec_dict(entry: dict) -> list[str]:
     if entry["screen_width_px"] <= 0 or entry["screen_height_px"] <= 0:
         problems.append("bad screen")
     return problems
+
+
+# --- XML escaping ------------------------------------------------------------
+
+# the standard library's escape; svgio re-implements it so as not to import it
+xml_escape_oracle = saxutils.escape
 
 
 # --- pixel oracles ------------------------------------------------------------

@@ -129,6 +129,15 @@ class TestComputeBaseModel:
         with pytest.raises(ValueError):
             compute_base_model(j7, j7, VERT180, ipd=0.0)
 
+    @pytest.mark.parametrize("ipd, message", [
+        (float("nan"), "ipd must be positive, got nan"),
+        (float("-inf"), "ipd must be positive, got -inf"),
+        (float("inf"), "ipd must be finite, got inf"),
+    ])
+    def test_non_finite_ipd_rejected(self, j7, ipd, message):
+        with pytest.raises(ValueError, match=message):
+            compute_base_model(j7, j7, VERT180, ipd=ipd)
+
     def test_mixed_devices_feasible(self, j7, a5):
         model = compute_base_model(j7, a5, VERT180)
         assert camera_separation(model) == pytest.approx(65.0, abs=0.01)
@@ -299,6 +308,11 @@ class TestSerialization:
         doc = model_to_dict(compute_base_model(j7, j7, DEPTH))
         assert doc["ipd"] == 65.0
         assert doc["camera_b_target"] == [39.0, 75.0]
+
+    def test_json_refuses_non_finite_numbers(self, j7):
+        model = dataclasses.replace(compute_base_model(j7, j7, DEPTH), axis_gap=math.inf)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            model_to_json(model)
 
 
 class TestRect:

@@ -3,12 +3,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stereorig import alignment, svgio
-from stereorig.cli import main
+from stereorig.cli import build_parser, main
 from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
@@ -41,6 +42,48 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "base-model" in capsys.readouterr().out
+
+
+HELP_DIR = Path(__file__).parent / "golden" / "help"
+SUBCOMMANDS = ("base-model", "gen-template", "align-check", "grid-overlay",
+               "simulate-sync", "merge")
+
+
+class TestHelpText:
+    """`--help` output and parser defaults, frozen: moving a default must not change it."""
+
+    @pytest.mark.parametrize("command", ("",) + SUBCOMMANDS)
+    def test_help_matches_frozen_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        want = (HELP_DIR / f"{command or 'stereorig'}.txt").read_text()
+        assert capsys.readouterr().out == want
+
+    # argparse's help shows no defaults, so they are pinned here
+    DEFAULTS = {
+        "base-model": ({"specs": None, "ipd": 65.0, "layout": "vertical", "stack": "coplanar",
+                        "orientation": "portrait", "rotate_b": 180}, ["--a", "X", "--b", "Y"]),
+        "gen-template": ({"specs": None, "ipd": 65.0, "velcro": 20.0, "cardboard": 2.0,
+                          "strap_width": 20.0, "fillet": 0.0, "layout": "vertical",
+                          "stack": "coplanar", "orientation": "portrait", "rotate_b": 180},
+                         ["--mode", "two", "--device", "X", "-o", "f"]),
+        "align-check": ({"mag_tol": 5.0, "gyro_tol": 2.0}, ["--readings", "r"]),
+        "grid-overlay": ({"specs": None, "ipd": 65.0, "layout": "vertical",
+                          "stack": "depth-stacked", "orientation": "portrait", "rotate_b": 180,
+                          "pitch": 10.0, "svg": None}, ["--device", "X"]),
+        "simulate-sync": ({"specs": None, "ipd": 65.0, "a": "J7-fixture", "b": "A5-fixture",
+                           "latency": 10.0, "jitter": 0.0, "loss": 0.0, "seed": 0,
+                           "capture": None, "duration": 0.0, "offset_a": 0.0,
+                           "offset_b": 0.0}, []),
+        "merge": ({"tol": 20.0}, ["--left", "l", "--right", "r", "--mode", "sbs", "-o", "d"]),
+    }
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_parser_defaults(self, command):
+        want, required = self.DEFAULTS[command]
+        args = vars(build_parser().parse_args([command, *required]))
+        assert {k: args[k] for k in want} == want
+        assert [type(args[k]) for k in want] == [type(v) for v in want.values()]
 
 
 class TestBaseModel:
@@ -81,6 +124,15 @@ class TestBaseModel:
         rc = main(["base-model", "--specs", str(custom),
                    "--a", "J7-fixture", "--b", "A5-fixture"])
         assert rc == 0
+
+    @pytest.mark.parametrize("ipd", ["inf", "nan"])
+    def test_non_finite_ipd_exits_1_with_empty_stdout(self, capsys, ipd):
+        rc = main(["base-model", "--a", "J7-fixture", "--b", "J7-fixture", "--ipd", ipd])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        want = "finite, got inf" if ipd == "inf" else "ipd must be positive, got nan"
+        assert want in captured.err
 
     def test_depth_stack_flag_alias(self, capsys):
         rc = main(["base-model", "--a", "J7-fixture", "--b", "J7-fixture",
@@ -182,6 +234,19 @@ class TestGridOverlay:
         assert rc == 0
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--ipd", "ipd must be finite, got inf"),
+        ("--pitch", "not JSON compliant: inf"),  # printed `"pitch_mm": Infinity` before
+    ])
+    def test_infinite_value_exits_1_with_empty_stdout(self, capsys, tmp_path, flag, message):
+        svg = tmp_path / "grid.svg"
+        rc = main(["grid-overlay", "--device", "J7-fixture", flag, "inf", "--svg", str(svg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert message in captured.err
+        assert not svg.exists()
+
     def test_coplanar_stack_exits_1(self, capsys):
         rc = main(["grid-overlay", "--device", "J7-fixture", "--stack", "coplanar"])
         assert rc == 1
@@ -264,6 +329,21 @@ class TestMerge:
                    "--mode", "sbs", "--tol", "10", "-o", str(outdir)])
         assert rc == 0
         assert "paired 1 frames (dropped 1 left, 0 right)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_1_without_output(self, capsys, tmp_path, tol):
+        # a tolerance that every comparison passes paired these far-apart frames
+        left = _write_stream(tmp_path, "left", [0.0, 1000.0], 1)
+        right = _write_stream(tmp_path, "right", [500.0, 5000.0], 2)
+        outdir = tmp_path / "out"
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", "sbs", f"--tol={tol}", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error: tolerance must be " in captured.err
+        assert f"got {float(tol)}" in captured.err
+        assert not outdir.exists()
 
     def test_missing_manifest_exits_1(self, capsys, tmp_path):
         rc = main(["merge", "--left", str(tmp_path / "no.txt"),
@@ -348,8 +428,70 @@ class TestMerge:
             assert (outdir / f"{mode}_{i:04d}.ppm").read_bytes() == want.read_bytes()
 
 
-def test_cli_import_leaves_numpy_unloaded(subprocess_env):
-    code = "import sys, stereorig.cli; print('numpy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+# a child that imports the CLI, runs one command and prints sys.modules as JSON
+_MODULES_AT_EXIT = """\
+import json, sys
+from stereorig.cli import main
+rc = main(sys.argv[1:])
+print("\\nMODULES " + json.dumps(sorted(sys.modules)))
+sys.exit(rc)
+"""
+
+_ONLY_MERGE_NEEDS = {"numpy"}
+_NOTHING_NEEDS = {"xml.sax", "xml.sax.saxutils", "urllib.request", "http.client", "email"}
+
+
+class TestImportFootprint:
+    """Each subcommand loads its own modules and no others."""
+
+    @pytest.fixture
+    def modules_after(self, tmp_path, subprocess_env):
+        def run(*argv: str, rc: int = 0) -> set[str]:
+            res = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, *argv],
+                                 env=subprocess_env, cwd=tmp_path,
+                                 capture_output=True, text=True)
+            assert res.returncode == rc, res.stderr
+            return set(json.loads(res.stdout.rsplit("\nMODULES ", 1)[1]))
+        return run
+
+    @staticmethod
+    def _own(modules: set[str]) -> set[str]:
+        return {m for m in modules if m.startswith("stereorig.")}
+
+    def test_importing_the_cli_loads_no_submodule(self, modules_after):
+        loaded = modules_after("--help")  # import, then build the parser
+        assert self._own(loaded) == {"stereorig.cli"}
+        assert not loaded & (_ONLY_MERGE_NEEDS | _NOTHING_NEEDS)
+
+    def test_merge_loads_only_the_merge_path(self, tmp_path, modules_after):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0], 0)
+        loaded = modules_after("merge", "--left", left, "--right", right,
+                               "--mode", "sbs", "-o", str(tmp_path / "out"))
+        assert (tmp_path / "out" / "sbs_0001.ppm").exists()
+        assert self._own(loaded) == {
+            "stereorig.cli", "stereorig.merge", "stereorig.ppmio", "stereorig._kernels"}
+        assert "numpy" in loaded
+        assert not loaded & _NOTHING_NEEDS
+
+    RIG_COMMANDS = {
+        "base-model": (["--a", "J7-fixture", "--b", "A5-fixture"],
+                       {"registry", "data", "alignment"}),
+        "gen-template": (["--mode", "two", "--device", "J7-fixture", "-o", "t.svg"],
+                         {"registry", "data", "alignment", "templates", "svgio"}),
+        "align-check": (["--readings", "readings.json"],
+                        {"registry", "alignment", "guidance"}),
+        "grid-overlay": (["--device", "J7-fixture", "--svg", "grid.svg"],
+                         {"registry", "data", "alignment", "guidance"}),
+        "simulate-sync": (["--capture", "50", "--duration", "100"],
+                          {"registry", "data", "syncproto"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(RIG_COMMANDS))
+    def test_rig_command_loads_only_its_modules(self, tmp_path, modules_after, command):
+        (tmp_path / "readings.json").write_text(json.dumps([TestAlignCheck._entry(
+            [30.0, 0.0, -20.0], [30.0, 0.0, -20.0])]))
+        args, own = self.RIG_COMMANDS[command]
+        loaded = modules_after(command, *args)
+        assert self._own(loaded) == {"stereorig.cli"} | {f"stereorig.{m}" for m in own}
+        assert not loaded & (_ONLY_MERGE_NEEDS | _NOTHING_NEEDS)

@@ -91,6 +91,11 @@ class TestPairFrames:
         with pytest.raises(MergeError, match="non-negative"):
             pair_frames([], [], -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, bad):
+        with pytest.raises(MergeError, match=f"tolerance must be finite, got {bad}"):
+            pair_frames(_stream([0.0, 1000.0]), _stream([500.0, 5000.0], "right"), bad)
+
     def test_tie_goes_to_earlier_right_frame(self):
         result = pair_frames(_stream([10.0]), _stream([5.0, 15.0], "right"), 10.0)
         assert len(result.pairs) == 1

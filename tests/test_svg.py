@@ -5,9 +5,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles import xml_escape_oracle
 from stereorig.alignment import LayoutConfig, compute_base_model
-from stereorig.svgio import parse_svg, render_svg
+from stereorig.svgio import _escape, parse_svg, render_svg
 from stereorig.templates import (
     Piece,
     TemplateError,
@@ -139,6 +142,13 @@ def _coords(piece: Piece) -> list[float]:
     if piece.corner_radius:
         out.append(piece.corner_radius)
     return out
+
+
+@given(st.text(alphabet="&<>;amplgt#\"'x\n") | st.text())
+@example("&amp;&lt;&gt;")
+@example("<&>")
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == xml_escape_oracle(text)
 
 
 def test_escaped_metadata_round_trips():
