@@ -18,3 +18,14 @@ DEFAULT_STRAP_WIDTH_MM = 20.0
 DEFAULT_MAG_TOLERANCE_UT = 5.0
 DEFAULT_GYRO_TOLERANCE_DPS = 2.0
 DEFAULT_GRID_PITCH_MM = 10.0
+
+
+def round_floats(obj, ndigits: int):
+    """JSON data with every float rounded to `ndigits`; tuples become lists."""
+    if isinstance(obj, float):
+        return round(obj, ndigits)
+    if isinstance(obj, dict):
+        return {k: round_floats(v, ndigits) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v, ndigits) for v in obj]
+    return obj

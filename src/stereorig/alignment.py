@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from . import DEFAULT_IPD_MM
+from . import DEFAULT_IPD_MM, round_floats
 from .registry import DeviceSpec
 
 AXES = ("horizontal", "vertical")
 STACKINGS = ("coplanar", "depth-stacked")
 ORIENTATIONS = ("portrait", "landscape")
 ROTATIONS = (0, 90, 180, 270)
+_PLACEMENT_TOL_MM = 0.01
 
 
 class InfeasibleLayoutError(ValueError):
@@ -140,6 +141,14 @@ def _union_bbox_area(a: Rect, b: Rect) -> float:
     return w * h
 
 
+def check_ipd(ipd: float) -> None:
+    """Raise ValueError unless ipd is a positive, finite distance."""
+    if not ipd > 0:
+        raise ValueError(f"ipd must be positive, got {ipd}")
+    if not math.isfinite(ipd):
+        raise ValueError(f"ipd must be finite, got {ipd}")
+
+
 def compute_base_model(
     a: DeviceSpec,
     b: DeviceSpec,
@@ -155,10 +164,7 @@ def compute_base_model(
     axis side on exact ties.  Raises InfeasibleLayoutError carrying the
     minimum achievable separation when no placement works.
     """
-    if not ipd > 0:
-        raise ValueError(f"ipd must be positive, got {ipd}")
-    if not math.isfinite(ipd):
-        raise ValueError(f"ipd must be finite, got {ipd}")
+    check_ipd(ipd)
     a.validate()
     b.validate()
 
@@ -238,8 +244,9 @@ def camera_separation(model: BaseModel) -> float:
     return math.hypot(bx - ax, by - ay)
 
 
-def validate_placement(model: BaseModel, tolerance: float = 0.01) -> list[str]:
+def validate_placement(model: BaseModel) -> list[str]:
     """Independent invariant check; returns one message per violation."""
+    tolerance = _PLACEMENT_TOL_MM
     violations = []
     sep = camera_separation(model)
     if abs(sep - model.ipd) > tolerance:
@@ -283,38 +290,8 @@ def validate_placement(model: BaseModel, tolerance: float = 0.01) -> list[str]:
     return violations
 
 
-def _round_point(p: tuple[float, float]) -> list[float]:
-    return [round(p[0], 3), round(p[1], 3)]
-
-
-def _round_rect(r: Rect) -> dict:
-    return {
-        "x": round(r.x, 3),
-        "y": round(r.y, 3),
-        "width": round(r.width, 3),
-        "height": round(r.height, 3),
-    }
-
-
 def model_to_dict(model: BaseModel) -> dict:
-    return {
-        "camera_a": _round_point(model.camera_a),
-        "camera_b_target": _round_point(model.camera_b_target),
-        "box_b": _round_rect(model.box_b),
-        "body_a": _round_rect(model.body_a),
-        "camera_b_offset": _round_point(model.camera_b_offset),
-        "layout": {
-            "axis": model.layout.axis,
-            "stacking": model.layout.stacking,
-            "orientation": model.layout.orientation,
-            "rotation_b": model.layout.rotation_b,
-        },
-        "ipd": round(model.ipd, 3),
-        "rotation_applied": model.rotation_applied,
-        "device_a": model.device_a,
-        "device_b": model.device_b,
-        "axis_gap": round(model.axis_gap, 3),
-    }
+    return round_floats(asdict(model), 3)
 
 
 def model_from_dict(doc: dict) -> BaseModel:

@@ -61,8 +61,12 @@ def _add_layout_flags(p: argparse.ArgumentParser, default_stack: str) -> None:
     p.add_argument("--rotate-b", type=int, choices=(0, 90, 180, 270), default=180)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_specs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--specs", metavar="FILE", help="device registry JSON (default: built-in)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_specs(p)
     p.add_argument("--ipd", type=float, default=DEFAULT_IPD_MM, metavar="MM")
 
 
@@ -152,7 +156,8 @@ def _cmd_simulate_sync(args) -> int:
         entries.extend(cap.transcript)
         state_a, state_b = cap.state_a, cap.state_b
         skew = cap.skew
-        if cap.skew is not None and args.duration > 0:
+        # a nan duration goes on, for run_frame_sync to reject
+        if cap.skew is not None and not args.duration <= 0:
             frames = syncproto.run_frame_sync(
                 (state_a, state_b),
                 transport,
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_grid_overlay)
 
     p = sub.add_parser("simulate-sync", help="run the pairing/capture protocol simulation")
-    _add_common(p)
+    _add_specs(p)
     p.add_argument("--a", default="J7-fixture", metavar="MODEL")
     p.add_argument("--b", default="A5-fixture", metavar="MODEL")
     p.add_argument("--latency", type=float, default=10.0, metavar="MS")

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from . import DEFAULT_GRID_PITCH_MM, DEFAULT_GYRO_TOLERANCE_DPS, DEFAULT_MAG_TOLERANCE_UT
+from . import (
+    DEFAULT_GRID_PITCH_MM,
+    DEFAULT_GYRO_TOLERANCE_DPS,
+    DEFAULT_MAG_TOLERANCE_UT,
+    round_floats,
+)
 from .alignment import BaseModel
 from .registry import DeviceSpec
 
@@ -148,6 +153,9 @@ def check_alignment(
     rates disagree by more than gyro_tolerance - i.e. one device is turning
     and the other is not following.
     """
+    for name, tolerance in (("mag_tolerance", mag_tolerance), ("gyro_tolerance", gyro_tolerance)):
+        if not 0 <= tolerance < math.inf:  # a nan tolerance would pass every delta
+            raise GuidanceError(f"{name} must be finite and non-negative, got {tolerance}")
     a.validate()
     b.validate()
     deltas = tuple(bb - aa for aa, bb in zip(a.magnetometer, b.magnetometer))
@@ -216,16 +224,11 @@ def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:
 
 
 def overlay_to_dict(overlay: GridOverlay) -> dict:
-    return {
-        "screen_px": list(overlay.screen_px),
-        "orientation": overlay.orientation,
+    # the density and pitch are the caller's own numbers and print unrounded
+    return round_floats(asdict(overlay), 3) | {
         "pixel_density": overlay.pixel_density,
         "pitch_mm": overlay.pitch_mm,
-        "vertical_lines": [round(v, 3) for v in overlay.vertical_lines],
-        "horizontal_lines": [round(v, 3) for v in overlay.horizontal_lines],
-        "target_marker": [round(v, 3) for v in overlay.target_marker],
         "target_marker_px": list(overlay.marker_px()),
-        "box_marker": [round(v, 3) for v in overlay.box_marker],
     }
 
 

@@ -10,7 +10,8 @@ so vendors can annotate entries without breaking older readers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 
@@ -37,8 +38,8 @@ class DeviceSpec:
         if not self.model_id:
             raise RegistryError("model_id must be a non-empty string")
         for name in ("body_width", "body_length", "body_thickness", "pixel_density"):
-            if not getattr(self, name) > 0:
-                raise RegistryError(f"{self.model_id}: {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise RegistryError(f"{self.model_id}: {name} must be positive and finite")
         if self.screen_width_px <= 0 or self.screen_height_px <= 0:
             raise RegistryError(f"{self.model_id}: screen dimensions must be positive")
         cx, cy = self.camera_center
@@ -54,8 +55,10 @@ class DeviceSpec:
             if w <= 0 or h <= 0:
                 raise RegistryError(f"{self.model_id}: resolution {w}x{h} is not positive")
         for fps in self.frame_rates:
-            if fps <= 0:
-                raise RegistryError(f"{self.model_id}: frame rate {fps} is not positive")
+            if not 0 < fps < math.inf:
+                raise RegistryError(
+                    f"{self.model_id}: frame_rates entry {fps} is not positive and finite"
+                )
 
 
 @dataclass(frozen=True)
@@ -68,20 +71,8 @@ class CapabilityProfile:
     capture_modes: frozenset[str] = field(default_factory=frozenset)
 
 
-_REQUIRED_FIELDS = (
-    "model_id",
-    "body_width",
-    "body_length",
-    "body_thickness",
-    "camera_center",
-    "screen_width_px",
-    "screen_height_px",
-    "pixel_density",
-    "resolutions",
-    "frame_rates",
-    "focus_modes",
-    "capture_modes",
-)
+_REQUIRED_FIELDS = tuple(f.name for f in fields(DeviceSpec))
+_SET_FIELDS = ("resolutions", "frame_rates", "focus_modes", "capture_modes")
 
 
 def _spec_from_dict(entry: dict) -> DeviceSpec:
@@ -106,7 +97,7 @@ def _spec_from_dict(entry: dict) -> DeviceSpec:
             focus_modes=frozenset(str(m) for m in entry["focus_modes"]),
             capture_modes=frozenset(str(m) for m in entry["capture_modes"]),
         )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
         raise RegistryError(f"malformed device entry: {exc}") from exc
     spec.validate()
     return spec
@@ -134,20 +125,8 @@ def load_registry(path: str) -> list[DeviceSpec]:
 
 
 def _spec_to_dict(spec: DeviceSpec) -> dict:
-    return {
-        "model_id": spec.model_id,
-        "body_width": spec.body_width,
-        "body_length": spec.body_length,
-        "body_thickness": spec.body_thickness,
-        "camera_center": list(spec.camera_center),
-        "screen_width_px": spec.screen_width_px,
-        "screen_height_px": spec.screen_height_px,
-        "pixel_density": spec.pixel_density,
-        "resolutions": sorted([w, h] for w, h in spec.resolutions),
-        "frame_rates": sorted(spec.frame_rates),
-        "focus_modes": sorted(spec.focus_modes),
-        "capture_modes": sorted(spec.capture_modes),
-    }
+    doc = asdict(spec)
+    return doc | {name: sorted(doc[name]) for name in _SET_FIELDS}
 
 
 def serialize_device_specs(specs: Iterable[DeviceSpec]) -> str:

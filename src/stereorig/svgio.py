@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 
+from . import round_floats
 from .templates import PIECE_KINDS, Piece, TemplateLayout, TemplateError
 
 _STYLE = """\
@@ -38,18 +39,8 @@ def _fmt(v: float) -> str:
     return f"{r:.3f}"
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 6)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _canonical_metadata(metadata: dict) -> str:
-    return json.dumps(_round_floats(metadata), sort_keys=True, separators=(",", ":"))
+    return json.dumps(round_floats(metadata, 6), sort_keys=True, separators=(",", ":"))
 
 
 def _check_bounds(piece: Piece, sheet: tuple[float, float, float, float]) -> None:

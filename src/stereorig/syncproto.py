@@ -358,8 +358,11 @@ class SimulatedTransport:
     loss_rate: float = 0.0
 
     def __post_init__(self):
-        if self.base_latency < 0 or self.jitter < 0:
-            raise ValueError("latency and jitter must be non-negative")
+        if not (0 <= self.base_latency < math.inf and 0 <= self.jitter < math.inf):
+            raise ValueError(
+                f"latency and jitter must be finite and non-negative, "
+                f"got {self.base_latency} and {self.jitter}"
+            )
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
 
@@ -592,6 +595,8 @@ def _simulator(
     seed: int,
     clock_offsets: tuple[float, float],
 ) -> Simulator:
+    if not all(map(math.isfinite, clock_offsets)):
+        raise ValueError(f"clock offsets must be finite, got {clock_offsets}")
     ids = [s.endpoint_id for s in sessions]
     return Simulator(
         dict(zip(ids, sessions)),
@@ -626,6 +631,8 @@ def run_capture_sync(
     clock_offsets: tuple[float, float] = (0.0, 0.0),
 ) -> CaptureSyncRun:
     """Propose a shared future start time and begin capture on both ends."""
+    if not math.isfinite(capture_delay):
+        raise ValueError(f"capture delay must be finite, got {capture_delay}")
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CONFIGURED:
@@ -655,6 +662,8 @@ def run_frame_sync(
     normal path is run_capture_sync first).  `directives` are
     (global_send_time, directive) pairs sent by the initiator mid-capture.
     """
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:

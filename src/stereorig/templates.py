@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM
-from .alignment import BaseModel, validate_placement
+from .alignment import BaseModel, check_ipd, validate_placement
 from .registry import DeviceSpec
 
 PIECE_KINDS = ("cut", "fold", "velcro", "aperture")
 
-# defaults for quantities the strap drawings leave free; all overridable
-DEFAULT_MARGIN_MM = 10.0
-DEFAULT_APERTURE_RADIUS_MM = 8.0
-DEFAULT_SLOT_LENGTH_MM = 40.0
+# quantities the strap drawings leave free
+_MARGIN_MM = 10.0
+_APERTURE_RADIUS_MM = 8.0
+_SLOT_LENGTH_MM = 40.0
 _PIECE_GAP_MM = 8.0
 _PANEL_BORDER_MM = 10.0
 _MIRROR_TILT_DEG = 45.0
@@ -125,8 +125,6 @@ def two_phone_layout(
     velcro_mm: float = DEFAULT_VELCRO_MM,
     cardboard_mm: float = DEFAULT_CARDBOARD_MM,
     strap_width: float = DEFAULT_STRAP_WIDTH_MM,
-    margin: float = DEFAULT_MARGIN_MM,
-    aperture_radius: float = DEFAULT_APERTURE_RADIUS_MM,
     fillet_radius: float = 0.0,
 ) -> TemplateLayout:
     """Flat holder for two identical phones held coplanar, plus its straps.
@@ -158,15 +156,15 @@ def two_phone_layout(
     border = _PANEL_BORDER_MM
     panel_w = bw + 2 * border
     panel_h = bh + 2 * border
-    sx = margin + border - bx
-    sy = margin + border - by
+    sx = _MARGIN_MM + border - bx
+    sy = _MARGIN_MM + border - by
 
     pieces: list[Piece] = [
         Piece(
             "panel",
             "cut",
             "rect",
-            rect=(margin, margin, panel_w, panel_h),
+            rect=(_MARGIN_MM, _MARGIN_MM, panel_w, panel_h),
             corner_radius=fillet_radius,
         ),
         Piece(
@@ -186,14 +184,14 @@ def two_phone_layout(
             "aperture",
             "circle",
             center=(base.camera_a[0] + sx, base.camera_a[1] + sy),
-            radius=aperture_radius,
+            radius=_APERTURE_RADIUS_MM,
         ),
         Piece(
             "aperture_b",
             "aperture",
             "circle",
             center=(base.camera_b_target[0] + sx, base.camera_b_target[1] + sy),
-            radius=aperture_radius,
+            radius=_APERTURE_RADIUS_MM,
         ),
     ]
 
@@ -204,7 +202,7 @@ def two_phone_layout(
     )
     short_folds = (velcro_mm,)
     strap_rows = []
-    y = margin + panel_h + _PIECE_GAP_MM
+    y = _MARGIN_MM + panel_h + _PIECE_GAP_MM
     strap_defs = [
         ("strap_1", straps.long_strap_length, strap_width, velcro_mm, long_folds),
         ("strap_2", straps.short_strap_length, strap_width, velcro_mm, short_folds),
@@ -213,12 +211,12 @@ def two_phone_layout(
         ("strap_5", straps.long_strap_length, strap_width, velcro_mm, long_folds),
     ]
     for name, length, width, v, folds in strap_defs:
-        pieces.extend(_strap_pieces(name, margin, y, length, width, v, folds))
+        pieces.extend(_strap_pieces(name, _MARGIN_MM, y, length, width, v, folds))
         strap_rows.append({"name": name, "y": y, "length": length, "width": width})
         y += width + _PIECE_GAP_MM
 
-    sheet_w = 2 * margin + max(panel_w, straps.long_strap_length)
-    sheet_h = y - _PIECE_GAP_MM + margin
+    sheet_w = 2 * _MARGIN_MM + max(panel_w, straps.long_strap_length)
+    sheet_h = y - _PIECE_GAP_MM + _MARGIN_MM
     metadata = {
         "rig": "two-phone",
         "devices": [base.device_a, base.device_b],
@@ -229,8 +227,8 @@ def two_phone_layout(
             "velcro_mm": velcro_mm,
             "cardboard_mm": cardboard_mm,
             "strap_width": strap_width,
-            "margin": margin,
-            "aperture_radius": aperture_radius,
+            "margin": _MARGIN_MM,
+            "aperture_radius": _APERTURE_RADIUS_MM,
             "fillet_radius": fillet_radius,
             "panel_border": border,
         },
@@ -249,12 +247,7 @@ def two_phone_layout(
     return TemplateLayout(tuple(pieces), (0.0, 0.0, sheet_w, sheet_h), metadata)
 
 
-def three_phone_layout(
-    spec: DeviceSpec,
-    margin: float = DEFAULT_MARGIN_MM,
-    aperture_radius: float = DEFAULT_APERTURE_RADIUS_MM,
-    ipd: float = DEFAULT_IPD_MM,
-) -> TemplateLayout:
+def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> TemplateLayout:
     """Strip of three panels folding into a triangular prism.
 
     Each phone mounts flush against its panel's leading edge, so every
@@ -264,6 +257,7 @@ def three_phone_layout(
     panel width p solves p^2 - 3*p*c + 3*c^2 = ipd^2, i.e.
     p = (3c + sqrt(4*ipd^2 - 3c^2)) / 2.
     """
+    check_ipd(ipd)
     spec.validate()
     c = spec.camera_center[0]
     w = spec.body_width
@@ -281,7 +275,7 @@ def three_phone_layout(
             f"width {w:.1f} mm; panels would collide"
         )
 
-    ox, oy = margin, margin
+    ox, oy = _MARGIN_MM, _MARGIN_MM
     pieces: list[Piece] = [
         Piece("strip", "cut", "rect", rect=(ox, oy, 3.0 * p, l), panel="strip"),
     ]
@@ -312,7 +306,7 @@ def three_phone_layout(
                 "aperture",
                 "circle",
                 center=(ox + i * p + c, oy + spec.camera_center[1]),
-                radius=aperture_radius,
+                radius=_APERTURE_RADIUS_MM,
                 panel="strip",
             )
         )
@@ -328,19 +322,14 @@ def three_phone_layout(
             {"x": p, "angle_deg": 120.0},
             {"x": 2.0 * p, "angle_deg": 120.0},
         ],
-        "params": {"margin": margin, "aperture_radius": aperture_radius},
+        "params": {"margin": _MARGIN_MM, "aperture_radius": _APERTURE_RADIUS_MM},
     }
-    sheet = (0.0, 0.0, 3.0 * p + 2 * margin, l + 2 * margin)
+    sheet = (0.0, 0.0, 3.0 * p + 2 * _MARGIN_MM, l + 2 * _MARGIN_MM)
     return TemplateLayout(tuple(pieces), sheet, metadata)
 
 
 def mirror_rig_layout(
-    spec: DeviceSpec,
-    margin: float = DEFAULT_MARGIN_MM,
-    slot_length: float = DEFAULT_SLOT_LENGTH_MM,
-    aperture_radius: float = DEFAULT_APERTURE_RADIUS_MM,
-    ipd: float = DEFAULT_IPD_MM,
-    fillet_radius: float = 0.0,
+    spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM, fillet_radius: float = 0.0
 ) -> TemplateLayout:
     """Periscope mount: one phone cradle and two 45-degree mirror slots.
 
@@ -348,18 +337,19 @@ def mirror_rig_layout(
     axis; the far slot (red, single-sided) is one ipd away along +x.  Both
     slots are drawn as 45-degree cut segments through the mount plate.
     """
+    check_ipd(ipd)
     spec.validate()
     w, l = spec.body_width, spec.body_length
     cx, cy = spec.camera_center
-    near = (margin + cx, margin + cy)
+    near = (_MARGIN_MM + cx, _MARGIN_MM + cy)
     far = (near[0] + ipd, near[1])
 
-    half = slot_length / 2.0
+    half = _SLOT_LENGTH_MM / 2.0
     dx = half * math.cos(math.radians(_MIRROR_TILT_DEG))
     dy = half * math.sin(math.radians(_MIRROR_TILT_DEG))
 
-    plate_w = max(margin + w, far[0] + dx + margin) + margin
-    plate_h = max(margin + l, far[1] + dy + margin) + margin
+    plate_w = max(_MARGIN_MM + w, far[0] + dx + _MARGIN_MM) + _MARGIN_MM
+    plate_h = max(_MARGIN_MM + l, far[1] + dy + _MARGIN_MM) + _MARGIN_MM
 
     pieces = (
         Piece("plate", "cut", "rect", rect=(0.0, 0.0, plate_w, plate_h)),
@@ -367,7 +357,7 @@ def mirror_rig_layout(
             "cradle",
             "fold",
             "rect",
-            rect=(margin, margin, w, l),
+            rect=(_MARGIN_MM, _MARGIN_MM, w, l),
             corner_radius=fillet_radius,
         ),
         Piece(
@@ -382,7 +372,7 @@ def mirror_rig_layout(
             "segments",
             points=((far[0] - dx, far[1] - dy), (far[0] + dx, far[1] + dy)),
         ),
-        Piece("aperture", "aperture", "circle", center=near, radius=aperture_radius),
+        Piece("aperture", "aperture", "circle", center=near, radius=_APERTURE_RADIUS_MM),
     )
     metadata = {
         "rig": "mirror",
@@ -401,9 +391,9 @@ def mirror_rig_layout(
             "double_sided": "slot_blue",
         },
         "params": {
-            "margin": margin,
-            "slot_length": slot_length,
-            "aperture_radius": aperture_radius,
+            "margin": _MARGIN_MM,
+            "slot_length": _SLOT_LENGTH_MM,
+            "aperture_radius": _APERTURE_RADIUS_MM,
             "fillet_radius": fillet_radius,
         },
     }

@@ -9,6 +9,7 @@ folding instead of heading walks, loops instead of set algebra.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from xml.sax import saxutils
 
@@ -402,3 +403,62 @@ def awaiting_oracle(state) -> bool:
     """
     phase = state.phase.value
     return (state.role, phase) in (("initiator", "pairing"), ("responder", "negotiating"))
+
+
+# --- field-by-field JSON shapes -------------------------------------------------
+
+
+def model_dict_oracle(model) -> dict:
+    """BaseModel as JSON data, every field named by hand and rounded to 3 decimals."""
+
+    def point(p):
+        return [round(p[0], 3), round(p[1], 3)]
+
+    def rect(r):
+        return {
+            "x": round(r.x, 3),
+            "y": round(r.y, 3),
+            "width": round(r.width, 3),
+            "height": round(r.height, 3),
+        }
+
+    return {
+        "camera_a": point(model.camera_a),
+        "camera_b_target": point(model.camera_b_target),
+        "box_b": rect(model.box_b),
+        "body_a": rect(model.body_a),
+        "camera_b_offset": point(model.camera_b_offset),
+        "layout": {
+            "axis": model.layout.axis,
+            "stacking": model.layout.stacking,
+            "orientation": model.layout.orientation,
+            "rotation_b": model.layout.rotation_b,
+        },
+        "ipd": round(model.ipd, 3),
+        "rotation_applied": model.rotation_applied,
+        "device_a": model.device_a,
+        "device_b": model.device_b,
+        "axis_gap": round(model.axis_gap, 3),
+    }
+
+
+def serialized_specs_oracle(specs) -> str:
+    """Catalog text with every DeviceSpec field named by hand and each set sorted."""
+    docs = [
+        {
+            "model_id": s.model_id,
+            "body_width": s.body_width,
+            "body_length": s.body_length,
+            "body_thickness": s.body_thickness,
+            "camera_center": list(s.camera_center),
+            "screen_width_px": s.screen_width_px,
+            "screen_height_px": s.screen_height_px,
+            "pixel_density": s.pixel_density,
+            "resolutions": sorted([w, h] for w, h in s.resolutions),
+            "frame_rates": sorted(s.frame_rates),
+            "focus_modes": sorted(s.focus_modes),
+            "capture_modes": sorted(s.capture_modes),
+        }
+        for s in specs
+    ]
+    return json.dumps(docs, indent=2, sort_keys=True) + "\n"

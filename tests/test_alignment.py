@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereorig import DEFAULT_IPD_MM
 from stereorig.alignment import (
+    AXES,
+    ORIENTATIONS,
+    ROTATIONS,
+    STACKINGS,
     BaseModel,
     InfeasibleLayoutError,
     LayoutConfig,
@@ -22,7 +30,13 @@ from stereorig.alignment import (
     validate_placement,
 )
 
-from oracles import footprint_oracle, random_spec, scan_min_separation, scan_placement
+from oracles import (
+    footprint_oracle,
+    model_dict_oracle,
+    random_spec,
+    scan_min_separation,
+    scan_placement,
+)
 
 VERT180 = LayoutConfig(axis="vertical", stacking="coplanar", rotation_b=180)
 DEPTH = LayoutConfig(axis="vertical", stacking="depth-stacked", rotation_b=0)
@@ -244,7 +258,7 @@ class TestCameraSeparation:
 class TestValidatePlacement:
     def test_valid_model_is_clean(self, j7, a5):
         model = compute_base_model(j7, a5, VERT180)
-        assert validate_placement(model, 0.01) == []
+        assert validate_placement(model) == []
 
     def test_separation_70_flags_ipd_only(self, j7):
         model = compute_base_model(j7, j7, VERT180)
@@ -257,7 +271,7 @@ class TestValidatePlacement:
             box_b=dataclasses.replace(model.box_b, y=model.box_b.y - 5.0),
         )
         assert camera_separation(shifted) == pytest.approx(70.0)
-        violations = validate_placement(shifted, 0.01)
+        violations = validate_placement(shifted)
         assert len(violations) == 1
         assert violations[0].startswith("ipd:")
         assert "70.000" in violations[0] and "65.000" in violations[0]
@@ -268,7 +282,7 @@ class TestValidatePlacement:
             model,
             box_b=Rect(0.0, 0.0, j7.body_width, j7.body_length),
         )
-        violations = validate_placement(occluding, 0.01)
+        violations = validate_placement(occluding)
         assert any(v.startswith("occlusion:") for v in violations)
 
     def test_coplanar_overlap_detected(self, j7):
@@ -281,13 +295,13 @@ class TestValidatePlacement:
                 model.body_a.y - 1.0 + model.camera_b_offset[1],
             ),
         )
-        violations = validate_placement(overlapping, 0.01)
+        violations = validate_placement(overlapping)
         assert any(v.startswith("overlap:") for v in violations)
 
     def test_offset_mismatch_detected(self, j7):
         model = compute_base_model(j7, j7, VERT180)
         broken = dataclasses.replace(model, camera_b_offset=(0.0, 0.0))
-        violations = validate_placement(broken, 0.01)
+        violations = validate_placement(broken)
         assert any(v.startswith("camera_offset:") for v in violations)
 
 
@@ -308,6 +322,24 @@ class TestSerialization:
         doc = model_to_dict(compute_base_model(j7, j7, DEPTH))
         assert doc["ipd"] == 65.0
         assert doc["camera_b_target"] == [39.0, 75.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ipd=st.floats(20.0, 120.0))
+    def test_dict_matches_field_by_field_oracle(self, seed, ipd):
+        rng = random.Random(seed)
+        a, b = random_spec(rng, "dev-a"), random_spec(rng, "dev-b")
+        for axis, stacking, orientation, rot in itertools.product(
+            AXES, STACKINGS, ORIENTATIONS, ROTATIONS
+        ):
+            layout = LayoutConfig(axis, stacking, orientation, rot)
+            try:
+                model = compute_base_model(a, b, layout, ipd)
+            except InfeasibleLayoutError:
+                continue
+            doc, want = model_to_dict(model), model_dict_oracle(model)
+            assert doc == want
+            # equal dicts may still differ in JSON: 1 == 1.0, but "1" != "1.0"
+            assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_json_refuses_non_finite_numbers(self, j7):
         model = dataclasses.replace(compute_base_model(j7, j7, DEPTH), axis_gap=math.inf)

@@ -44,7 +44,8 @@ class TestUsageErrors:
         assert "base-model" in capsys.readouterr().out
 
 
-HELP_DIR = Path(__file__).parent / "golden" / "help"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+HELP_DIR = GOLDEN_DIR / "help"
 SUBCOMMANDS = ("base-model", "gen-template", "align-check", "grid-overlay",
                "simulate-sync", "merge")
 
@@ -71,7 +72,7 @@ class TestHelpText:
         "grid-overlay": ({"specs": None, "ipd": 65.0, "layout": "vertical",
                           "stack": "depth-stacked", "orientation": "portrait", "rotate_b": 180,
                           "pitch": 10.0, "svg": None}, ["--device", "X"]),
-        "simulate-sync": ({"specs": None, "ipd": 65.0, "a": "J7-fixture", "b": "A5-fixture",
+        "simulate-sync": ({"specs": None, "a": "J7-fixture", "b": "A5-fixture",
                            "latency": 10.0, "jitter": 0.0, "loss": 0.0, "seed": 0,
                            "capture": None, "duration": 0.0, "offset_a": 0.0,
                            "offset_b": 0.0}, []),
@@ -84,6 +85,33 @@ class TestHelpText:
         args = vars(build_parser().parse_args([command, *required]))
         assert {k: args[k] for k in want} == want
         assert [type(args[k]) for k in want] == [type(v) for v in want.values()]
+
+
+class TestGoldenOutput:
+    """Rig-path output, frozen byte for byte: JSON on stdout and the three SVG templates."""
+
+    J7 = ("--device", "J7-fixture")
+    STDOUT = {
+        "base_model_default.json": ["base-model", "--a", "J7-fixture", "--b", "J7-fixture"],
+        "base_model_landscape_depth.json": [
+            "base-model", "--a", "J7-fixture", "--b", "J7-fixture", "--layout", "horizontal",
+            "--stack", "depth", "--orientation", "landscape", "--rotate-b", "90",
+            "--ipd", "71.2345"],
+        "grid_overlay_pitch.json": ["grid-overlay", *J7, "--pitch", "3.14159"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(STDOUT))
+    def test_stdout_matches_frozen_file(self, capsys, name):
+        assert main(self.STDOUT[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("mode, name", [("two", "j7_two_phone.svg"),
+                                            ("three", "j7_three_phone.svg"),
+                                            ("mirror", "j7_mirror.svg")])
+    def test_template_matches_frozen_file(self, capsys, tmp_path, mode, name):
+        out = tmp_path / "t.svg"
+        assert main(["gen-template", "--mode", mode, *self.J7, "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
 class TestBaseModel:
@@ -155,6 +183,18 @@ class TestGenTemplate:
         layout = svgio.parse_svg(text)
         assert svgio.render_svg(layout) == text
 
+    @pytest.mark.parametrize("mode", ["three", "mirror"])
+    @pytest.mark.parametrize("ipd, message", [("nan", "ipd must be positive, got nan"),
+                                              ("inf", "ipd must be finite, got inf"),
+                                              ("-inf", "ipd must be positive, got -inf")])
+    def test_non_finite_ipd_exits_1_without_output(self, capsys, tmp_path, mode, ipd, message):
+        out = tmp_path / "t.svg"
+        rc = main(["gen-template", "--mode", mode, "--device", "J7-fixture",
+                   f"--ipd={ipd}", "-o", str(out)])  # a separate `-inf` reads as an option
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_layout_exits_1(self, capsys, tmp_path):
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", "two", "--device", "J7-fixture",
@@ -214,6 +254,17 @@ class TestAlignCheck:
         assert main(["align-check", "--readings", path]) == 1
         assert main(["align-check", "--readings", path, "--mag-tol", "10"]) == 0
 
+    def test_nan_tolerances_exit_1(self, capsys, tmp_path):
+        # 50 uT and 90 deg/s apart: a nan tolerance used to report "aligned", exit 0
+        entry = self._entry([30.0, 0.0, -20.0], [80.0, 0.0, -20.0])
+        entry["b"]["gyroscope"] = [90.0, 0.0, 0.0]
+        path = self._fixture(tmp_path, [entry])
+        rc = main(["align-check", "--readings", path, "--mag-tol", "nan", "--gyro-tol", "nan"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error: mag_tolerance must be finite and non-negative, got nan" in captured.err
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         assert main(["align-check", "--readings", str(tmp_path / "nope.json")]) == 1
 
@@ -246,6 +297,18 @@ class TestGridOverlay:
         assert captured.out == ""
         assert message in captured.err
         assert not svg.exists()
+
+    def test_infinite_pixel_density_in_registry_exits_1(self, capsys, tmp_path, j7):
+        from stereorig.registry import serialize_device_specs
+        doc = json.loads(serialize_device_specs([j7]))
+        doc[0]["pixel_density"] = float("inf")
+        specs = tmp_path / "devices.json"
+        specs.write_text(json.dumps(doc))  # writes Infinity
+        rc = main(["grid-overlay", "--specs", str(specs), "--device", "J7-fixture"])
+        captured = capsys.readouterr()
+        assert rc == 1  # an OverflowError traceback before
+        assert captured.out == ""
+        assert "error: J7-fixture: pixel_density must be positive and finite" in captured.err
 
     def test_coplanar_stack_exits_1(self, capsys):
         rc = main(["grid-overlay", "--device", "J7-fixture", "--stack", "coplanar"])
@@ -294,6 +357,27 @@ class TestSimulateSync:
 
     def test_invalid_loss_rate_exits_1(self, capsys):
         assert main(["simulate-sync", "--loss", "1.5"]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--latency=nan"], "latency and jitter must be finite and non-negative"),
+        (["--jitter=inf"], "latency and jitter must be finite and non-negative"),
+        (["--offset-a=nan"], "clock offsets must be finite"),
+        (["--capture=50", "--offset-b=-inf"], "clock offsets must be finite"),
+        (["--capture=nan"], "capture delay must be finite, got nan"),
+        (["--capture=inf"], "capture delay must be finite, got inf"),
+        (["--capture=50", "--duration=nan"], "duration must be finite, got nan"),
+        (["--capture=50", "--duration=inf"], "duration must be finite, got inf"),
+    ])
+    def test_non_finite_value_exits_1_with_empty_stdout(self, capsys, flags, message):
+        rc = main(["simulate-sync", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    def test_ipd_is_a_usage_error(self, capsys):
+        assert main(["simulate-sync", "--ipd", "60"]) == 2
+        assert "unrecognized arguments: --ipd" in capsys.readouterr().err
 
 
 class TestMerge:

@@ -213,6 +213,17 @@ class TestCheckAlignment:
         with pytest.raises(GuidanceError, match="finite"):
             check_alignment(_reading(mag=(float("nan"), 0.0, 0.0)), _reading())
 
+    @pytest.mark.parametrize("name", ["mag_tolerance", "gyro_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_tolerance_rejected(self, name, value):
+        # a nan tolerance passed every delta: readings 50 uT apart read as aligned
+        a, b = _reading(), _reading(mag=(50.0, 0.0, 0.0), gyro=(90.0, 0.0, 0.0))
+        with pytest.raises(GuidanceError, match=f"{name} must be finite and non-negative"):
+            check_alignment(a, b, **{name: value})
+
+    def test_zero_tolerance_accepted(self):
+        assert check_alignment(_reading(), _reading(), mag_tolerance=0.0, gyro_tolerance=0.0).aligned
+
 
 class TestInstructions:
     def test_aligned_says_aligned(self):

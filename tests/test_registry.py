@@ -3,9 +3,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereorig.registry import (
     CapabilityProfile,
@@ -17,7 +20,12 @@ from stereorig.registry import (
     serialize_device_specs,
 )
 
-from oracles import negotiate_oracle, random_spec, validate_spec_dict
+from oracles import (
+    negotiate_oracle,
+    random_spec,
+    serialized_specs_oracle,
+    validate_spec_dict,
+)
 
 
 def _one_device(**overrides) -> str:
@@ -64,6 +72,31 @@ class TestParse:
         with pytest.raises(RegistryError, match="positive"):
             parse_device_specs(_one_device(body_width=-1.0))
 
+    @pytest.mark.parametrize("field, slot", [
+        ("body_width", None), ("body_length", None), ("body_thickness", None),
+        ("pixel_density", None), ("camera_center", 0), ("camera_center", 1),
+        ("frame_rates", 0),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_names_model_and_field(self, field, slot, value):
+        entry = json.loads(_one_device())[0]
+        if slot is None:
+            entry[field] = value
+        else:
+            entry[field][slot] = value
+        with pytest.raises(RegistryError) as err:
+            # json.dumps writes NaN / Infinity / -Infinity, which json.loads reads back
+            parse_device_specs(json.dumps([entry]))
+        assert str(err.value).startswith("unit-fixture: ")
+        assert field in str(err.value)
+
+    @pytest.mark.parametrize("entry", [{"screen_width_px": math.inf},
+                                       {"resolutions": [[1280, -math.inf]]}])
+    def test_infinite_integer_field_is_a_registry_error(self, entry):
+        # int(inf) raises OverflowError, which used to escape as a traceback
+        with pytest.raises(RegistryError, match="malformed device entry"):
+            parse_device_specs(_one_device(**entry))
+
     def test_empty_frame_rates_errors(self):
         with pytest.raises(RegistryError, match="non-empty"):
             parse_device_specs(_one_device(frame_rates=[]))
@@ -105,6 +138,17 @@ class TestParse:
         again = parse_device_specs(text)
         assert again == registry
         assert serialize_device_specs(again) == text
+
+
+    def test_packaged_catalog_serializes_like_the_oracle(self, registry):
+        assert serialize_device_specs(registry) == serialized_specs_oracle(registry)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 8))
+    def test_random_catalogs_serialize_like_the_oracle(self, seed, count):
+        rng = random.Random(seed)
+        specs = [random_spec(rng, f"dev-{i}") for i in range(count)]
+        assert serialize_device_specs(specs) == serialized_specs_oracle(specs)
 
 
 class TestLookup:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -652,6 +653,35 @@ class TestTransport:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimulatedTransport(**kwargs)
+
+    @pytest.mark.parametrize("field", ["base_latency", "jitter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_latency_and_jitter_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SimulatedTransport(**{field: value})
+
+    @pytest.mark.parametrize("offsets", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_runners_reject_non_finite_clock_offsets(self, j7, a5, offsets):
+        with pytest.raises(ValueError, match="clock offsets must be finite"):
+            run_pairing(j7, a5, LOSSLESS, clock_offsets=offsets)
+        pairing = run_pairing(j7, a5, LOSSLESS)
+        configured = (pairing.state_a, pairing.state_b)
+        with pytest.raises(ValueError, match="clock offsets must be finite"):
+            run_capture_sync(configured, LOSSLESS, 50.0, clock_offsets=offsets)
+        capture = run_capture_sync(configured, LOSSLESS, 50.0)
+        with pytest.raises(ValueError, match="clock offsets must be finite"):
+            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, 100.0,
+                           clock_offsets=offsets)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_runners_reject_non_finite_delay_and_duration(self, j7, a5, value):
+        pairing = run_pairing(j7, a5, LOSSLESS)
+        configured = (pairing.state_a, pairing.state_b)
+        with pytest.raises(ValueError, match="capture delay must be finite"):
+            run_capture_sync(configured, LOSSLESS, value)
+        capture = run_capture_sync(configured, LOSSLESS, 50.0)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, value)
 
     def test_simulator_needs_two_sessions(self, j7):
         with pytest.raises(ValueError, match="two sessions"):

@@ -254,6 +254,16 @@ class TestThreePhoneLayout:
         assert render_svg(three_phone_layout(j7)) == render_svg(three_phone_layout(j7))
 
 
+@pytest.mark.parametrize("layout_fn", [three_phone_layout, mirror_rig_layout])
+@pytest.mark.parametrize("ipd", [math.nan, math.inf, -math.inf, 0.0, -65.0])
+def test_bad_ipd_rejected_like_the_base_model(j7, layout_fn, ipd):
+    with pytest.raises(ValueError) as want:
+        compute_base_model(j7, j7, VERT180, ipd=ipd)
+    with pytest.raises(ValueError) as got:
+        layout_fn(j7, ipd=ipd)
+    assert str(got.value) == str(want.value)
+
+
 class TestMirrorRigLayout:
 
     def test_slot_separation_is_ipd(self, mirror_layout):
