@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-# Each _cmd_* imports the modules it uses, so a run compiles only those
-# and only `merge` loads numpy; the parser needs nothing beyond the package.
+# Each _cmd_* imports the modules it uses, so a run compiles only those and
+# only `merge --mode anaglyph` loads numpy; the parser needs only the package.
 from . import (
     DEFAULT_CARDBOARD_MM,
     DEFAULT_GRID_PITCH_MM,
@@ -140,6 +140,10 @@ def _cmd_simulate_sync(args) -> int:
     transport = syncproto.SimulatedTransport(
         base_latency=args.latency, jitter=args.jitter, loss_rate=args.loss
     )
+    # check every number before any run: a stage that never runs checks nothing
+    if args.capture is not None:
+        syncproto.check_finite("capture delay", args.capture)
+    syncproto.check_finite("duration", args.duration)
     offsets = (args.offset_a, args.offset_b)
     pairing = syncproto.run_pairing(a, b, transport, seed=args.seed, clock_offsets=offsets)
     entries = list(pairing.transcript)
@@ -156,8 +160,7 @@ def _cmd_simulate_sync(args) -> int:
         entries.extend(cap.transcript)
         state_a, state_b = cap.state_a, cap.state_b
         skew = cap.skew
-        # a nan duration goes on, for run_frame_sync to reject
-        if cap.skew is not None and not args.duration <= 0:
+        if cap.skew is not None and args.duration > 0:
             frames = syncproto.run_frame_sync(
                 (state_a, state_b),
                 transport,
@@ -185,11 +188,11 @@ def _cmd_merge(args) -> int:
     frames = merge.stream_merge(result.pairs, args.mode)
     os.makedirs(args.output, exist_ok=True)
     entries = []
-    for i, frame in enumerate(frames):
+    for i, raster in enumerate(frames):
         name = f"{args.mode}_{i:04d}.ppm"
         path = os.path.join(args.output, name)
-        ppmio.write_ppm(path, frame.pixels)
-        entries.append((frame.timestamp, path))
+        ppmio.write_raster(path, raster.width, raster.height, raster.chunks)
+        entries.append((raster.timestamp, path))
     ppmio.write_manifest(os.path.join(args.output, "pairs.txt"), entries)
     print(
         f"paired {len(result.pairs)} frames "

@@ -103,6 +103,11 @@ def grid_overlay(
 
     tx = base.camera_b_target[0] * d
     ty = base.camera_b_target[1] * d
+    if not (math.isfinite(tx) and math.isfinite(ty)):
+        raise GuidanceError(
+            f"{spec.model_id}: pixel_density {d} puts the target marker at "
+            f"({tx}, {ty}) px, beyond any screen"
+        )
     if not (0 <= _half_up(tx) < screen[0] and 0 <= _half_up(ty) < screen[1]):
         raise GuidanceError(
             f"target marker ({tx:.1f}, {ty:.1f}) px is off the "

@@ -10,12 +10,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
-from . import _kernels
 from .ppmio import read_manifest, read_ppm, read_ppm_header
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported only by the ndarray APIs (Frame, the composers,
+# load_stream) and by an anaglyph stream; an sbs stream moves bytes only.
 
 
 class MergeError(ValueError):
@@ -31,7 +34,7 @@ class Frame:
     source: str  # "left" | "right" for captures; composers mark their output
 
     def __post_init__(self):
-        if self.pixels.dtype != np.uint8:
+        if self.pixels.dtype != "uint8":
             raise MergeError(f"pixels must be uint8, got {self.pixels.dtype}")
         if self.pixels.shape != (self.height, self.width, 3):
             raise MergeError(
@@ -149,6 +152,8 @@ def side_by_side(pair: FramePair, out: np.ndarray | None = None) -> Frame:
 
     The pixels go into `out`, (h, 2w, 3) uint8, when it is given.
     """
+    from . import _kernels
+
     _check_dims(pair)
     px = _kernels.sbs_pixels(pair.left.pixels, pair.right.pixels, out)
     return Frame.from_pixels(px, pair.left.timestamp, "sbs")
@@ -159,15 +164,11 @@ def anaglyph(pair: FramePair, out: np.ndarray | None = None) -> Frame:
 
     The pixels go into `out`, (h, w, 3) uint8, when it is given.
     """
+    from . import _kernels
+
     _check_dims(pair)
     px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels, out)
     return Frame.from_pixels(px, pair.left.timestamp, "anaglyph")
-
-
-def _output_buffer(mode: str, width: int, height: int) -> np.ndarray:
-    """Preallocated `out` for the composer of `mode`."""
-    out_width = 2 * width if mode == "sbs" else width
-    return np.empty((height, out_width, 3), dtype=np.uint8)
 
 
 def _composer(mode: str):
@@ -198,30 +199,58 @@ def scan_stream(manifest_path: str) -> list[FrameRef]:
     ]
 
 
-def stream_merge(pairs: list[FramePair], mode: str) -> Iterator[Frame]:
-    """Merged frames of `FrameRef` pairs, each pair read only when its turn comes.
+@dataclass(frozen=True)
+class Raster:
+    """A merged frame as the flat byte chunks of its P6 raster, in order."""
+
+    timestamp: float  # ms, the left frame's
+    width: int
+    height: int
+    chunks: list
+
+
+def stream_merge(pairs: list[FramePair], mode: str) -> Iterator[Raster]:
+    """Merged rasters of `FrameRef` pairs, each pair read only when its turn comes.
 
     The mode and every pair's dimensions are checked before this returns,
     so a caller that writes output while iterating writes none for a bad
     input.  While the frame size stays the same, every pair is read into the
-    same two arrays and composed into the same output buffer: a yielded
-    frame is valid only until the next one is requested.
+    same two buffers: a yielded raster is valid only until the next one is
+    requested.  An sbs raster's chunks are the input rows themselves (left
+    row y, then right row y), so it is written with no compose copy; an
+    anaglyph raster's one chunk is the kernel's reused output array.
     """
-    compose = _composer(mode)
+    _composer(mode)  # rejects an unknown mode
     for pair in pairs:
         _check_dims(pair)
-    return _stream(pairs, compose, mode)
+    return _stream(pairs, mode)
 
 
-def _stream(pairs: list[FramePair], compose, mode: str) -> Iterator[Frame]:
+def _stream(pairs: list[FramePair], mode: str) -> Iterator[Raster]:
     size = None
     for pair in pairs:
         lref, rref = pair.left, pair.right
         if (lref.width, lref.height) != size:
-            size = (lref.width, lref.height)
-            left_px = np.empty((lref.height, lref.width, 3), dtype=np.uint8)
-            right_px = np.empty_like(left_px)
-            out = _output_buffer(mode, *size)
-        left = Frame.from_pixels(read_ppm(lref.path, left_px), lref.timestamp, "left")
-        right = Frame.from_pixels(read_ppm(rref.path, right_px), rref.timestamp, "right")
-        yield compose(FramePair(left, right, pair.timestamp_skew), out)
+            size = w, h = lref.width, lref.height
+            left_buf, right_buf = bytearray(w * h * 3), bytearray(w * h * 3)
+            if mode == "sbs":
+                out_width, row = 2 * w, 3 * w
+                views = memoryview(left_buf), memoryview(right_buf)
+                chunks = [v[y * row : (y + 1) * row] for y in range(h) for v in views]
+            else:
+                import numpy as np
+
+                from . import _kernels
+
+                out_width = w
+                left_px, right_px = (
+                    np.frombuffer(b, dtype=np.uint8).reshape(h, w, 3)
+                    for b in (left_buf, right_buf)
+                )
+                out = np.empty((h, w, 3), dtype=np.uint8)
+                chunks = [memoryview(out).cast("B")]
+        read_ppm(lref.path, left_buf)
+        read_ppm(rref.path, right_buf)
+        if mode == "anaglyph":
+            _kernels.anaglyph_pixels(left_px, right_px, out)
+        yield Raster(lref.timestamp, out_width, h, chunks)

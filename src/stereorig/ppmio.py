@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import math
 import os
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.writev call accepts
 
 
 class PpmError(ValueError):
@@ -66,32 +70,74 @@ def read_ppm_header(path: str) -> tuple[int, int]:
         return _read_header(fh, path)
 
 
-def read_ppm(path: str, out: np.ndarray | None = None) -> np.ndarray:
+def read_ppm(path: str, out: np.ndarray | bytearray | None = None) -> np.ndarray | bytearray:
     """Pixels of a P6 file as (height, width, 3) uint8, read into `out` when given.
 
-    `out` must be a C-contiguous uint8 array of exactly the file's shape.
+    `out` must be a C-contiguous uint8 array of exactly the file's shape, or
+    a bytearray of exactly its raster's size; it is returned filled.
     """
     with open(path, "rb") as fh:
         w, h = _read_header(fh, path)
         if out is None:
+            import numpy as np
+
             out = np.empty((h, w, 3), dtype=np.uint8)
-        elif out.shape != (h, w, 3) or out.dtype != np.uint8 or not out.flags.c_contiguous:
+        elif isinstance(out, bytearray):
+            if len(out) != w * h * 3:
+                raise PpmError(f"{path}: {w}x{h} frame does not fit a {len(out)}-byte buffer")
+        elif out.shape != (h, w, 3) or out.dtype != "uint8" or not out.flags.c_contiguous:
             raise PpmError(
                 f"{path}: {w}x{h} frame does not fit a {out.shape} {out.dtype} buffer"
             )
         got = fh.readinto(out)
-    if got != out.nbytes:
-        raise PpmError(f"{path}: expected {out.nbytes} raster bytes, got {got}")
+    if got != w * h * 3:
+        raise PpmError(f"{path}: expected {w * h * 3} raster bytes, got {got}")
     return out
 
 
+def write_raster(path: str, width: int, height: int, chunks: list) -> None:
+    """Write a P6 file whose raster is the concatenation of `chunks`.
+
+    Each chunk is a flat bytes-like object (bytes, bytearray or a one-byte
+    memoryview), so its len() is its size in bytes.  The chunks must hold
+    exactly width * height * 3 bytes, which is checked before the file is
+    opened.  The header and chunks go out through `os.writev`, at most
+    `_IOV_MAX` buffers per call, with no copy into one buffer; a short write
+    resumes where it stopped.
+    """
+    need = width * height * 3
+    got = sum(map(len, chunks))
+    if got != need:
+        raise PpmError(f"{width}x{height} raster needs {need} bytes, got {got}")
+    views = [f"P6\n{width} {height}\n255\n".encode("ascii"), *chunks]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while views:
+            batch = views[:_IOV_MAX]
+            n = os.writev(fd, batch)
+            if n == sum(map(len, batch)):
+                del views[:_IOV_MAX]
+                continue
+            if n == 0:
+                raise OSError(f"{path}: write made no progress")
+            k = 0
+            while n >= len(views[k]):
+                n -= len(views[k])
+                k += 1
+            del views[:k]
+            views[0] = memoryview(views[0])[n:]
+    finally:
+        os.close(fd)
+
+
 def write_ppm(path: str, pixels: np.ndarray) -> None:
-    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
+    """Write (h, w, 3) uint8 `pixels` as a P6 file."""
+    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != "uint8":
         raise PpmError(f"pixels must be (h, w, 3) uint8, got {pixels.shape} {pixels.dtype}")
+    import numpy as np
+
     h, w = pixels.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(memoryview(np.ascontiguousarray(pixels)))
+    write_raster(path, w, h, [memoryview(np.ascontiguousarray(pixels)).cast("B")])
 
 
 def read_manifest(path: str) -> list[tuple[float, str]]:

@@ -589,6 +589,11 @@ def _two(states: dict[str, SessionState]) -> tuple[SessionState, SessionState]:
     return sa, sb
 
 
+def check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _simulator(
     sessions: tuple[SessionState, SessionState],
     transport: SimulatedTransport,
@@ -631,8 +636,7 @@ def run_capture_sync(
     clock_offsets: tuple[float, float] = (0.0, 0.0),
 ) -> CaptureSyncRun:
     """Propose a shared future start time and begin capture on both ends."""
-    if not math.isfinite(capture_delay):
-        raise ValueError(f"capture delay must be finite, got {capture_delay}")
+    check_finite("capture delay", capture_delay)
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CONFIGURED:
@@ -662,8 +666,7 @@ def run_frame_sync(
     normal path is run_capture_sync first).  `directives` are
     (global_send_time, directive) pairs sent by the initiator mid-capture.
     """
-    if not math.isfinite(duration):
-        raise ValueError(f"duration must be finite, got {duration}")
+    check_finite("duration", duration)
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:

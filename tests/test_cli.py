@@ -13,6 +13,8 @@ from stereorig.cli import build_parser, main
 from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
+from oracles import sbs_oracle
+
 
 def _write_stream(dirpath, name, times, fill):
     frames_dir = dirpath / name
@@ -310,6 +312,19 @@ class TestGridOverlay:
         assert captured.out == ""
         assert "error: J7-fixture: pixel_density must be positive and finite" in captured.err
 
+    def test_huge_pixel_density_in_registry_exits_1(self, capsys, tmp_path, j7):
+        from stereorig.registry import serialize_device_specs
+        doc = json.loads(serialize_device_specs([j7]))
+        doc[0]["pixel_density"] = 1e308  # finite, but the target marker overflows
+        specs = tmp_path / "devices.json"
+        specs.write_text(json.dumps(doc))
+        rc = main(["grid-overlay", "--specs", str(specs), "--device", "J7-fixture"])
+        captured = capsys.readouterr()
+        assert rc == 1  # an OverflowError traceback before
+        assert captured.out == ""
+        assert captured.err.startswith("error: J7-fixture: pixel_density 1e+308 ")
+        assert "Traceback" not in captured.err
+
     def test_coplanar_stack_exits_1(self, capsys):
         rc = main(["grid-overlay", "--device", "J7-fixture", "--stack", "coplanar"])
         assert rc == 1
@@ -367,6 +382,9 @@ class TestSimulateSync:
         (["--capture=inf"], "capture delay must be finite, got inf"),
         (["--capture=50", "--duration=nan"], "duration must be finite, got nan"),
         (["--capture=50", "--duration=inf"], "duration must be finite, got inf"),
+        # checked before pairing, though no stage would use them
+        (["--duration=nan"], "duration must be finite, got nan"),
+        (["--loss=1.0", "--capture=nan"], "capture delay must be finite, got nan"),
     ])
     def test_non_finite_value_exits_1_with_empty_stdout(self, capsys, flags, message):
         rc = main(["simulate-sync", *flags])
@@ -482,12 +500,13 @@ class TestMerge:
 
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_streamed_frames_match_merge_pairs(self, capsys, tmp_path, mode):
-        # two frame sizes, so the streaming buffers are replaced once
+        # three frame sizes, so the streaming buffers are replaced twice; the
+        # 600-row frame has more sbs rows than one os.writev call may take
         rng = np.random.default_rng(41)
-        sizes = [(4, 6), (4, 6), (3, 5), (3, 5), (3, 5)]
+        sizes = [(4, 6), (4, 6), (3, 5), (3, 5), (3, 5), (600, 2)]
         manifests = {}
-        for name, times in (("left", [0.0, 33.3, 66.7, 100.0, 133.3]),
-                            ("right", [2.0, 35.1, 64.9, 101.5, 300.0])):
+        for name, times in (("left", [0.0, 33.3, 66.7, 100.0, 133.3, 400.0]),
+                            ("right", [2.0, 35.1, 64.9, 101.5, 300.0, 401.0])):
             (tmp_path / name).mkdir()
             entries = []
             for i, ((h, w), t) in enumerate(zip(sizes, times)):
@@ -500,12 +519,12 @@ class TestMerge:
         rc = main(["merge", "--left", manifests["left"], "--right", manifests["right"],
                    "--mode", mode, "--tol", "10", "-o", str(outdir)])
         assert rc == 0
-        assert "paired 4 frames (dropped 1 left, 1 right)" in capsys.readouterr().out
+        assert "paired 5 frames (dropped 1 left, 1 right)" in capsys.readouterr().out
 
         result = pair_frames(load_stream(manifests["left"], "left"),
                              load_stream(manifests["right"], "right"), 10.0)
         frames = merge_pairs(result.pairs, mode)
-        assert len(frames) == 4
+        assert len(frames) == 5
         for i, frame in enumerate(frames):
             want = tmp_path / f"want_{i}.ppm"
             write_ppm(str(want), frame.pixels)
@@ -547,16 +566,45 @@ class TestImportFootprint:
         assert self._own(loaded) == {"stereorig.cli"}
         assert not loaded & (_ONLY_MERGE_NEEDS | _NOTHING_NEEDS)
 
-    def test_merge_loads_only_the_merge_path(self, tmp_path, modules_after):
+    def _merge(self, tmp_path, modules_after, mode: str) -> set[str]:
         left = _write_stream(tmp_path, "left", [0.0, 33.0], 255)
         right = _write_stream(tmp_path, "right", [5.0, 38.0], 0)
         loaded = modules_after("merge", "--left", left, "--right", right,
-                               "--mode", "sbs", "-o", str(tmp_path / "out"))
-        assert (tmp_path / "out" / "sbs_0001.ppm").exists()
+                               "--mode", mode, "-o", str(tmp_path / "out"))
+        assert (tmp_path / "out" / f"{mode}_0001.ppm").exists()
+        assert not loaded & _NOTHING_NEEDS
+        return loaded
+
+    def test_merge_loads_only_the_merge_path(self, tmp_path, modules_after):
+        # sbs only moves bytes: no kernel module and no numpy
+        loaded = self._merge(tmp_path, modules_after, "sbs")
+        assert self._own(loaded) == {"stereorig.cli", "stereorig.merge", "stereorig.ppmio"}
+        assert not loaded & _ONLY_MERGE_NEEDS
+
+    def test_anaglyph_merge_also_loads_the_kernels(self, tmp_path, modules_after):
+        loaded = self._merge(tmp_path, modules_after, "anaglyph")
         assert self._own(loaded) == {
             "stereorig.cli", "stereorig.merge", "stereorig.ppmio", "stereorig._kernels"}
         assert "numpy" in loaded
-        assert not loaded & _NOTHING_NEEDS
+
+    def test_sbs_merge_runs_without_numpy(self, tmp_path, subprocess_env):
+        rng = np.random.default_rng(7)
+        frames = {}
+        for name, t in (("left", 0.0), ("right", 3.0)):
+            (tmp_path / name).mkdir()
+            frames[name] = rng.integers(0, 256, size=(5, 3, 3), dtype=np.uint8)
+            write_ppm(str(tmp_path / name / "0.ppm"), frames[name])
+            write_manifest(str(tmp_path / f"{name}.txt"), [(t, str(tmp_path / name / "0.ppm"))])
+        # a None entry makes every `import numpy` in the child raise ImportError
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from stereorig.cli import main; sys.exit(main(sys.argv[1:]))")
+        res = subprocess.run(
+            [sys.executable, "-c", code, "merge", "--left", "left.txt", "--right", "right.txt",
+             "--mode", "sbs", "-o", "out"],
+            env=subprocess_env, cwd=tmp_path, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        want = b"P6\n6 5\n255\n" + sbs_oracle(frames["left"], frames["right"]).tobytes()
+        assert (tmp_path / "out" / "sbs_0000.ppm").read_bytes() == want
 
     RIG_COMMANDS = {
         "base-model": (["--a", "J7-fixture", "--b", "A5-fixture"],

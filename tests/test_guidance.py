@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -106,6 +107,12 @@ class TestGridOverlay:
         tiny = dataclasses.replace(j7, screen_height_px=700)  # target at 750 px
         with pytest.raises(GuidanceError, match="off the"):
             grid_overlay(depth_base, tiny)
+
+    @pytest.mark.parametrize("density", [1e308, sys.float_info.max])
+    def test_overflowing_pixel_density_rejected(self, j7, depth_base, density):
+        huge = dataclasses.replace(j7, pixel_density=density)  # finite, target overflows
+        with pytest.raises(GuidanceError, match=r"^J7-fixture: pixel_density .* beyond any"):
+            grid_overlay(depth_base, huge)
 
     def test_nonpositive_pitch_rejected(self, j7, depth_base):
         with pytest.raises(GuidanceError, match="pitch"):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from stereorig import ppmio
 from stereorig.ppmio import (
     PpmError,
     read_manifest,
@@ -10,7 +13,10 @@ from stereorig.ppmio import (
     read_ppm_header,
     write_manifest,
     write_ppm,
+    write_raster,
 )
+
+from oracles import sbs_oracle
 
 
 def _random_pixels(seed=0, w=6, h=4):
@@ -117,6 +123,77 @@ class TestReadInto:
         write_ppm(str(p), _random_pixels(4))
         with pytest.raises(PpmError, match="does not fit"):
             read_ppm(str(p), np.zeros(shape, dtype=dtype))
+
+    def test_reads_into_bytearray_of_the_raster_size(self, tmp_path):
+        pixels = _random_pixels(5)
+        p = tmp_path / "img.ppm"
+        write_ppm(str(p), pixels)
+        buf = bytearray(pixels.nbytes)
+        assert read_ppm(str(p), buf) is buf
+        assert bytes(buf) == pixels.tobytes()
+
+    @pytest.mark.parametrize("size", [6 * 4 * 3 - 1, 6 * 4 * 3 + 1])
+    def test_bytearray_of_other_size_rejected(self, tmp_path, size):
+        p = tmp_path / "img.ppm"
+        write_ppm(str(p), _random_pixels(4))
+        with pytest.raises(PpmError, match=f"does not fit a {size}-byte buffer"):
+            read_ppm(str(p), bytearray(size))
+
+
+def _sbs_rows(left: np.ndarray, right: np.ndarray) -> list[memoryview]:
+    """Left row y, then right row y, for every y: the chunks of an sbs raster."""
+    return [memoryview(side[y]).cast("B") for y in range(left.shape[0]) for side in (left, right)]
+
+
+class TestWriteRaster:
+    def test_row_chunks_write_the_sbs_oracle(self, tmp_path):
+        left, right = _random_pixels(1, w=5, h=7), _random_pixels(2, w=5, h=7)
+        p = tmp_path / "sbs.ppm"
+        write_raster(str(p), 10, 7, _sbs_rows(left, right))
+        assert p.read_bytes() == b"P6\n10 7\n255\n" + sbs_oracle(left, right).tobytes()
+
+    def test_short_writes_resume(self, tmp_path, monkeypatch):
+        # every writev call writes at most 1000 bytes and takes few buffers,
+        # so writes stop inside chunks and a frame needs many batches
+        real_writev = os.writev
+        calls = []
+
+        def short_writev(fd, buffers):
+            calls.append(len(buffers))
+            take, room = [], 1000
+            for b in buffers:
+                b = memoryview(b)[:room]
+                take.append(b)
+                room -= len(b)
+                if not room:
+                    break
+            return real_writev(fd, take)
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        monkeypatch.setattr(ppmio, "_IOV_MAX", 5)
+        left, right = _random_pixels(3, w=37, h=23), _random_pixels(4, w=37, h=23)
+        p = tmp_path / "sbs.ppm"
+        write_raster(str(p), 74, 23, _sbs_rows(left, right))
+        assert p.read_bytes() == b"P6\n74 23\n255\n" + sbs_oracle(left, right).tobytes()
+        assert max(calls) == 5 and len(calls) > 2 * 23 * 37 * 3 / 1000
+
+        q = tmp_path / "whole.ppm"
+        write_ppm(str(q), left)
+        assert q.read_bytes() == b"P6\n37 23\n255\n" + left.tobytes()
+
+    def test_more_chunks_than_one_writev_takes(self, tmp_path):
+        h = ppmio._IOV_MAX  # 2h row chunks plus the header
+        left, right = _random_pixels(5, w=2, h=h), _random_pixels(6, w=2, h=h)
+        p = tmp_path / "tall.ppm"
+        write_raster(str(p), 4, h, _sbs_rows(left, right))
+        assert p.read_bytes() == f"P6\n4 {h}\n255\n".encode() + sbs_oracle(left, right).tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_raster_size_rejected_before_opening(self, tmp_path, extra):
+        p = tmp_path / "x.ppm"
+        with pytest.raises(PpmError, match="2x2 raster needs 12 bytes"):
+            write_raster(str(p), 2, 2, [bytes(6), bytes(6 + extra)])
+        assert not p.exists()
 
 
 class TestWriteValidation:
