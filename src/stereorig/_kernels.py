@@ -54,6 +54,6 @@ def anaglyph_pixels(
     return out
 
 
-def sbs_pixels(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Left and right (h, w, 3) frames side by side in `out` (h, 2w, 3), allocated if not given."""
-    return np.concatenate([left, right], axis=1, out=out)
+def sbs_pixels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Left and right (h, w, 3) frames side by side in a new (h, 2w, 3) array."""
+    return np.concatenate([left, right], axis=1)

@@ -165,8 +165,6 @@ def compute_base_model(
     minimum achievable separation when no placement works.
     """
     check_ipd(ipd)
-    a.validate()
-    b.validate()
 
     wa, la, cax, cay = oriented_footprint(a, layout.orientation)
     body_a = Rect(0.0, 0.0, wa, la)

@@ -39,7 +39,7 @@ class SensorReading:
     gyroscope: tuple[float, float, float]  # deg/s per axis
     timestamp_ms: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for v in (*self.magnetometer, *self.gyroscope, self.timestamp_ms):
             if not math.isfinite(v):
                 raise GuidanceError(f"non-finite sensor value {v!r}")
@@ -121,6 +121,10 @@ def grid_overlay(
     box = (bx0, by0, max(bx1 - bx0, 0.0), max(by1 - by0, 0.0))
 
     step = pitch_mm * d
+    if step < 1.0:
+        raise GuidanceError(
+            f"grid pitch {pitch_mm} mm is under one pixel on {spec.model_id} ({d} px/mm)"
+        )
     verticals = []
     i = 0
     while i * step < screen[0]:
@@ -161,8 +165,6 @@ def check_alignment(
     for name, tolerance in (("mag_tolerance", mag_tolerance), ("gyro_tolerance", gyro_tolerance)):
         if not 0 <= tolerance < math.inf:  # a nan tolerance would pass every delta
             raise GuidanceError(f"{name} must be finite and non-negative, got {tolerance}")
-    a.validate()
-    b.validate()
     deltas = tuple(bb - aa for aa, bb in zip(a.magnetometer, b.magnetometer))
     offending = tuple(
         axis for axis, delta in zip(_AXES, deltas) if abs(delta) > mag_tolerance
@@ -200,15 +202,14 @@ def _reading_from_dict(doc: dict) -> SensorReading:
     try:
         mag = doc["magnetometer"]
         gyro = doc["gyroscope"]
-        reading = SensorReading(
+        values = dict(
             magnetometer=(float(mag[0]), float(mag[1]), float(mag[2])),
             gyroscope=(float(gyro[0]), float(gyro[1]), float(gyro[2])),
             timestamp_ms=float(doc.get("timestamp_ms", 0.0)),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise GuidanceError(f"malformed sensor reading: {exc}") from exc
-    reading.validate()
-    return reading
+    return SensorReading(**values)  # checks itself; its GuidanceError is not rewrapped
 
 
 def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:

@@ -147,27 +147,21 @@ def _check_dims(pair: FramePair) -> None:
         )
 
 
-def side_by_side(pair: FramePair, out: np.ndarray | None = None) -> Frame:
-    """Double-width frame: left view in columns [0, w), right in [w, 2w).
-
-    The pixels go into `out`, (h, 2w, 3) uint8, when it is given.
-    """
+def side_by_side(pair: FramePair) -> Frame:
+    """Double-width frame: left view in columns [0, w), right in [w, 2w)."""
     from . import _kernels
 
     _check_dims(pair)
-    px = _kernels.sbs_pixels(pair.left.pixels, pair.right.pixels, out)
+    px = _kernels.sbs_pixels(pair.left.pixels, pair.right.pixels)
     return Frame.from_pixels(px, pair.left.timestamp, "sbs")
 
 
-def anaglyph(pair: FramePair, out: np.ndarray | None = None) -> Frame:
-    """Blue = left luminance, red = right luminance, green = 0 (BT.601).
-
-    The pixels go into `out`, (h, w, 3) uint8, when it is given.
-    """
+def anaglyph(pair: FramePair) -> Frame:
+    """Blue = left luminance, red = right luminance, green = 0 (BT.601)."""
     from . import _kernels
 
     _check_dims(pair)
-    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels, out)
+    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels)
     return Frame.from_pixels(px, pair.left.timestamp, "anaglyph")
 
 

@@ -70,11 +70,10 @@ def read_ppm_header(path: str) -> tuple[int, int]:
         return _read_header(fh, path)
 
 
-def read_ppm(path: str, out: np.ndarray | bytearray | None = None) -> np.ndarray | bytearray:
-    """Pixels of a P6 file as (height, width, 3) uint8, read into `out` when given.
+def read_ppm(path: str, out: bytearray | None = None) -> np.ndarray | bytearray:
+    """Pixels of a P6 file as (height, width, 3) uint8, or read into `out` when given.
 
-    `out` must be a C-contiguous uint8 array of exactly the file's shape, or
-    a bytearray of exactly its raster's size; it is returned filled.
+    `out` must be a bytearray of exactly the raster's size; it is returned filled.
     """
     with open(path, "rb") as fh:
         w, h = _read_header(fh, path)
@@ -82,13 +81,8 @@ def read_ppm(path: str, out: np.ndarray | bytearray | None = None) -> np.ndarray
             import numpy as np
 
             out = np.empty((h, w, 3), dtype=np.uint8)
-        elif isinstance(out, bytearray):
-            if len(out) != w * h * 3:
-                raise PpmError(f"{path}: {w}x{h} frame does not fit a {len(out)}-byte buffer")
-        elif out.shape != (h, w, 3) or out.dtype != "uint8" or not out.flags.c_contiguous:
-            raise PpmError(
-                f"{path}: {w}x{h} frame does not fit a {out.shape} {out.dtype} buffer"
-            )
+        elif len(out) != w * h * 3:
+            raise PpmError(f"{path}: {w}x{h} frame does not fit a {len(out)}-byte buffer")
         got = fh.readinto(out)
     if got != w * h * 3:
         raise PpmError(f"{path}: expected {w * h * 3} raster bytes, got {got}")

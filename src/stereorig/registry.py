@@ -34,7 +34,7 @@ class DeviceSpec:
     focus_modes: frozenset[str]
     capture_modes: frozenset[str]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.model_id:
             raise RegistryError("model_id must be a non-empty string")
         for name in ("body_width", "body_length", "body_thickness", "pixel_density"):
@@ -83,7 +83,7 @@ def _spec_from_dict(entry: dict) -> DeviceSpec:
         raise RegistryError(f"device entry missing required fields: {', '.join(missing)}")
     try:
         cam = entry["camera_center"]
-        spec = DeviceSpec(
+        values = dict(
             model_id=str(entry["model_id"]),
             body_width=float(entry["body_width"]),
             body_length=float(entry["body_length"]),
@@ -99,8 +99,7 @@ def _spec_from_dict(entry: dict) -> DeviceSpec:
         )
     except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
         raise RegistryError(f"malformed device entry: {exc}") from exc
-    spec.validate()
-    return spec
+    return DeviceSpec(**values)  # checks itself; its RegistryError is not rewrapped
 
 
 def parse_device_specs(text: str) -> list[DeviceSpec]:

@@ -135,7 +135,6 @@ class SessionState:
     spec: DeviceSpec
     phase: Phase = Phase.IDLE
     negotiated: CapabilityProfile | None = None
-    last_seq_seen: int = -1
     capture_start: float | None = None  # local clock ms
     next_tick_seq: int = 0
     focus_mode: str | None = None
@@ -196,7 +195,7 @@ def _on_timer(
     me = state.endpoint_id
     kind = timer.kind
     if kind == "abort":
-        return _fail(state, state.fail_reason or "aborted: peer failure")
+        return _fail(state, "aborted: peer failure")
     if kind == "give_up":
         return _fail(state, "timeout: retry budget exhausted")
 
@@ -322,7 +321,7 @@ def _on_message(
                     f"got {tick.timestamp:.6f}, expected {expected:.6f}",
                     emit=True,
                 )
-            return replace(state, last_seq_seen=max(state.last_seq_seen, tick.seq)), []
+            return state, []
         if phase in (Phase.DONE, Phase.CONFIGURED):
             return state, []  # late or early tick around the capture window
         return _fail(state, f"unexpected FrameTick in {phase.value}", emit=True)
@@ -415,24 +414,28 @@ class Simulator:
     Owns the event heap, the seeded transport randomness, timer policy
     (resending each session's `unacked`, capture scheduling), and the
     transcript.  If either session fails, the other is aborted at
-    quiescence so that neither is left running.
+    quiescence so that neither is left running.  `clock_offsets[i]` is the
+    local clock offset of `sessions[i]`.
     """
 
     def __init__(
         self,
-        sessions: dict[str, SessionState],
+        sessions: tuple[SessionState, SessionState],
         transport: SimulatedTransport,
-        seed: int = 0,
-        clock_offsets: dict[str, float] | None = None,
+        seed: int,
+        clock_offsets: tuple[float, float],
     ):
-        if len(sessions) != 2:
-            raise ValueError("simulator needs exactly two sessions")
-        self.states = dict(sessions)
-        ids = sorted(self.states)
+        if not all(map(math.isfinite, clock_offsets)):
+            raise ValueError(f"clock offsets must be finite, got {clock_offsets}")
+        ids = [s.endpoint_id for s in sessions]
+        if len(ids) != 2 or ids[0] == ids[1]:
+            raise ValueError(f"simulator needs exactly two sessions with distinct ids, got {ids}")
+        self.states = dict(zip(ids, sessions))
+        ids.sort()
         self.peer = {ids[0]: ids[1], ids[1]: ids[0]}
         self.transport = transport
         self.rng = random.Random(seed)
-        self.offsets = dict(clock_offsets or {e: 0.0 for e in ids})
+        self.offsets = dict(zip(self.states, clock_offsets))
         self.retry_delay0 = RETRY_FACTOR * (
             transport.base_latency if transport.base_latency > 0 else 1.0
         )
@@ -442,12 +445,8 @@ class Simulator:
         self.applied: list[tuple[float, str, str, int]] = []
         self._heap: list = []
         self._counter = itertools.count()
-        self._armed: dict[str, int | None] = {e: None for e in ids}
-        self._arm_gen: dict[str, int] = {e: 0 for e in ids}
-        self._retries: dict[str, int] = {e: 0 for e in ids}
-
-    def local(self, endpoint: str, t_global: float) -> float:
-        return t_global + self.offsets[endpoint]
+        # the armed retransmit timer per endpoint; its payload counts resends
+        self._armed: dict[str, Timer | None] = {e: None for e in ids}
 
     def schedule(self, t_global: float, endpoint: str, event: Message | Timer) -> None:
         heapq.heappush(self._heap, (t_global, next(self._counter), endpoint, event))
@@ -475,24 +474,20 @@ class Simulator:
         if not self.states[endpoint].unacked:
             self._armed[endpoint] = None
         elif self._armed[endpoint] is None:
-            self._arm_gen[endpoint] += 1
-            gen = self._arm_gen[endpoint]
-            self._armed[endpoint] = gen
-            self._retries[endpoint] = 0
-            self.schedule(t_global + self.retry_delay0, endpoint, Timer("retransmit", gen))
+            self._armed[endpoint] = timer = Timer("retransmit", 0)
+            self.schedule(t_global + self.retry_delay0, endpoint, timer)
 
     def dispatch(self, endpoint: str, event: Message | Timer, t_global: float) -> None:
         old = self.states[endpoint]
-        local_now = self.local(endpoint, t_global)
 
         if isinstance(event, Timer) and event.kind == "retransmit":
-            if self._armed[endpoint] != event.payload:
+            if event is not self._armed[endpoint]:
                 return  # stale timer
-            if self._retries[endpoint] < RETRY_BUDGET:
-                self._retries[endpoint] += 1
-                n = self._retries[endpoint]
+            if event.payload < RETRY_BUDGET:
+                n = event.payload + 1
                 self._log(t_global, endpoint, "timer", f"retransmit attempt {n}")
-                self.schedule(t_global + self.retry_delay0 * 2**n, endpoint, event)
+                self._armed[endpoint] = timer = Timer("retransmit", n)
+                self.schedule(t_global + self.retry_delay0 * 2**n, endpoint, timer)
                 for msg in old.unacked:
                     self._send(msg, t_global)
                 return
@@ -507,7 +502,7 @@ class Simulator:
                 f"{event.kind.value} {_payload_json(event)}",
             )
 
-        new, outbound = step(old, event, local_now)
+        new, outbound = step(old, event, t_global + self.offsets[endpoint])
         self.states[endpoint] = new
 
         if new.phase is not old.phase:
@@ -541,12 +536,10 @@ class Simulator:
             self._send(msg, t_global)
         self._update_arming(endpoint, t_global)
 
-    def run(self, deadline: float | None = None) -> None:
+    def run(self) -> None:
         t = 0.0
         while self._heap:
             t, _, endpoint, event = heapq.heappop(self._heap)
-            if deadline is not None and t > deadline:
-                break
             self.dispatch(endpoint, event, t)
         self._force_symmetric_outcome(t)
 
@@ -594,23 +587,6 @@ def check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _simulator(
-    sessions: tuple[SessionState, SessionState],
-    transport: SimulatedTransport,
-    seed: int,
-    clock_offsets: tuple[float, float],
-) -> Simulator:
-    if not all(map(math.isfinite, clock_offsets)):
-        raise ValueError(f"clock offsets must be finite, got {clock_offsets}")
-    ids = [s.endpoint_id for s in sessions]
-    return Simulator(
-        dict(zip(ids, sessions)),
-        transport,
-        seed=seed,
-        clock_offsets=dict(zip(ids, clock_offsets)),
-    )
-
-
 def run_pairing(
     spec_a: DeviceSpec,
     spec_b: DeviceSpec,
@@ -620,7 +596,7 @@ def run_pairing(
 ) -> PairingRun:
     """Drive both sessions from Idle to a shared terminal phase."""
     sessions = (new_session("A", "initiator", spec_a), new_session("B", "responder", spec_b))
-    sim = _simulator(sessions, transport, seed, clock_offsets)
+    sim = Simulator(sessions, transport, seed, clock_offsets)
     sim.schedule(0.0, "A", Timer("start"))
     sim.schedule(0.0, "B", Timer("start"))
     sim.run()
@@ -642,7 +618,7 @@ def run_capture_sync(
         if s.phase is not Phase.CONFIGURED:
             raise ValueError(f"session {s.endpoint_id} is {s.phase.value}, need configured")
     initiator = sa if sa.role == "initiator" else sb
-    sim = _simulator(sessions, transport, seed, clock_offsets)
+    sim = Simulator(sessions, transport, seed, clock_offsets)
     sim.schedule(0.0, initiator.endpoint_id, Timer("propose_capture", capture_delay))
     sim.run()
     na, nb = _two(sim.states)
@@ -671,7 +647,7 @@ def run_frame_sync(
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:
             raise ValueError(f"session {s.endpoint_id} is not mid-capture")
-    sim = _simulator(sessions, transport, seed, clock_offsets)
+    sim = Simulator(sessions, transport, seed, clock_offsets)
     for s in (sa, sb):
         fps = s.negotiated.frame_rate
         period = 1000.0 / fps

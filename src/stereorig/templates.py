@@ -82,6 +82,9 @@ def strap_lengths(spec: DeviceSpec, velcro_mm: float, cardboard_mm: float) -> St
         raise TemplateError(f"velcro length must be positive, got {velcro_mm}")
     if not cardboard_mm > 0:
         raise TemplateError(f"cardboard thickness must be positive, got {cardboard_mm}")
+    for name, value in (("velcro length", velcro_mm), ("cardboard thickness", cardboard_mm)):
+        if value == math.inf:
+            raise TemplateError(f"{name} must be finite, got {value}")
     h = spec.body_thickness
     w = spec.body_width
     return StrapSet(
@@ -91,6 +94,11 @@ def strap_lengths(spec: DeviceSpec, velcro_mm: float, cardboard_mm: float) -> St
         velcro_length=velcro_mm,
         cardboard_thickness=cardboard_mm,
     )
+
+
+def _check_fillet(radius: float) -> None:
+    if not 0 <= radius < math.inf:
+        raise TemplateError(f"fillet radius must be finite and non-negative, got {radius}")
 
 
 def _strap_pieces(
@@ -146,6 +154,9 @@ def two_phone_layout(
         raise TemplateError("base model invalid: " + "; ".join(problems))
 
     straps = strap_lengths(spec, velcro_mm, cardboard_mm)
+    if not 0 < strap_width < math.inf:
+        raise TemplateError(f"strap width must be positive and finite, got {strap_width}")
+    _check_fillet(fillet_radius)
     h = spec.body_thickness
     w = spec.body_width
 
@@ -258,7 +269,6 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     p = (3c + sqrt(4*ipd^2 - 3c^2)) / 2.
     """
     check_ipd(ipd)
-    spec.validate()
     c = spec.camera_center[0]
     w = spec.body_width
     l = spec.body_length
@@ -338,7 +348,7 @@ def mirror_rig_layout(
     slots are drawn as 45-degree cut segments through the mount plate.
     """
     check_ipd(ipd)
-    spec.validate()
+    _check_fillet(fillet_radius)
     w, l = spec.body_width, spec.body_length
     cx, cy = spec.camera_center
     near = (_MARGIN_MM + cx, _MARGIN_MM + cy)

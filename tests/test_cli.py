@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereorig import alignment, svgio
 from stereorig.cli import build_parser, main
@@ -197,6 +203,30 @@ class TestGenTemplate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flag, message", [
+        ("two", "--velcro=inf", "velcro length must be finite, got inf"),
+        ("two", "--velcro=nan", "velcro length must be positive, got nan"),
+        ("two", "--cardboard=inf", "cardboard thickness must be finite, got inf"),
+        ("two", "--strap-width=nan", "strap width must be positive and finite, got nan"),
+        ("two", "--strap-width=inf", "strap width must be positive and finite, got inf"),
+        ("two", "--strap-width=-5", "strap width must be positive and finite, got -5.0"),
+        ("two", "--fillet=-inf", "fillet radius must be finite and non-negative, got -inf"),
+        ("mirror", "--fillet=nan", "fillet radius must be finite and non-negative, got nan"),
+        ("mirror", "--fillet=inf", "fillet radius must be finite and non-negative, got inf"),
+        ("mirror", "--fillet=-5", "fillet radius must be finite and non-negative, got -5.0"),
+    ])
+    def test_bad_material_value_exits_1_without_output(self, capsys, tmp_path, mode, flag,
+                                                       message):
+        # all but --velcro=nan wrote an SVG with `infmm`, `rx="inf"` or nan sizes before
+        out = tmp_path / "t.svg"
+        rc = main(["gen-template", "--mode", mode, "--device", "J7-fixture", flag,
+                   "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_infeasible_layout_exits_1(self, capsys, tmp_path):
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", "two", "--device", "J7-fixture",
@@ -324,6 +354,23 @@ class TestGridOverlay:
         assert captured.out == ""
         assert captured.err.startswith("error: J7-fixture: pixel_density 1e+308 ")
         assert "Traceback" not in captured.err
+
+    def test_pitch_under_one_pixel_exits_1(self, capsys, tmp_path):
+        # 0.001 mm on 10 px/mm printed 2.6 MB of grid lines; 1e-9 would ask for 1e11
+        svg = tmp_path / "grid.svg"
+        for pitch in ("0.001", "1e-9"):
+            rc = main(["grid-overlay", "--device", "J7-fixture", "--pitch", pitch,
+                       "--svg", str(svg)])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: grid pitch {float(pitch)} mm is under one pixel on J7-fixture "
+                f"(10.0 px/mm)\n"
+            )
+            assert not svg.exists()
+        assert main(["grid-overlay", "--device", "J7-fixture", "--pitch", "0.1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["vertical_lines"]) == 720
 
     def test_coplanar_stack_exits_1(self, capsys):
         rc = main(["grid-overlay", "--device", "J7-fixture", "--stack", "coplanar"])
@@ -529,6 +576,72 @@ class TestMerge:
             want = tmp_path / f"want_{i}.ppm"
             write_ppm(str(want), frame.pixels)
             assert (outdir / f"{mode}_{i:04d}.ppm").read_bytes() == want.read_bytes()
+
+
+def _float_options() -> list[tuple[str, str]]:
+    """(subcommand, option) for every float-typed option of the parser."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(
+        (command, action.option_strings[-1])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type is float
+    )
+
+
+# every spelling reads as nan, inf or -inf through float()
+_NON_FINITE = st.sampled_from(
+    ["nan", "NaN", "-nan", "inf", "+inf", "Infinity", "1e999", "-inf", "-Infinity", "-1e999"]
+)
+
+
+class TestNonFiniteFlags:
+    """Every float option, set to a non-finite value, fails the run and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        """A directory holding the inputs of a run of each subcommand that succeeds."""
+        work = tmp_path_factory.mktemp("non_finite")
+        _write_stream(work, "left", [0.0, 33.0], 1)
+        _write_stream(work, "right", [2.0, 35.0], 2)
+        zero = [0.0, 0.0, 0.0]
+        (work / "readings.json").write_text(json.dumps(
+            [{"a": {"magnetometer": zero, "gyroscope": zero},
+              "b": {"magnetometer": zero, "gyroscope": zero}}]))
+        return work
+
+    @staticmethod
+    def _run(work: Path, out: Path, command: str) -> list[str]:
+        """Arguments of a run that reads its inputs from `work` and writes under `out`."""
+        # mode two is the gen-template mode that draws every material flag
+        return [command, *{
+            "base-model": ["--a", "J7-fixture", "--b", "A5-fixture"],
+            "gen-template": ["--mode", "two", "--device", "J7-fixture",
+                             "-o", str(out / "t.svg")],
+            "align-check": ["--readings", str(work / "readings.json")],
+            "grid-overlay": ["--device", "J7-fixture", "--svg", str(out / "grid.svg")],
+            "simulate-sync": ["--capture", "50", "--duration", "100"],
+            "merge": ["--left", str(work / "left.txt"), "--right", str(work / "right.txt"),
+                      "--mode", "sbs", "-o", str(out / "out")],
+        }[command]]
+
+    @pytest.mark.parametrize("command", sorted({c for c, _ in _float_options()}))
+    def test_each_run_succeeds_with_its_defaults(self, work, tmp_path, command):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(self._run(work, tmp_path, command)) == 0
+
+    @pytest.mark.parametrize("command, option", _float_options())
+    @settings(max_examples=12, deadline=None)
+    @given(value=_NON_FINITE)
+    def test_non_finite_value_exits_1_with_no_output(self, work, command, option, value):
+        before = sorted(os.listdir(work))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([*self._run(work, work, command), f"{option}={value}"])
+        assert rc == 1, stderr.getvalue()
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("error: ")
+        assert sorted(os.listdir(work)) == before
 
 
 # a child that imports the CLI, runs one command and prints sys.modules as JSON

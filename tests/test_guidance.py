@@ -118,6 +118,18 @@ class TestGridOverlay:
         with pytest.raises(GuidanceError, match="pitch"):
             grid_overlay(depth_base, j7, pitch_mm=0.0)
 
+    def test_pitch_under_one_pixel_rejected(self, j7, depth_base):
+        # J7-fixture has 10 px/mm: 0.1 mm is exactly one pixel, the finest grid
+        overlay = grid_overlay(depth_base, j7, pitch_mm=0.1)
+        assert overlay.vertical_lines[:3] == (0.0, 1.0, 2.0)
+        assert len(overlay.vertical_lines) == 720
+        below = math.nextafter(0.1, 0.0)
+        with pytest.raises(GuidanceError, match=rf"^grid pitch {below} mm is under one pixel"):
+            grid_overlay(depth_base, j7, pitch_mm=below)
+        message = r"^grid pitch 0\.001 mm is under one pixel on J7-fixture \(10\.0 px/mm\)$"
+        with pytest.raises(GuidanceError, match=message):
+            grid_overlay(depth_base, j7, pitch_mm=0.001)
+
     def test_box_marker_clamped_to_screen(self, j7, depth_base):
         overlay = grid_overlay(depth_base, j7)
         x, y, w, h = overlay.box_marker

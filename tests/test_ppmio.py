@@ -109,21 +109,6 @@ class TestPpmHeaderParsing:
 
 
 class TestReadInto:
-    def test_reads_into_given_buffer(self, tmp_path):
-        pixels = _random_pixels(3)
-        p = tmp_path / "img.ppm"
-        write_ppm(str(p), pixels)
-        buf = np.full(pixels.shape, 7, dtype=np.uint8)
-        assert read_ppm(str(p), buf) is buf
-        assert (buf == pixels).all()
-
-    @pytest.mark.parametrize("shape,dtype", [((6, 4, 3), np.uint8), ((4, 6, 3), np.uint16)])
-    def test_buffer_of_other_shape_or_dtype_rejected(self, tmp_path, shape, dtype):
-        p = tmp_path / "img.ppm"
-        write_ppm(str(p), _random_pixels(4))
-        with pytest.raises(PpmError, match="does not fit"):
-            read_ppm(str(p), np.zeros(shape, dtype=dtype))
-
     def test_reads_into_bytearray_of_the_raster_size(self, tmp_path):
         pixels = _random_pixels(5)
         p = tmp_path / "img.ppm"

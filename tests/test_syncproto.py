@@ -200,7 +200,6 @@ class TestStepTransitions:
         good = Message(MsgKind.FRAME_TICK, "A", TickStamp(1, 50.0 + 1000.0 / 30.0))
         s2, out = step(s, good, 90.0)
         assert s2.phase is Phase.CAPTURING
-        assert s2.last_seq_seen == 1
         assert out == []
         bad = Message(MsgKind.FRAME_TICK, "A", TickStamp(1, 90.0))
         s3, out = step(s, bad, 90.0)
@@ -685,7 +684,12 @@ class TestTransport:
 
     def test_simulator_needs_two_sessions(self, j7):
         with pytest.raises(ValueError, match="two sessions"):
-            Simulator({"A": new_session("A", "initiator", j7)}, LOSSLESS)
+            Simulator((new_session("A", "initiator", j7),), LOSSLESS, 0, (0.0,))
+
+    def test_simulator_rejects_one_endpoint_id_twice(self, j7, a5):
+        sessions = (new_session("A", "initiator", j7), new_session("A", "responder", a5))
+        with pytest.raises(ValueError, match=r"two sessions with distinct ids, got \['A', 'A'\]"):
+            Simulator(sessions, LOSSLESS, 0, (0.0, 0.0))
 
     def test_transcript_text_format(self, j7, a5):
         run = run_pairing(j7, a5, LOSSLESS, seed=0)
