@@ -140,42 +140,16 @@ def _cmd_simulate_sync(args) -> int:
     transport = syncproto.SimulatedTransport(
         base_latency=args.latency, jitter=args.jitter, loss_rate=args.loss
     )
-    # check every number before any run: a stage that never runs checks nothing
-    if args.capture is not None:
-        syncproto.check_finite("capture delay", args.capture)
-    syncproto.check_finite("duration", args.duration)
-    offsets = (args.offset_a, args.offset_b)
-    pairing = syncproto.run_pairing(a, b, transport, seed=args.seed, clock_offsets=offsets)
-    entries = list(pairing.transcript)
-    state_a, state_b = pairing.state_a, pairing.state_b
-    skew = None
-    if args.capture is not None and state_a.phase is syncproto.Phase.CONFIGURED:
-        cap = syncproto.run_capture_sync(
-            (state_a, state_b),
-            transport,
-            args.capture,
-            seed=args.seed + 1,
-            clock_offsets=offsets,
-        )
-        entries.extend(cap.transcript)
-        state_a, state_b = cap.state_a, cap.state_b
-        skew = cap.skew
-        if cap.skew is not None and args.duration > 0:
-            frames = syncproto.run_frame_sync(
-                (state_a, state_b),
-                transport,
-                args.duration,
-                seed=args.seed + 2,
-                clock_offsets=offsets,
-            )
-            entries.extend(frames.transcript)
-            state_a, state_b = frames.state_a, frames.state_b
-    sys.stdout.write(syncproto.transcript_text(entries))
-    print(f"final: A={state_a.phase.value} B={state_b.phase.value}")
-    if skew is not None:
-        print(f"capture start skew: {skew:.3f} ms")
-    failed = syncproto.Phase.FAILED
-    return 1 if state_a.phase is failed or state_b.phase is failed else 0
+    run = syncproto.run_session(
+        a, b, transport, seed=args.seed, clock_offsets=(args.offset_a, args.offset_b),
+        capture_delay=args.capture, duration=args.duration,
+    )
+    end = run.final
+    sys.stdout.write(syncproto.transcript_text(run.transcript))
+    print(f"final: A={end.state_a.phase.value} B={end.state_b.phase.value}")
+    if run.capture and run.capture.skew is not None:
+        print(f"capture start skew: {run.capture.skew:.3f} ms")
+    return 1 if syncproto.Phase.FAILED in (end.state_a.phase, end.state_b.phase) else 0
 
 
 def _cmd_merge(args) -> int:

@@ -93,8 +93,8 @@ def grid_overlay(
     """
     if base.layout.stacking != "depth-stacked":
         raise GuidanceError("grid overlay requires a depth-stacked base model")
-    if not pitch_mm > 0:
-        raise GuidanceError(f"grid pitch must be positive, got {pitch_mm}")
+    if not 0 < pitch_mm < math.inf:
+        raise GuidanceError(f"grid pitch must be positive and finite, got {pitch_mm}")
     d = spec.pixel_density
     if base.layout.orientation == "landscape":
         screen = (spec.screen_height_px, spec.screen_width_px)

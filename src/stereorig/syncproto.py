@@ -8,44 +8,18 @@ state plus outbound messages and never touches a clock, socket, or RNG.
 The state says which sent messages still wait for an answer (`unacked`);
 scheduling, transport loss/jitter, and when to resend live in the Simulator.
 
-Transition table (source of truth; anything not listed fails the session)
-==========================================================================
-Initiator:
-  (Idle,        timer start)       -> Pairing      send PairRequest
-  (Pairing,     PairAccept)        -> Negotiating
-  (Pairing,     CapabilityOffer)   -> Configured   send CapabilityAck   [accept+offer reordered]
-  (Negotiating, CapabilityOffer)   -> Configured   send CapabilityAck
-  (Configured,  CapabilityOffer)   -> Configured   resend CapabilityAck [duplicate offer]
-  (Configured,  PairAccept)        -> Configured                        [stale duplicate]
-  (Configured,  timer propose(d))  -> Configured   send CaptureStart(local_now + d)
-Responder:
-  (Idle,        timer start)       -> Pairing
-  (Pairing,     PairRequest)       -> Negotiating  send PairAccept, CapabilityOffer
-  (Negotiating, PairRequest)       -> Negotiating  resend both          [duplicate request]
-  (Negotiating, CapabilityAck)     -> Configured   adopt profile (bounded by own caps)
-  (Configured,  CapabilityAck)     -> Configured                        [duplicate ack]
-Either role:
-  (Configured,  CaptureStart s)    -> Configured   record s; Failed + Error if s <= local_now
-  (Configured,  timer capture_begin)-> Capturing
-  (Capturing,   timer tick_due)    -> Capturing    apply due directives, send FrameTick(seq, ts)
-  (Capturing,   FrameTick)         -> Capturing    Failed on cadence mismatch
-  (Configured | Capturing, FocusSet / ModeSet / timer send_directive)
-                                   -> same phase   stage directive until its effective seq
-  (Capturing,   timer capture_end) -> Done
-  (any,         Error)             -> Failed
-  (any,         timer give_up)     -> Failed       retry budget exhausted
-  (any,         timer abort)       -> Failed       peer failed; forced symmetric outcome
-  (Configured,  PairRequest)       -> Failed       send Error "unexpected PairRequest"
-  (Failed,      anything)          -> Failed       terminal states absorb
-  (Done,        anything but abort)-> Done
+Transitions: `step` applies the `TRANSITIONS` row for (role, phase, event
+kind).  An event with no row fails the session; a message with no row is
+answered with an Error too.  Stale timers and duplicates have "unchanged"
+rows.  Failed absorbs every event, and Done every event but the abort timer.
+
+{transitions}
 
 Retransmission: `SessionState.unacked` holds the messages an endpoint
-still waits to have answered.  The initiator's start sets it to its
-PairRequest, answered by PairAccept or CapabilityOffer; the responder's
-PairRequest handler sets it to PairAccept + CapabilityOffer, answered by
-CapabilityAck; failing empties it.  While it is non-empty the Simulator
-resends exactly those messages up to RETRY_BUDGET times, with doubling
-timeouts starting at RETRY_FACTOR x base_latency (x 1 ms at zero latency);
+still waits to have answered (the rows that send "until answered/acked");
+a row that takes the answer, or fails, empties it.  The Simulator resends
+exactly those messages up to RETRY_BUDGET times, with doubling timeouts
+starting at RETRY_FACTOR x base_latency (x 1 ms at zero latency);
 exhausting the budget fails the session and the simulator then forces the
 peer to Failed as well.  CaptureStart, FocusSet and ModeSet are sent once,
 so a lost CaptureStart leaves one end Configured while the other captures.
@@ -63,6 +37,7 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, NamedTuple
@@ -146,15 +121,17 @@ class SessionState:
     unacked: tuple[Message, ...] = ()  # sent, resent until the peer answers
 
 
+Step = tuple[SessionState, list[Message]]
+ROLES = ("initiator", "responder")
+
+
 def new_session(endpoint_id: str, role: str, spec: DeviceSpec) -> SessionState:
-    if role not in ("initiator", "responder"):
+    if role not in ROLES:
         raise ValueError(f"role must be initiator or responder, got {role!r}")
     return SessionState(endpoint_id=endpoint_id, role=role, spec=spec)
 
 
-def _fail(
-    state: SessionState, reason: str, emit: bool = False
-) -> tuple[SessionState, list[Message]]:
+def _fail(state: SessionState, reason: str, emit: bool = False) -> Step:
     out = [Message(MsgKind.ERROR, state.endpoint_id, reason)] if emit else []
     return replace(state, phase=Phase.FAILED, fail_reason=reason, unacked=()), out
 
@@ -167,183 +144,195 @@ def _profile_within(profile: CapabilityProfile, spec: DeviceSpec) -> bool:
 
 
 def _apply_due_directives(state: SessionState) -> SessionState:
-    if state.pending_focus and state.pending_focus.effective_seq <= state.next_tick_seq:
-        state = replace(
-            state,
-            focus_mode=state.pending_focus.mode,
-            focus_depth=state.pending_focus.depth,
-            pending_focus=None,
-        )
-    if state.pending_mode and state.pending_mode.effective_seq <= state.next_tick_seq:
-        state = replace(state, capture_mode=state.pending_mode.mode, pending_mode=None)
+    focus, mode, seq = state.pending_focus, state.pending_mode, state.next_tick_seq
+    if focus and focus.effective_seq <= seq:
+        state = replace(state, focus_mode=focus.mode, focus_depth=focus.depth, pending_focus=None)
+    if mode and mode.effective_seq <= seq:
+        state = replace(state, capture_mode=mode.mode, pending_mode=None)
     return state
 
 
-def _stage_directive(
-    state: SessionState, directive: FocusDirective | ModeDirective
-) -> SessionState:
-    if isinstance(directive, FocusDirective):
-        state = replace(state, pending_focus=directive)
-    else:
-        state = replace(state, pending_mode=directive)
-    return _apply_due_directives(state)
+# --------------------------------------------------------------------------
+# transitions: each handler maps (state, event, local_now) to the next state
+# and the messages to send, and its docstring states that outcome
 
 
-def _on_timer(
-    state: SessionState, timer: Timer, now: float
-) -> tuple[SessionState, list[Message]]:
-    me = state.endpoint_id
-    kind = timer.kind
-    if kind == "abort":
-        return _fail(state, "aborted: peer failure")
-    if kind == "give_up":
-        return _fail(state, "timeout: retry budget exhausted")
-
-    if kind == "start":
-        if state.phase is not Phase.IDLE:
-            return _fail(state, f"unexpected start in {state.phase.value}")
-        if state.role == "initiator":
-            request = (Message(MsgKind.PAIR_REQUEST, me),)
-            return replace(state, phase=Phase.PAIRING, unacked=request), list(request)
-        return replace(state, phase=Phase.PAIRING), []
-
-    if kind == "propose_capture":
-        if state.role != "initiator" or state.phase is not Phase.CONFIGURED:
-            return _fail(state, f"unexpected propose_capture in {state.phase.value}")
-        start = now + float(timer.payload)
-        return replace(state, capture_start=start), [Message(MsgKind.CAPTURE_START, me, start)]
-
-    if kind == "capture_begin":
-        if state.phase is not Phase.CONFIGURED or state.capture_start is None:
-            return state, []
-        return replace(state, phase=Phase.CAPTURING), []
-
-    if kind == "tick_due":
-        if state.phase is not Phase.CAPTURING:
-            return state, []
-        state = _apply_due_directives(state)
-        period = 1000.0 / state.negotiated.frame_rate
-        seq = state.next_tick_seq
-        ts = state.capture_start + seq * period
-        msg = Message(MsgKind.FRAME_TICK, me, TickStamp(seq, ts))
-        return replace(state, next_tick_seq=seq + 1), [msg]
-
-    if kind == "capture_end":
-        if state.phase is not Phase.CAPTURING:
-            return state, []
-        return replace(state, phase=Phase.DONE), []
-
-    if kind == "send_directive":
-        if state.phase not in (Phase.CONFIGURED, Phase.CAPTURING):
-            return _fail(state, f"unexpected send_directive in {state.phase.value}")
-        directive = timer.payload
-        mk = MsgKind.FOCUS_SET if isinstance(directive, FocusDirective) else MsgKind.MODE_SET
-        return _stage_directive(state, directive), [Message(mk, me, directive)]
-
-    return _fail(state, f"unknown timer {kind!r}")
+def _unchanged(s: SessionState, event: Message | Timer, now: float) -> Step:
+    """unchanged"""
+    return s, []
 
 
-def _on_message(
-    state: SessionState, msg: Message, now: float
-) -> tuple[SessionState, list[Message]]:
-    me = state.endpoint_id
-    kind = msg.kind
-    phase = state.phase
-
-    if kind is MsgKind.ERROR:
-        return _fail(state, f"peer error: {msg.payload}")
-
-    if kind is MsgKind.PAIR_REQUEST:
-        if state.role == "responder" and phase in (Phase.PAIRING, Phase.NEGOTIATING):
-            replies = (
-                Message(MsgKind.PAIR_ACCEPT, me),
-                Message(MsgKind.CAPABILITY_OFFER, me, state.spec),
-            )
-            return replace(state, phase=Phase.NEGOTIATING, unacked=replies), list(replies)
-        return _fail(state, f"unexpected PairRequest in {phase.value}", emit=True)
-
-    if kind is MsgKind.PAIR_ACCEPT:
-        if state.role == "initiator":
-            if phase is Phase.PAIRING:
-                return replace(state, phase=Phase.NEGOTIATING, unacked=()), []
-            if phase in (Phase.NEGOTIATING, Phase.CONFIGURED):
-                return state, []  # duplicate / reordered
-        return _fail(state, f"unexpected PairAccept in {phase.value}", emit=True)
-
-    if kind is MsgKind.CAPABILITY_OFFER:
-        if state.role == "initiator":
-            if phase in (Phase.PAIRING, Phase.NEGOTIATING):
-                profile = negotiate(state.spec, msg.payload)
-                return (
-                    replace(state, phase=Phase.CONFIGURED, negotiated=profile, unacked=()),
-                    [Message(MsgKind.CAPABILITY_ACK, me, profile)],
-                )
-            if phase is Phase.CONFIGURED:
-                return state, [Message(MsgKind.CAPABILITY_ACK, me, state.negotiated)]
-        return _fail(state, f"unexpected CapabilityOffer in {phase.value}", emit=True)
-
-    if kind is MsgKind.CAPABILITY_ACK:
-        if state.role == "responder":
-            if phase is Phase.NEGOTIATING:
-                profile = msg.payload
-                if not _profile_within(profile, state.spec):
-                    return _fail(state, "negotiated profile exceeds own capabilities", emit=True)
-                return (
-                    replace(state, phase=Phase.CONFIGURED, negotiated=profile, unacked=()),
-                    [],
-                )
-            if phase is Phase.CONFIGURED:
-                return state, []  # duplicate ack
-        return _fail(state, f"unexpected CapabilityAck in {phase.value}", emit=True)
-
-    if kind is MsgKind.CAPTURE_START:
-        if phase is Phase.CONFIGURED:
-            start = float(msg.payload)
-            if start <= now:
-                return _fail(state, "start time in past", emit=True)
-            return replace(state, capture_start=start), []
-        return _fail(state, f"unexpected CaptureStart in {phase.value}", emit=True)
-
-    if kind in (MsgKind.FOCUS_SET, MsgKind.MODE_SET):
-        if phase in (Phase.CONFIGURED, Phase.CAPTURING):
-            return _stage_directive(state, msg.payload), []
-        return _fail(state, f"unexpected {kind.value} in {phase.value}", emit=True)
-
-    if kind is MsgKind.FRAME_TICK:
-        if phase is Phase.CAPTURING:
-            tick: TickStamp = msg.payload
-            period = 1000.0 / state.negotiated.frame_rate
-            expected = state.capture_start + tick.seq * period
-            if abs(tick.timestamp - expected) > _CADENCE_TOL_MS:
-                return _fail(
-                    state,
-                    f"frame cadence mismatch at seq {tick.seq}: "
-                    f"got {tick.timestamp:.6f}, expected {expected:.6f}",
-                    emit=True,
-                )
-            return state, []
-        if phase in (Phase.DONE, Phase.CONFIGURED):
-            return state, []  # late or early tick around the capture window
-        return _fail(state, f"unexpected FrameTick in {phase.value}", emit=True)
-
-    return _fail(state, f"unknown message kind {kind!r}", emit=True)
+def _goto(phase: Phase, **changes: Any) -> Callable[..., Step]:
+    def handler(s: SessionState, event: Message | Timer, now: float) -> Step:
+        return replace(s, phase=phase, **changes), []
+    handler.__doc__ = f"-> {phase.value}"
+    return handler
 
 
-def step(
-    state: SessionState, event: Message | Timer, local_now: float = 0.0
-) -> tuple[SessionState, list[Message]]:
-    """Pure protocol transition; see the module docstring for the table."""
-    if state.phase is Phase.FAILED:
-        return state, []
-    if state.phase is Phase.DONE and not (
-        isinstance(event, Timer) and event.kind == "abort"
-    ):
-        return state, []
-    if isinstance(event, Timer):
-        return _on_timer(state, event, local_now)
-    if isinstance(event, Message):
-        return _on_message(state, event, local_now)
-    raise TypeError(f"event must be Message or Timer, got {type(event).__name__}")
+def _request_pairing(s: SessionState, timer: Timer, now: float) -> Step:
+    """-> pairing, send PairRequest until answered"""
+    request = (Message(MsgKind.PAIR_REQUEST, s.endpoint_id),)
+    return replace(s, phase=Phase.PAIRING, unacked=request), list(request)
+
+
+def _answer_request(s: SessionState, msg: Message, now: float) -> Step:
+    """-> negotiating, send PairAccept + CapabilityOffer until acked"""
+    me = s.endpoint_id
+    replies = (Message(MsgKind.PAIR_ACCEPT, me), Message(MsgKind.CAPABILITY_OFFER, me, s.spec))
+    return replace(s, phase=Phase.NEGOTIATING, unacked=replies), list(replies)
+
+
+def _adopt_offer(s: SessionState, msg: Message, now: float) -> Step:
+    """-> configured, send CapabilityAck"""
+    profile = negotiate(s.spec, msg.payload)
+    ack = Message(MsgKind.CAPABILITY_ACK, s.endpoint_id, profile)
+    return replace(s, phase=Phase.CONFIGURED, negotiated=profile, unacked=()), [ack]
+
+
+def _resend_ack(s: SessionState, msg: Message, now: float) -> Step:
+    """resend CapabilityAck"""
+    return s, [Message(MsgKind.CAPABILITY_ACK, s.endpoint_id, s.negotiated)]
+
+
+def _adopt_ack(s: SessionState, msg: Message, now: float) -> Step:
+    """-> configured; failed + Error if the profile exceeds own caps"""
+    if not _profile_within(msg.payload, s.spec):
+        return _fail(s, "negotiated profile exceeds own capabilities", emit=True)
+    return replace(s, phase=Phase.CONFIGURED, negotiated=msg.payload, unacked=()), []
+
+
+def _propose_capture(s: SessionState, timer: Timer, now: float) -> Step:
+    """record and send CaptureStart(now + delay)"""
+    start = now + float(timer.payload)
+    return replace(s, capture_start=start), [Message(MsgKind.CAPTURE_START, s.endpoint_id, start)]
+
+
+def _record_start(s: SessionState, msg: Message, now: float) -> Step:
+    """record start s; failed + Error if s <= now"""
+    start = float(msg.payload)
+    if start <= now:
+        return _fail(s, "start time in past", emit=True)
+    return replace(s, capture_start=start), []
+
+
+def _begin_capture(s: SessionState, timer: Timer, now: float) -> Step:
+    """-> capturing if a start is recorded, else unchanged"""
+    return (s if s.capture_start is None else replace(s, phase=Phase.CAPTURING)), []
+
+
+def _tick(s: SessionState, timer: Timer, now: float) -> Step:
+    """apply due directives, send FrameTick(seq, ts)"""
+    s = _apply_due_directives(s)
+    seq = s.next_tick_seq
+    ts = s.capture_start + seq * (1000.0 / s.negotiated.frame_rate)
+    tick = Message(MsgKind.FRAME_TICK, s.endpoint_id, TickStamp(seq, ts))
+    return replace(s, next_tick_seq=seq + 1), [tick]
+
+
+def _check_cadence(s: SessionState, msg: Message, now: float) -> Step:
+    """failed + Error on cadence mismatch"""
+    tick: TickStamp = msg.payload
+    expected = s.capture_start + tick.seq * (1000.0 / s.negotiated.frame_rate)
+    if abs(tick.timestamp - expected) <= _CADENCE_TOL_MS:
+        return s, []
+    got = f"got {tick.timestamp:.6f}, expected {expected:.6f}"
+    return _fail(s, f"frame cadence mismatch at seq {tick.seq}: {got}", emit=True)
+
+
+def _stage(s: SessionState, event: Message | Timer, now: float) -> Step:
+    """stage directive until its effective seq"""
+    field = "pending_focus" if isinstance(event.payload, FocusDirective) else "pending_mode"
+    return _apply_due_directives(replace(s, **{field: event.payload})), []
+
+
+def _send_directive(s: SessionState, timer: Timer, now: float) -> Step:
+    """stage directive, send it as FocusSet or ModeSet"""
+    kind = MsgKind.FOCUS_SET if isinstance(timer.payload, FocusDirective) else MsgKind.MODE_SET
+    return _stage(s, timer, now)[0], [Message(kind, s.endpoint_id, timer.payload)]
+
+
+def _failing(reason: str) -> Callable[..., Step]:
+    """A handler that fails with `reason`, its {} filled with the event's payload."""
+    def handler(s: SessionState, event: Message | Timer, now: float) -> Step:
+        return _fail(s, reason.format(event.payload))
+    handler.__doc__ = "-> failed, " + reason.format("<their reason>")
+    return handler
+
+
+_LIVE = (Phase.IDLE, Phase.PAIRING, Phase.NEGOTIATING, Phase.CONFIGURED, Phase.CAPTURING)
+
+# role(s), phase(s), event kind(s), handler: a row covers every combination
+_ROWS = (
+    ("initiator", Phase.IDLE, "start", _request_pairing),
+    ("initiator", Phase.PAIRING, MsgKind.PAIR_ACCEPT, _goto(Phase.NEGOTIATING, unacked=())),
+    ("initiator", (Phase.NEGOTIATING, Phase.CONFIGURED), MsgKind.PAIR_ACCEPT, _unchanged),
+    ("initiator", (Phase.PAIRING, Phase.NEGOTIATING), MsgKind.CAPABILITY_OFFER, _adopt_offer),
+    ("initiator", Phase.CONFIGURED, MsgKind.CAPABILITY_OFFER, _resend_ack),
+    ("initiator", Phase.CONFIGURED, "propose_capture", _propose_capture),
+    ("responder", Phase.IDLE, "start", _goto(Phase.PAIRING)),
+    ("responder", (Phase.PAIRING, Phase.NEGOTIATING), MsgKind.PAIR_REQUEST, _answer_request),
+    ("responder", Phase.NEGOTIATING, MsgKind.CAPABILITY_ACK, _adopt_ack),
+    ("responder", Phase.CONFIGURED, MsgKind.CAPABILITY_ACK, _unchanged),
+    (ROLES, Phase.CONFIGURED, MsgKind.CAPTURE_START, _record_start),
+    (ROLES, Phase.CONFIGURED, "capture_begin", _begin_capture),
+    (ROLES, Phase.CONFIGURED, MsgKind.FRAME_TICK, _unchanged),  # the peer began first
+    (ROLES, Phase.CAPTURING, "tick_due", _tick),
+    (ROLES, Phase.CAPTURING, MsgKind.FRAME_TICK, _check_cadence),
+    (ROLES, Phase.CAPTURING, "capture_end", _goto(Phase.DONE)),
+    (ROLES, (Phase.CONFIGURED, Phase.CAPTURING), "send_directive", _send_directive),
+    (ROLES, (Phase.CONFIGURED, Phase.CAPTURING), (MsgKind.FOCUS_SET, MsgKind.MODE_SET), _stage),
+    (ROLES, _LIVE[:3] + _LIVE[4:], "capture_begin", _unchanged),  # stale: not configured
+    (ROLES, _LIVE[:4], ("tick_due", "capture_end"), _unchanged),  # stale: not capturing
+    (ROLES, _LIVE, MsgKind.ERROR, _failing("peer error: {}")),
+    (ROLES, _LIVE, "give_up", _failing("timeout: retry budget exhausted")),
+    (ROLES, _LIVE + (Phase.DONE,), "abort", _failing("aborted: peer failure")),
+)
+
+
+def _each(x: Any) -> tuple:
+    return x if isinstance(x, tuple) else (x,)
+
+
+TRANSITIONS: dict[tuple[str, Phase, MsgKind | str], Callable[..., Step]] = {
+    (role, phase, kind): handler
+    for roles, phases, kinds, handler in _ROWS
+    for role in _each(roles)
+    for phase in _each(phases)
+    for kind in _each(kinds)
+}
+_TIMER_KINDS = {kind for _, _, kind in TRANSITIONS if isinstance(kind, str)}
+
+
+def _name(kind: MsgKind | str) -> str:
+    if isinstance(kind, str) or kind in (MsgKind.FOCUS_SET, MsgKind.MODE_SET):
+        return getattr(kind, "value", kind)
+    return kind.value.title().replace("_", "")  # pair_request -> PairRequest
+
+
+if __doc__:  # None under python -OO
+    __doc__ = __doc__.replace("{transitions}", "\n".join(
+        f"  {'either' if roles == ROLES else roles} | {'/'.join(p.value for p in _each(phases))}"
+        f" | {'timer ' * isinstance(_each(kinds)[0], str)}{'/'.join(map(_name, _each(kinds)))}"
+        f" | {handler.__doc__}"
+        for roles, phases, kinds, handler in _ROWS
+    ))
+
+
+def step(state: SessionState, event: Message | Timer, local_now: float = 0.0) -> Step:
+    """Pure protocol transition: apply the TRANSITIONS row for the event."""
+    aborted = isinstance(event, Timer) and event.kind == "abort"
+    if state.phase is Phase.FAILED or state.phase is Phase.DONE and not aborted:
+        return state, []  # terminal
+    if not isinstance(event, (Message, Timer)):
+        raise TypeError(f"event must be Message or Timer, got {type(event).__name__}")
+    handler = TRANSITIONS.get((state.role, state.phase, event.kind))
+    if handler is not None:
+        return handler(state, event, local_now)
+    kind, is_msg = event.kind, isinstance(event, Message)
+    named = isinstance(kind, MsgKind) if is_msg else kind in _TIMER_KINDS
+    if named:  # but not for this role and phase
+        return _fail(state, f"unexpected {_name(kind)} in {state.phase.value}", emit=is_msg)
+    return _fail(state, f"unknown {'message kind' if is_msg else 'timer'} {kind!r}", emit=is_msg)
 
 
 # --------------------------------------------------------------------------
@@ -358,10 +347,8 @@ class SimulatedTransport:
 
     def __post_init__(self):
         if not (0 <= self.base_latency < math.inf and 0 <= self.jitter < math.inf):
-            raise ValueError(
-                f"latency and jitter must be finite and non-negative, "
-                f"got {self.base_latency} and {self.jitter}"
-            )
+            got = f"got {self.base_latency} and {self.jitter}"
+            raise ValueError(f"latency and jitter must be finite and non-negative, {got}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
 
@@ -374,38 +361,32 @@ class TranscriptEntry:
     detail: str
 
 
+# the transcript's fields for each message kind's payload; other kinds show {}
+_PAYLOAD_FIELDS: dict[MsgKind, Callable[[Any], dict]] = {
+    MsgKind.CAPABILITY_OFFER: lambda spec: {"model": spec.model_id},
+    MsgKind.CAPABILITY_ACK: lambda p: {
+        "fps": p.frame_rate,
+        "res": f"{p.resolution[0]}x{p.resolution[1]}",
+        "focus": sorted(p.focus_modes),
+        "capture": sorted(p.capture_modes),
+    },
+    MsgKind.CAPTURE_START: lambda start: {"start_ms": round(start, 3)},
+    MsgKind.FRAME_TICK: lambda t: {"seq": t.seq, "ts_ms": round(t.timestamp, 3)},
+    MsgKind.FOCUS_SET: lambda d: {
+        "mode": d.mode, "depth": round(d.depth, 3), "seq": d.effective_seq
+    },
+    MsgKind.MODE_SET: lambda d: {"mode": d.mode, "seq": d.effective_seq},
+    MsgKind.ERROR: lambda reason: {"reason": reason},
+}
+
+
 def _payload_json(msg: Message) -> str:
-    k = msg.kind
-    if k is MsgKind.CAPABILITY_OFFER:
-        obj = {"model": msg.payload.model_id}
-    elif k is MsgKind.CAPABILITY_ACK:
-        p: CapabilityProfile = msg.payload
-        obj = {
-            "fps": p.frame_rate,
-            "res": f"{p.resolution[0]}x{p.resolution[1]}",
-            "focus": sorted(p.focus_modes),
-            "capture": sorted(p.capture_modes),
-        }
-    elif k is MsgKind.CAPTURE_START:
-        obj = {"start_ms": round(msg.payload, 3)}
-    elif k is MsgKind.FRAME_TICK:
-        obj = {"seq": msg.payload.seq, "ts_ms": round(msg.payload.timestamp, 3)}
-    elif k is MsgKind.FOCUS_SET:
-        d = msg.payload
-        obj = {"mode": d.mode, "depth": round(d.depth, 3), "seq": d.effective_seq}
-    elif k is MsgKind.MODE_SET:
-        obj = {"mode": msg.payload.mode, "seq": msg.payload.effective_seq}
-    elif k is MsgKind.ERROR:
-        obj = {"reason": msg.payload}
-    else:
-        obj = {}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    fields = _PAYLOAD_FIELDS[msg.kind](msg.payload) if msg.kind in _PAYLOAD_FIELDS else {}
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 def transcript_text(entries: list[TranscriptEntry]) -> str:
-    return "".join(
-        f"{e.time:10.3f} {e.who:<6} {e.kind:<7} {e.detail}\n" for e in entries
-    )
+    return "".join(f"{e.time:10.3f} {e.who:<6} {e.kind:<7} {e.detail}\n" for e in entries)
 
 
 class Simulator:
@@ -436,9 +417,7 @@ class Simulator:
         self.transport = transport
         self.rng = random.Random(seed)
         self.offsets = dict(zip(self.states, clock_offsets))
-        self.retry_delay0 = RETRY_FACTOR * (
-            transport.base_latency if transport.base_latency > 0 else 1.0
-        )
+        self.retry_delay0 = RETRY_FACTOR * (transport.base_latency or 1.0)
         self.transcript: list[TranscriptEntry] = []
         self.capture_begin_global: dict[str, float] = {}
         self.sent_ticks: dict[str, list[TickStamp]] = {e: [] for e in ids}
@@ -459,14 +438,13 @@ class Simulator:
         dst = self.peer[src]
         wire = f"{src}->{dst}"
         detail = f"{msg.kind.value} {_payload_json(msg)}"
+        self._log(t_global, wire, "send", detail)
         if self.rng.random() < self.transport.loss_rate:
-            self._log(t_global, wire, "send", detail)
             self._log(t_global, wire, "drop", detail)
             return
         delay = self.transport.base_latency
         if self.transport.jitter > 0:
             delay += self.rng.uniform(0.0, self.transport.jitter)
-        self._log(t_global, wire, "send", detail)
         self.schedule(t_global + delay, dst, msg)
 
     def _update_arming(self, endpoint: str, t_global: float) -> None:
@@ -495,12 +473,7 @@ class Simulator:
         if isinstance(event, Timer):
             self._log(t_global, endpoint, "timer", event.kind)
         else:
-            self._log(
-                t_global,
-                endpoint,
-                "deliver",
-                f"{event.kind.value} {_payload_json(event)}",
-            )
+            self._log(t_global, endpoint, "deliver", f"{event.kind.value} {_payload_json(event)}")
 
         new, outbound = step(old, event, t_global + self.offsets[endpoint])
         self.states[endpoint] = new
@@ -509,23 +482,15 @@ class Simulator:
             self._log(t_global, endpoint, "phase", f"{old.phase.value}->{new.phase.value}")
             if new.phase is Phase.CAPTURING:
                 self.capture_begin_global[endpoint] = t_global
+        seq = new.next_tick_seq
         if (new.focus_mode, new.focus_depth) != (old.focus_mode, old.focus_depth):
-            self._log(
-                t_global,
-                endpoint,
-                "apply",
-                f"focus mode={new.focus_mode} depth={new.focus_depth} "
-                f"next_seq={new.next_tick_seq}",
-            )
-            self.applied.append((t_global, endpoint, "focus", new.next_tick_seq))
+            detail = f"focus mode={new.focus_mode} depth={new.focus_depth} next_seq={seq}"
+            self._log(t_global, endpoint, "apply", detail)
+            self.applied.append((t_global, endpoint, "focus", seq))
         if new.capture_mode != old.capture_mode:
-            self._log(
-                t_global,
-                endpoint,
-                "apply",
-                f"capture mode={new.capture_mode} next_seq={new.next_tick_seq}",
-            )
-            self.applied.append((t_global, endpoint, "mode", new.next_tick_seq))
+            detail = f"capture mode={new.capture_mode} next_seq={seq}"
+            self._log(t_global, endpoint, "apply", detail)
+            self.applied.append((t_global, endpoint, "mode", seq))
         if new.capture_start is not None and old.capture_start is None:
             begin_global = new.capture_start - self.offsets[endpoint]
             self.schedule(begin_global, endpoint, Timer("capture_begin"))
@@ -545,8 +510,7 @@ class Simulator:
 
     def _force_symmetric_outcome(self, t: float) -> None:
         ok = (Phase.CONFIGURED, Phase.CAPTURING, Phase.DONE)
-        phases = [s.phase for s in self.states.values()]
-        if all(p in ok for p in phases):
+        if all(s.phase in ok for s in self.states.values()):
             return
         for endpoint, state in sorted(self.states.items()):
             if state.phase is not Phase.FAILED:
@@ -578,8 +542,7 @@ class FrameSyncRun(NamedTuple):
 
 
 def _two(states: dict[str, SessionState]) -> tuple[SessionState, SessionState]:
-    (ia, sa), (ib, sb) = sorted(states.items())
-    return sa, sb
+    return tuple(state for _, state in sorted(states.items()))
 
 
 def check_finite(name: str, value: float) -> None:
@@ -622,8 +585,7 @@ def run_capture_sync(
     sim.schedule(0.0, initiator.endpoint_id, Timer("propose_capture", capture_delay))
     sim.run()
     na, nb = _two(sim.states)
-    ga = sim.capture_begin_global.get(na.endpoint_id)
-    gb = sim.capture_begin_global.get(nb.endpoint_id)
+    ga, gb = (sim.capture_begin_global.get(s.endpoint_id) for s in (na, nb))
     skew = abs(ga - gb) if ga is not None and gb is not None else None
     return CaptureSyncRun(ga, gb, skew, na, nb, sim.transcript)
 
@@ -655,21 +617,56 @@ def run_frame_sync(
         for k in range(s.next_tick_seq, count):
             local_due = s.capture_start + k * period
             sim.schedule(local_due - sim.offsets[s.endpoint_id], s.endpoint_id, Timer("tick_due"))
-        sim.schedule(
-            s.capture_start + duration - sim.offsets[s.endpoint_id],
-            s.endpoint_id,
-            Timer("capture_end"),
-        )
+        end = s.capture_start + duration - sim.offsets[s.endpoint_id]
+        sim.schedule(end, s.endpoint_id, Timer("capture_end"))
     initiator = sa if sa.role == "initiator" else sb
     for when, directive in directives:
         sim.schedule(when, initiator.endpoint_id, Timer("send_directive", directive))
     sim.run()
     na, nb = _two(sim.states)
-    return FrameSyncRun(
-        sim.sent_ticks[na.endpoint_id],
-        sim.sent_ticks[nb.endpoint_id],
-        na,
-        nb,
-        sim.transcript,
-        sim.applied,
-    )
+    ticks = (sim.sent_ticks[s.endpoint_id] for s in (na, nb))
+    return FrameSyncRun(*ticks, na, nb, sim.transcript, sim.applied)
+
+
+class SessionRun(NamedTuple):
+    pairing: PairingRun
+    capture: CaptureSyncRun | None
+    frames: FrameSyncRun | None
+
+    @property
+    def final(self) -> PairingRun | CaptureSyncRun | FrameSyncRun:
+        """The last stage that ran: its states are the ones the session ended in."""
+        return self.frames or self.capture or self.pairing
+
+    @property
+    def transcript(self) -> list[TranscriptEntry]:
+        return [entry for stage in self if stage for entry in stage.transcript]
+
+
+def run_session(
+    spec_a: DeviceSpec,
+    spec_b: DeviceSpec,
+    transport: SimulatedTransport,
+    seed: int = 0,
+    clock_offsets: tuple[float, float] = (0.0, 0.0),
+    capture_delay: float | None = None,
+    duration: float = 0.0,
+    directives: tuple[tuple[float, FocusDirective | ModeDirective], ...] = (),
+) -> SessionRun:
+    """Pair; given a capture delay, start capture; then emit ticks for `duration` ms.
+
+    A stage runs on the next seed if the one before left both ends ready for
+    it.  Every number is checked first, also one that no stage will use.
+    """
+    if capture_delay is not None:
+        check_finite("capture delay", capture_delay)
+    check_finite("duration", duration)
+    pairing = run_pairing(spec_a, spec_b, transport, seed, clock_offsets)
+    capture = frames = None
+    if capture_delay is not None and pairing.state_a.phase is Phase.CONFIGURED:
+        ends = (pairing.state_a, pairing.state_b)
+        capture = run_capture_sync(ends, transport, capture_delay, seed + 1, clock_offsets)
+        if capture.skew is not None and duration > 0:
+            ends = (capture.state_a, capture.state_b)
+            frames = run_frame_sync(ends, transport, duration, seed + 2, clock_offsets, directives)
+    return SessionRun(pairing, capture, frames)

@@ -11,9 +11,23 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from dataclasses import replace
 from xml.sax import saxutils
 
 import numpy as np
+
+from stereorig.registry import negotiate
+from stereorig.syncproto import (
+    _CADENCE_TOL_MS,
+    FocusDirective,
+    Message,
+    ModeDirective,
+    MsgKind,
+    Phase,
+    SessionState,
+    TickStamp,
+    Timer,
+)
 
 
 # --- strap arithmetic -------------------------------------------------------
@@ -462,3 +476,202 @@ def serialized_specs_oracle(specs) -> str:
         for s in specs
     ]
     return json.dumps(docs, indent=2, sort_keys=True) + "\n"
+
+
+# --- sync protocol transitions -----------------------------------------------
+# The hand-written if-chains that `syncproto.step` used before its
+# TRANSITIONS table, kept unchanged as the reference the table must match.
+
+
+def _fail(
+    state: SessionState, reason: str, emit: bool = False
+) -> tuple[SessionState, list[Message]]:
+    out = [Message(MsgKind.ERROR, state.endpoint_id, reason)] if emit else []
+    return replace(state, phase=Phase.FAILED, fail_reason=reason, unacked=()), out
+
+
+def _profile_within(profile: CapabilityProfile, spec: DeviceSpec) -> bool:
+    # the adopted profile must not ask this device for more than its maxima
+    own_fps = max(spec.frame_rates)
+    own_px = max(w * h for w, h in spec.resolutions)
+    return profile.frame_rate <= own_fps and profile.resolution[0] * profile.resolution[1] <= own_px
+
+
+def _apply_due_directives(state: SessionState) -> SessionState:
+    if state.pending_focus and state.pending_focus.effective_seq <= state.next_tick_seq:
+        state = replace(
+            state,
+            focus_mode=state.pending_focus.mode,
+            focus_depth=state.pending_focus.depth,
+            pending_focus=None,
+        )
+    if state.pending_mode and state.pending_mode.effective_seq <= state.next_tick_seq:
+        state = replace(state, capture_mode=state.pending_mode.mode, pending_mode=None)
+    return state
+
+
+def _stage_directive(
+    state: SessionState, directive: FocusDirective | ModeDirective
+) -> SessionState:
+    if isinstance(directive, FocusDirective):
+        state = replace(state, pending_focus=directive)
+    else:
+        state = replace(state, pending_mode=directive)
+    return _apply_due_directives(state)
+
+
+def _on_timer(
+    state: SessionState, timer: Timer, now: float
+) -> tuple[SessionState, list[Message]]:
+    me = state.endpoint_id
+    kind = timer.kind
+    if kind == "abort":
+        return _fail(state, "aborted: peer failure")
+    if kind == "give_up":
+        return _fail(state, "timeout: retry budget exhausted")
+
+    if kind == "start":
+        if state.phase is not Phase.IDLE:
+            return _fail(state, f"unexpected start in {state.phase.value}")
+        if state.role == "initiator":
+            request = (Message(MsgKind.PAIR_REQUEST, me),)
+            return replace(state, phase=Phase.PAIRING, unacked=request), list(request)
+        return replace(state, phase=Phase.PAIRING), []
+
+    if kind == "propose_capture":
+        if state.role != "initiator" or state.phase is not Phase.CONFIGURED:
+            return _fail(state, f"unexpected propose_capture in {state.phase.value}")
+        start = now + float(timer.payload)
+        return replace(state, capture_start=start), [Message(MsgKind.CAPTURE_START, me, start)]
+
+    if kind == "capture_begin":
+        if state.phase is not Phase.CONFIGURED or state.capture_start is None:
+            return state, []
+        return replace(state, phase=Phase.CAPTURING), []
+
+    if kind == "tick_due":
+        if state.phase is not Phase.CAPTURING:
+            return state, []
+        state = _apply_due_directives(state)
+        period = 1000.0 / state.negotiated.frame_rate
+        seq = state.next_tick_seq
+        ts = state.capture_start + seq * period
+        msg = Message(MsgKind.FRAME_TICK, me, TickStamp(seq, ts))
+        return replace(state, next_tick_seq=seq + 1), [msg]
+
+    if kind == "capture_end":
+        if state.phase is not Phase.CAPTURING:
+            return state, []
+        return replace(state, phase=Phase.DONE), []
+
+    if kind == "send_directive":
+        if state.phase not in (Phase.CONFIGURED, Phase.CAPTURING):
+            return _fail(state, f"unexpected send_directive in {state.phase.value}")
+        directive = timer.payload
+        mk = MsgKind.FOCUS_SET if isinstance(directive, FocusDirective) else MsgKind.MODE_SET
+        return _stage_directive(state, directive), [Message(mk, me, directive)]
+
+    return _fail(state, f"unknown timer {kind!r}")
+
+
+def _on_message(
+    state: SessionState, msg: Message, now: float
+) -> tuple[SessionState, list[Message]]:
+    me = state.endpoint_id
+    kind = msg.kind
+    phase = state.phase
+
+    if kind is MsgKind.ERROR:
+        return _fail(state, f"peer error: {msg.payload}")
+
+    if kind is MsgKind.PAIR_REQUEST:
+        if state.role == "responder" and phase in (Phase.PAIRING, Phase.NEGOTIATING):
+            replies = (
+                Message(MsgKind.PAIR_ACCEPT, me),
+                Message(MsgKind.CAPABILITY_OFFER, me, state.spec),
+            )
+            return replace(state, phase=Phase.NEGOTIATING, unacked=replies), list(replies)
+        return _fail(state, f"unexpected PairRequest in {phase.value}", emit=True)
+
+    if kind is MsgKind.PAIR_ACCEPT:
+        if state.role == "initiator":
+            if phase is Phase.PAIRING:
+                return replace(state, phase=Phase.NEGOTIATING, unacked=()), []
+            if phase in (Phase.NEGOTIATING, Phase.CONFIGURED):
+                return state, []  # duplicate / reordered
+        return _fail(state, f"unexpected PairAccept in {phase.value}", emit=True)
+
+    if kind is MsgKind.CAPABILITY_OFFER:
+        if state.role == "initiator":
+            if phase in (Phase.PAIRING, Phase.NEGOTIATING):
+                profile = negotiate(state.spec, msg.payload)
+                return (
+                    replace(state, phase=Phase.CONFIGURED, negotiated=profile, unacked=()),
+                    [Message(MsgKind.CAPABILITY_ACK, me, profile)],
+                )
+            if phase is Phase.CONFIGURED:
+                return state, [Message(MsgKind.CAPABILITY_ACK, me, state.negotiated)]
+        return _fail(state, f"unexpected CapabilityOffer in {phase.value}", emit=True)
+
+    if kind is MsgKind.CAPABILITY_ACK:
+        if state.role == "responder":
+            if phase is Phase.NEGOTIATING:
+                profile = msg.payload
+                if not _profile_within(profile, state.spec):
+                    return _fail(state, "negotiated profile exceeds own capabilities", emit=True)
+                return (
+                    replace(state, phase=Phase.CONFIGURED, negotiated=profile, unacked=()),
+                    [],
+                )
+            if phase is Phase.CONFIGURED:
+                return state, []  # duplicate ack
+        return _fail(state, f"unexpected CapabilityAck in {phase.value}", emit=True)
+
+    if kind is MsgKind.CAPTURE_START:
+        if phase is Phase.CONFIGURED:
+            start = float(msg.payload)
+            if start <= now:
+                return _fail(state, "start time in past", emit=True)
+            return replace(state, capture_start=start), []
+        return _fail(state, f"unexpected CaptureStart in {phase.value}", emit=True)
+
+    if kind in (MsgKind.FOCUS_SET, MsgKind.MODE_SET):
+        if phase in (Phase.CONFIGURED, Phase.CAPTURING):
+            return _stage_directive(state, msg.payload), []
+        return _fail(state, f"unexpected {kind.value} in {phase.value}", emit=True)
+
+    if kind is MsgKind.FRAME_TICK:
+        if phase is Phase.CAPTURING:
+            tick: TickStamp = msg.payload
+            period = 1000.0 / state.negotiated.frame_rate
+            expected = state.capture_start + tick.seq * period
+            if abs(tick.timestamp - expected) > _CADENCE_TOL_MS:
+                return _fail(
+                    state,
+                    f"frame cadence mismatch at seq {tick.seq}: "
+                    f"got {tick.timestamp:.6f}, expected {expected:.6f}",
+                    emit=True,
+                )
+            return state, []
+        if phase in (Phase.DONE, Phase.CONFIGURED):
+            return state, []  # late or early tick around the capture window
+        return _fail(state, f"unexpected FrameTick in {phase.value}", emit=True)
+
+    return _fail(state, f"unknown message kind {kind!r}", emit=True)
+
+
+def step_oracle(
+    state: SessionState, event: Message | Timer, local_now: float = 0.0
+) -> tuple[SessionState, list[Message]]:
+    """The if-chain `step` that the TRANSITIONS table replaced, kept as the reference."""
+    if state.phase is Phase.FAILED:
+        return state, []
+    if state.phase is Phase.DONE and not (
+        isinstance(event, Timer) and event.kind == "abort"
+    ):
+        return state, []
+    if isinstance(event, Timer):
+        return _on_timer(state, event, local_now)
+    if isinstance(event, Message):
+        return _on_message(state, event, local_now)
+    raise TypeError(f"event must be Message or Timer, got {type(event).__name__}")

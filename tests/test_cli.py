@@ -96,7 +96,7 @@ class TestHelpText:
 
 
 class TestGoldenOutput:
-    """Rig-path output, frozen byte for byte: JSON on stdout and the three SVG templates."""
+    """Output frozen byte for byte: rig JSON and sync transcripts on stdout, and the SVGs."""
 
     J7 = ("--device", "J7-fixture")
     STDOUT = {
@@ -106,6 +106,13 @@ class TestGoldenOutput:
             "--stack", "depth", "--orientation", "landscape", "--rotate-b", "90",
             "--ipd", "71.2345"],
         "grid_overlay_pitch.json": ["grid-overlay", *J7, "--pitch", "3.14159"],
+        # the README example, and a lossy run that stops after pairing
+        "simulate_sync_readme.txt": [
+            "simulate-sync", "--a", "J7-fixture", "--b", "A5-fixture", "--latency", "10",
+            "--jitter", "5", "--loss", "0.1", "--seed", "42", "--capture", "50",
+            "--duration", "1000", "--offset-a", "3", "--offset-b", "-4"],
+        "simulate_sync_pairing.txt": [
+            "simulate-sync", "--latency", "10", "--jitter", "5", "--loss", "0.3", "--seed", "3"],
     }
 
     @pytest.mark.parametrize("name", sorted(STDOUT))
@@ -319,7 +326,7 @@ class TestGridOverlay:
 
     @pytest.mark.parametrize("flag, message", [
         ("--ipd", "ipd must be finite, got inf"),
-        ("--pitch", "not JSON compliant: inf"),  # printed `"pitch_mm": Infinity` before
+        ("--pitch", "grid pitch must be positive and finite, got inf"),
     ])
     def test_infinite_value_exits_1_with_empty_stdout(self, capsys, tmp_path, flag, message):
         svg = tmp_path / "grid.svg"

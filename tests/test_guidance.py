@@ -118,6 +118,12 @@ class TestGridOverlay:
         with pytest.raises(GuidanceError, match="pitch"):
             grid_overlay(depth_base, j7, pitch_mm=0.0)
 
+    @pytest.mark.parametrize("pitch", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pitch_rejected_by_name(self, j7, depth_base, pitch):
+        message = rf"^grid pitch must be positive and finite, got {pitch}$"
+        with pytest.raises(GuidanceError, match=message):
+            grid_overlay(depth_base, j7, pitch_mm=pitch)
+
     def test_pitch_under_one_pixel_rejected(self, j7, depth_base):
         # J7-fixture has 10 px/mm: 0.1 mm is exactly one pixel, the finest grid
         overlay = grid_overlay(depth_base, j7, pitch_mm=0.1)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereorig import syncproto
 from stereorig.registry import CapabilityProfile, negotiate
 from stereorig.syncproto import (
+    TRANSITIONS,
     FocusDirective,
     Message,
     ModeDirective,
@@ -24,11 +26,12 @@ from stereorig.syncproto import (
     run_capture_sync,
     run_frame_sync,
     run_pairing,
+    run_session,
     step,
     transcript_text,
 )
 
-from oracles import awaiting_oracle
+from oracles import awaiting_oracle, step_oracle
 
 LOSSLESS = SimulatedTransport(base_latency=10.0, jitter=0.0, loss_rate=0.0)
 
@@ -56,16 +59,8 @@ def _capturing(endpoint, role, spec, profile, start=50.0, **extra):
 
 def _chain(spec_a, spec_b, transport, seed=0, offsets=(0.0, 0.0),
            capture_delay=50.0, duration=1000.0, directives=()):
-    pairing = run_pairing(spec_a, spec_b, transport, seed=seed, clock_offsets=offsets)
-    capture = run_capture_sync(
-        (pairing.state_a, pairing.state_b), transport, capture_delay,
-        seed=seed + 1, clock_offsets=offsets,
-    )
-    frames = run_frame_sync(
-        (capture.state_a, capture.state_b), transport, duration,
-        seed=seed + 2, clock_offsets=offsets, directives=directives,
-    )
-    return pairing, capture, frames
+    return run_session(spec_a, spec_b, transport, seed, offsets,
+                       capture_delay=capture_delay, duration=duration, directives=directives)
 
 
 class TestStepTransitions:
@@ -412,6 +407,71 @@ class TestUnacked:
         assert out == []
 
 
+def _phase_states(role, spec, peer_spec):
+    """One session per phase, with the fields a real run has there.
+
+    Configured comes twice, before and after a capture start is recorded.
+    """
+    s = new_session("S", role, spec)
+    pending = {
+        "initiator": (Message(MsgKind.PAIR_REQUEST, "S"),),
+        "responder": (Message(MsgKind.PAIR_ACCEPT, "S"),
+                      Message(MsgKind.CAPABILITY_OFFER, "S", spec)),
+    }[role]
+    waiting = Phase.PAIRING if role == "initiator" else Phase.NEGOTIATING
+    profile = negotiate(spec, peer_spec)
+    for phase in Phase:
+        unacked = pending if phase is waiting else ()
+        negotiated = profile if phase in (Phase.CONFIGURED, Phase.CAPTURING, Phase.DONE) else None
+        starts = (None, 100.0) if phase is Phase.CONFIGURED else (
+            (100.0,) if phase in (Phase.CAPTURING, Phase.DONE) else (None,))
+        for start in starts:
+            yield dataclasses.replace(s, phase=phase, unacked=unacked, negotiated=negotiated,
+                                      capture_start=start)
+
+
+class TestTransitionTable:
+    """`step` against the if-chains it replaced (`oracles.step_oracle`)."""
+
+    def test_every_role_phase_and_event_matches_the_oracle(self, j7, a5):
+        cases = 0
+        for role, spec, peer_spec in (("initiator", j7, a5), ("responder", a5, j7)):
+            events = _peer_events(spec, peer_spec) + [Timer("x")]
+            for state in _phase_states(role, spec, peer_spec):
+                for event in events:
+                    for now in (0.0, 200.0):
+                        expected = step_oracle(state, event, now)
+                        assert step(state, event, now) == expected, (role, state.phase, event, now)
+                        cases += 1
+        assert cases == 2 * 8 * 20 * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        role=st.sampled_from(["initiator", "responder"]),
+        picks=st.lists(
+            st.tuples(st.none() | st.integers(0, 18), st.floats(0.0, 200.0)), max_size=14
+        ),
+    )
+    def test_random_event_sequences_match_the_oracle(self, j7, a5, role, picks):
+        # the same picks as TestUnacked: mostly the happy path, anything else mixed in
+        spec, peer_spec = (j7, a5) if role == "initiator" else (a5, j7)
+        events = _peer_events(spec, peer_spec)
+        path = iter(_HAPPY_PATH[role])
+        s = new_session("S", role, spec)
+        for index, now in picks:
+            event = events[next(path, 0) if index is None else index]
+            expected = step_oracle(s, event, now)
+            got = step(s, event, now)
+            assert got == expected
+            s = got[0]
+
+    def test_module_docstring_renders_every_row(self):
+        doc = syncproto.__doc__
+        assert "{transitions}" not in doc
+        for handler in set(TRANSITIONS.values()):
+            assert f" | {handler.__doc__}\n" in doc
+
+
 class TestRunPairing:
     def test_lossless_reaches_configured(self, j7, a5):
         run = run_pairing(j7, a5, LOSSLESS, seed=0)
@@ -718,23 +778,11 @@ def _sweep_digest(j7, a5) -> str:
             transport = SimulatedTransport(10.0, jitter, loss)
             for seed in range(30):
                 offsets = (((seed % 5) - 2) * 1.5, ((seed % 3) - 1) * 2.5)
-                run = run_pairing(j7, a5, transport, seed=seed, clock_offsets=offsets)
+                run = run_session(j7, a5, transport, seed, offsets,
+                                  capture_delay=50.0, duration=500.0, directives=directives)
                 text = [transcript_text(run.transcript)]
-                ends = (run.state_a, run.state_b)
-                skew = None
-                if all(s.phase is Phase.CONFIGURED for s in ends):
-                    capture = run_capture_sync(
-                        ends, transport, 50.0, seed=seed + 1, clock_offsets=offsets
-                    )
-                    text.append(transcript_text(capture.transcript))
-                    ends, skew = (capture.state_a, capture.state_b), capture.skew
-                    if all(s.phase is Phase.CAPTURING for s in ends):
-                        frames = run_frame_sync(
-                            ends, transport, 500.0, seed=seed + 2,
-                            clock_offsets=offsets, directives=directives,
-                        )
-                        text.append(transcript_text(frames.transcript))
-                        ends = (frames.state_a, frames.state_b)
+                ends = (run.final.state_a, run.final.state_b)
+                skew = run.capture.skew if run.capture else None
                 for s in ends:
                     text.append(
                         f"{s.endpoint_id} {s.phase.value} {s.fail_reason!r} "
