@@ -6,6 +6,8 @@ on-screen alignment guidance, a simulated pairing and capture-sync
 protocol, and stereo frame merging (side-by-side and anaglyph).
 """
 
+import math
+
 __version__ = "0.1.0"
 
 DEFAULT_IPD_MM = 65.0
@@ -18,6 +20,20 @@ DEFAULT_STRAP_WIDTH_MM = 20.0
 DEFAULT_MAG_TOLERANCE_UT = 5.0
 DEFAULT_GYRO_TOLERANCE_DPS = 2.0
 DEFAULT_GRID_PITCH_MM = 10.0
+
+# each range a number may be held to: its test and the words that reject it
+_RANGES = {
+    "finite": (math.isfinite, "finite"),
+    "non-negative": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+    "positive": (lambda v: 0 < v < math.inf, "positive and finite"),
+}
+
+
+def check_range(name: str, value: float, kind: str = "finite", error: type = ValueError) -> None:
+    """Raise `error` naming `name` unless `value` is finite and, by `kind`, >= 0 or > 0."""
+    test, words = _RANGES[kind]
+    if not test(value):
+        raise error(f"{name} must be {words}, got {value}")
 
 
 def round_floats(obj, ndigits: int):

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from . import DEFAULT_IPD_MM, round_floats
+from . import DEFAULT_IPD_MM, check_range, round_floats
 from .registry import DeviceSpec
 
 AXES = ("horizontal", "vertical")
@@ -141,14 +141,6 @@ def _union_bbox_area(a: Rect, b: Rect) -> float:
     return w * h
 
 
-def check_ipd(ipd: float) -> None:
-    """Raise ValueError unless ipd is a positive, finite distance."""
-    if not ipd > 0:
-        raise ValueError(f"ipd must be positive, got {ipd}")
-    if not math.isfinite(ipd):
-        raise ValueError(f"ipd must be finite, got {ipd}")
-
-
 def compute_base_model(
     a: DeviceSpec,
     b: DeviceSpec,
@@ -164,7 +156,7 @@ def compute_base_model(
     axis side on exact ties.  Raises InfeasibleLayoutError carrying the
     minimum achievable separation when no placement works.
     """
-    check_ipd(ipd)
+    check_range("ipd", ipd, "positive")
 
     wa, la, cax, cay = oriented_footprint(a, layout.orientation)
     body_a = Rect(0.0, 0.0, wa, la)

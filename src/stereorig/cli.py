@@ -83,20 +83,15 @@ def _cmd_gen_template(args) -> int:
     from . import alignment, svgio, templates
 
     (spec,) = _devices(args, args.device)
+    # every mode checks every material flag, also one it does not draw
+    materials = templates.Materials(args.velcro, args.cardboard, args.strap_width, args.fillet)
     if args.mode == "two":
         base = alignment.compute_base_model(spec, spec, _layout_from_args(args), ipd=args.ipd)
-        layout = templates.two_phone_layout(
-            spec,
-            base,
-            velcro_mm=args.velcro,
-            cardboard_mm=args.cardboard,
-            strap_width=args.strap_width,
-            fillet_radius=args.fillet,
-        )
+        layout = templates.two_phone_layout(spec, base, materials)
     elif args.mode == "three":
         layout = templates.three_phone_layout(spec, ipd=args.ipd)
     else:
-        layout = templates.mirror_rig_layout(spec, ipd=args.ipd, fillet_radius=args.fillet)
+        layout = templates.mirror_rig_layout(spec, args.ipd, materials)
     svg = svgio.render_svg(layout)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -21,6 +21,7 @@ from . import (
     DEFAULT_GRID_PITCH_MM,
     DEFAULT_GYRO_TOLERANCE_DPS,
     DEFAULT_MAG_TOLERANCE_UT,
+    check_range,
     round_floats,
 )
 from .alignment import BaseModel
@@ -93,8 +94,7 @@ def grid_overlay(
     """
     if base.layout.stacking != "depth-stacked":
         raise GuidanceError("grid overlay requires a depth-stacked base model")
-    if not 0 < pitch_mm < math.inf:
-        raise GuidanceError(f"grid pitch must be positive and finite, got {pitch_mm}")
+    check_range("grid pitch", pitch_mm, "positive", GuidanceError)
     d = spec.pixel_density
     if base.layout.orientation == "landscape":
         screen = (spec.screen_height_px, spec.screen_width_px)
@@ -162,9 +162,9 @@ def check_alignment(
     rates disagree by more than gyro_tolerance - i.e. one device is turning
     and the other is not following.
     """
-    for name, tolerance in (("mag_tolerance", mag_tolerance), ("gyro_tolerance", gyro_tolerance)):
-        if not 0 <= tolerance < math.inf:  # a nan tolerance would pass every delta
-            raise GuidanceError(f"{name} must be finite and non-negative, got {tolerance}")
+    # a nan tolerance would pass every delta
+    check_range("mag_tolerance", mag_tolerance, "non-negative", GuidanceError)
+    check_range("gyro_tolerance", gyro_tolerance, "non-negative", GuidanceError)
     deltas = tuple(bb - aa for aa, bb in zip(a.magnetometer, b.magnetometer))
     offending = tuple(
         axis for axis, delta in zip(_AXES, deltas) if abs(delta) > mag_tolerance

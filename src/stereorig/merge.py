@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from . import check_range
 from .ppmio import read_manifest, read_ppm, read_ppm_header
 
 if TYPE_CHECKING:
@@ -98,10 +99,7 @@ def pair_frames(
     discarded.  Only each frame's `timestamp` is read, so `FrameRef`s pair
     without their pixels being loaded.
     """
-    if tolerance < 0:
-        raise MergeError(f"tolerance must be non-negative, got {tolerance}")
-    if not math.isfinite(tolerance):
-        raise MergeError(f"tolerance must be finite, got {tolerance}")
+    check_range("tolerance", tolerance, "non-negative", MergeError)
     _check_timestamps(left_stream, "left")
     _check_timestamps(right_stream, "right")
 

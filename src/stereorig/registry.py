@@ -10,9 +10,10 @@ so vendors can annotate entries without breaking older readers.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
+
+from . import check_range
 
 
 class RegistryError(ValueError):
@@ -37,28 +38,21 @@ class DeviceSpec:
     def __post_init__(self):
         if not self.model_id:
             raise RegistryError("model_id must be a non-empty string")
-        for name in ("body_width", "body_length", "body_thickness", "pixel_density"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise RegistryError(f"{self.model_id}: {name} must be positive and finite")
-        if self.screen_width_px <= 0 or self.screen_height_px <= 0:
-            raise RegistryError(f"{self.model_id}: screen dimensions must be positive")
+        for name in ("body_width", "body_length", "body_thickness", "screen_width_px",
+                     "screen_height_px", "pixel_density"):
+            check_range(f"{self.model_id}: {name}", getattr(self, name), "positive", RegistryError)
         cx, cy = self.camera_center
         if not (0 <= cx <= self.body_width and 0 <= cy <= self.body_length):
             raise RegistryError(
                 f"{self.model_id}: camera_center ({cx}, {cy}) lies outside the "
                 f"{self.body_width} x {self.body_length} body"
             )
-        for name in ("resolutions", "frame_rates"):
-            if not getattr(self, name):
+        sizes = [n for size in self.resolutions for n in size]
+        for name, values in (("resolutions", sizes), ("frame_rates", self.frame_rates)):
+            if not values:
                 raise RegistryError(f"{self.model_id}: {name} must be non-empty")
-        for w, h in self.resolutions:
-            if w <= 0 or h <= 0:
-                raise RegistryError(f"{self.model_id}: resolution {w}x{h} is not positive")
-        for fps in self.frame_rates:
-            if not 0 < fps < math.inf:
-                raise RegistryError(
-                    f"{self.model_id}: frame_rates entry {fps} is not positive and finite"
-                )
+            for value in values:
+                check_range(f"{self.model_id}: {name}", value, "positive", RegistryError)
 
 
 @dataclass(frozen=True)

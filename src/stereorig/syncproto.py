@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, NamedTuple
 
+from . import check_range
 from .registry import CapabilityProfile, DeviceSpec, negotiate
 
 RETRY_BUDGET = 3
@@ -346,9 +347,8 @@ class SimulatedTransport:
     loss_rate: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.base_latency < math.inf and 0 <= self.jitter < math.inf):
-            got = f"got {self.base_latency} and {self.jitter}"
-            raise ValueError(f"latency and jitter must be finite and non-negative, {got}")
+        check_range("latency", self.base_latency, "non-negative")
+        check_range("jitter", self.jitter, "non-negative")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
 
@@ -406,8 +406,8 @@ class Simulator:
         seed: int,
         clock_offsets: tuple[float, float],
     ):
-        if not all(map(math.isfinite, clock_offsets)):
-            raise ValueError(f"clock offsets must be finite, got {clock_offsets}")
+        for offset in clock_offsets:
+            check_range("clock offsets", offset)
         ids = [s.endpoint_id for s in sessions]
         if len(ids) != 2 or ids[0] == ids[1]:
             raise ValueError(f"simulator needs exactly two sessions with distinct ids, got {ids}")
@@ -545,11 +545,6 @@ def _two(states: dict[str, SessionState]) -> tuple[SessionState, SessionState]:
     return tuple(state for _, state in sorted(states.items()))
 
 
-def check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 def run_pairing(
     spec_a: DeviceSpec,
     spec_b: DeviceSpec,
@@ -575,7 +570,7 @@ def run_capture_sync(
     clock_offsets: tuple[float, float] = (0.0, 0.0),
 ) -> CaptureSyncRun:
     """Propose a shared future start time and begin capture on both ends."""
-    check_finite("capture delay", capture_delay)
+    check_range("capture delay", capture_delay)
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CONFIGURED:
@@ -604,7 +599,7 @@ def run_frame_sync(
     normal path is run_capture_sync first).  `directives` are
     (global_send_time, directive) pairs sent by the initiator mid-capture.
     """
-    check_finite("duration", duration)
+    check_range("duration", duration)
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:
@@ -659,8 +654,8 @@ def run_session(
     it.  Every number is checked first, also one that no stage will use.
     """
     if capture_delay is not None:
-        check_finite("capture delay", capture_delay)
-    check_finite("duration", duration)
+        check_range("capture delay", capture_delay)
+    check_range("duration", duration)
     pairing = run_pairing(spec_a, spec_b, transport, seed, clock_offsets)
     capture = frames = None
     if capture_delay is not None and pairing.state_a.phase is Phase.CONFIGURED:

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM
-from .alignment import BaseModel, check_ipd, validate_placement
+from . import (DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM,
+               check_range)
+from .alignment import BaseModel, validate_placement
 from .registry import DeviceSpec
 
 PIECE_KINDS = ("cut", "fold", "velcro", "aperture")
@@ -30,6 +31,22 @@ _MIRROR_TILT_DEG = 45.0
 
 class TemplateError(ValueError):
     """Raised when a layout cannot be realized or a piece is malformed."""
+
+
+@dataclass(frozen=True)
+class Materials:
+    """What the rig is made of, in mm; every layout checks these through one record."""
+
+    velcro: float = DEFAULT_VELCRO_MM
+    cardboard: float = DEFAULT_CARDBOARD_MM
+    strap_width: float = DEFAULT_STRAP_WIDTH_MM
+    fillet: float = 0.0
+
+    def __post_init__(self):
+        check_range("velcro length", self.velcro, "positive", TemplateError)
+        check_range("cardboard thickness", self.cardboard, "positive", TemplateError)
+        check_range("strap width", self.strap_width, "positive", TemplateError)
+        check_range("fillet radius", self.fillet, "non-negative", TemplateError)
 
 
 @dataclass(frozen=True)
@@ -78,13 +95,7 @@ def strap_lengths(spec: DeviceSpec, velcro_mm: float, cardboard_mm: float) -> St
     body width + the far thickness.  Short straps stop after the rise.  The
     central strap is a band exactly one body-thickness wide.
     """
-    if not velcro_mm > 0:
-        raise TemplateError(f"velcro length must be positive, got {velcro_mm}")
-    if not cardboard_mm > 0:
-        raise TemplateError(f"cardboard thickness must be positive, got {cardboard_mm}")
-    for name, value in (("velcro length", velcro_mm), ("cardboard thickness", cardboard_mm)):
-        if value == math.inf:
-            raise TemplateError(f"{name} must be finite, got {value}")
+    Materials(velcro_mm, cardboard_mm)  # raises on a bad length
     h = spec.body_thickness
     w = spec.body_width
     return StrapSet(
@@ -94,11 +105,6 @@ def strap_lengths(spec: DeviceSpec, velcro_mm: float, cardboard_mm: float) -> St
         velcro_length=velcro_mm,
         cardboard_thickness=cardboard_mm,
     )
-
-
-def _check_fillet(radius: float) -> None:
-    if not 0 <= radius < math.inf:
-        raise TemplateError(f"fillet radius must be finite and non-negative, got {radius}")
 
 
 def _strap_pieces(
@@ -130,10 +136,7 @@ def _strap_pieces(
 def two_phone_layout(
     spec: DeviceSpec,
     base: BaseModel,
-    velcro_mm: float = DEFAULT_VELCRO_MM,
-    cardboard_mm: float = DEFAULT_CARDBOARD_MM,
-    strap_width: float = DEFAULT_STRAP_WIDTH_MM,
-    fillet_radius: float = 0.0,
+    materials: Materials = Materials(),
 ) -> TemplateLayout:
     """Flat holder for two identical phones held coplanar, plus its straps.
 
@@ -153,10 +156,9 @@ def two_phone_layout(
     if problems:
         raise TemplateError("base model invalid: " + "; ".join(problems))
 
+    velcro_mm, cardboard_mm = materials.velcro, materials.cardboard
+    strap_width = materials.strap_width
     straps = strap_lengths(spec, velcro_mm, cardboard_mm)
-    if not 0 < strap_width < math.inf:
-        raise TemplateError(f"strap width must be positive and finite, got {strap_width}")
-    _check_fillet(fillet_radius)
     h = spec.body_thickness
     w = spec.body_width
 
@@ -176,7 +178,7 @@ def two_phone_layout(
             "cut",
             "rect",
             rect=(_MARGIN_MM, _MARGIN_MM, panel_w, panel_h),
-            corner_radius=fillet_radius,
+            corner_radius=materials.fillet,
         ),
         Piece(
             "seat_a",
@@ -240,7 +242,7 @@ def two_phone_layout(
             "strap_width": strap_width,
             "margin": _MARGIN_MM,
             "aperture_radius": _APERTURE_RADIUS_MM,
-            "fillet_radius": fillet_radius,
+            "fillet_radius": materials.fillet,
             "panel_border": border,
         },
         "straps": {
@@ -268,7 +270,7 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     panel width p solves p^2 - 3*p*c + 3*c^2 = ipd^2, i.e.
     p = (3c + sqrt(4*ipd^2 - 3c^2)) / 2.
     """
-    check_ipd(ipd)
+    check_range("ipd", ipd, "positive")
     c = spec.camera_center[0]
     w = spec.body_width
     l = spec.body_length
@@ -339,7 +341,7 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
 
 
 def mirror_rig_layout(
-    spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM, fillet_radius: float = 0.0
+    spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM, materials: Materials = Materials()
 ) -> TemplateLayout:
     """Periscope mount: one phone cradle and two 45-degree mirror slots.
 
@@ -347,8 +349,7 @@ def mirror_rig_layout(
     axis; the far slot (red, single-sided) is one ipd away along +x.  Both
     slots are drawn as 45-degree cut segments through the mount plate.
     """
-    check_ipd(ipd)
-    _check_fillet(fillet_radius)
+    check_range("ipd", ipd, "positive")
     w, l = spec.body_width, spec.body_length
     cx, cy = spec.camera_center
     near = (_MARGIN_MM + cx, _MARGIN_MM + cy)
@@ -368,7 +369,7 @@ def mirror_rig_layout(
             "fold",
             "rect",
             rect=(_MARGIN_MM, _MARGIN_MM, w, l),
-            corner_radius=fillet_radius,
+            corner_radius=materials.fillet,
         ),
         Piece(
             "slot_blue",
@@ -404,7 +405,7 @@ def mirror_rig_layout(
             "margin": _MARGIN_MM,
             "slot_length": _SLOT_LENGTH_MM,
             "aperture_radius": _APERTURE_RADIUS_MM,
-            "fillet_radius": fillet_radius,
+            "fillet_radius": materials.fillet,
         },
     }
     return TemplateLayout(pieces, (0.0, 0.0, plate_w, plate_h), metadata)

@@ -144,9 +144,9 @@ class TestComputeBaseModel:
             compute_base_model(j7, j7, VERT180, ipd=0.0)
 
     @pytest.mark.parametrize("ipd, message", [
-        (float("nan"), "ipd must be positive, got nan"),
-        (float("-inf"), "ipd must be positive, got -inf"),
-        (float("inf"), "ipd must be finite, got inf"),
+        (float("nan"), "ipd must be positive and finite, got nan"),
+        (float("-inf"), "ipd must be positive and finite, got -inf"),
+        (float("inf"), "ipd must be positive and finite, got inf"),
     ])
     def test_non_finite_ipd_rejected(self, j7, ipd, message):
         with pytest.raises(ValueError, match=message):

@@ -174,8 +174,7 @@ class TestBaseModel:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        want = "finite, got inf" if ipd == "inf" else "ipd must be positive, got nan"
-        assert want in captured.err
+        assert f"ipd must be positive and finite, got {ipd}" in captured.err
 
     def test_depth_stack_flag_alias(self, capsys):
         rc = main(["base-model", "--a", "J7-fixture", "--b", "J7-fixture",
@@ -199,9 +198,11 @@ class TestGenTemplate:
         assert svgio.render_svg(layout) == text
 
     @pytest.mark.parametrize("mode", ["three", "mirror"])
-    @pytest.mark.parametrize("ipd, message", [("nan", "ipd must be positive, got nan"),
-                                              ("inf", "ipd must be finite, got inf"),
-                                              ("-inf", "ipd must be positive, got -inf")])
+    @pytest.mark.parametrize("ipd, message", [
+        ("nan", "ipd must be positive and finite, got nan"),
+        ("inf", "ipd must be positive and finite, got inf"),
+        ("-inf", "ipd must be positive and finite, got -inf"),
+    ])
     def test_non_finite_ipd_exits_1_without_output(self, capsys, tmp_path, mode, ipd, message):
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", mode, "--device", "J7-fixture",
@@ -211,9 +212,9 @@ class TestGenTemplate:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode, flag, message", [
-        ("two", "--velcro=inf", "velcro length must be finite, got inf"),
-        ("two", "--velcro=nan", "velcro length must be positive, got nan"),
-        ("two", "--cardboard=inf", "cardboard thickness must be finite, got inf"),
+        ("two", "--velcro=inf", "velcro length must be positive and finite, got inf"),
+        ("two", "--velcro=nan", "velcro length must be positive and finite, got nan"),
+        ("two", "--cardboard=inf", "cardboard thickness must be positive and finite, got inf"),
         ("two", "--strap-width=nan", "strap width must be positive and finite, got nan"),
         ("two", "--strap-width=inf", "strap width must be positive and finite, got inf"),
         ("two", "--strap-width=-5", "strap width must be positive and finite, got -5.0"),
@@ -221,10 +222,19 @@ class TestGenTemplate:
         ("mirror", "--fillet=nan", "fillet radius must be finite and non-negative, got nan"),
         ("mirror", "--fillet=inf", "fillet radius must be finite and non-negative, got inf"),
         ("mirror", "--fillet=-5", "fillet radius must be finite and non-negative, got -5.0"),
+        # modes that do not draw a quantity still check its flag
+        ("three", "--velcro=inf", "velcro length must be positive and finite, got inf"),
+        ("three", "--cardboard=nan", "cardboard thickness must be positive and finite, got nan"),
+        ("three", "--strap-width=0", "strap width must be positive and finite, got 0.0"),
+        ("three", "--fillet=nan", "fillet radius must be finite and non-negative, got nan"),
+        ("mirror", "--velcro=-1", "velcro length must be positive and finite, got -1.0"),
+        ("mirror", "--cardboard=inf", "cardboard thickness must be positive and finite, got inf"),
+        ("mirror", "--strap-width=nan", "strap width must be positive and finite, got nan"),
     ])
     def test_bad_material_value_exits_1_without_output(self, capsys, tmp_path, mode, flag,
                                                        message):
-        # all but --velcro=nan wrote an SVG with `infmm`, `rx="inf"` or nan sizes before
+        # all but --velcro=nan wrote an SVG with `infmm`, `rx="inf"` or nan sizes before, and
+        # modes three and mirror wrote one for every flag they do not draw
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", mode, "--device", "J7-fixture", flag,
                    "-o", str(out)])
@@ -325,7 +335,7 @@ class TestGridOverlay:
         assert svg.read_text().startswith("<svg")
 
     @pytest.mark.parametrize("flag, message", [
-        ("--ipd", "ipd must be finite, got inf"),
+        ("--ipd", "ipd must be positive and finite, got inf"),
         ("--pitch", "grid pitch must be positive and finite, got inf"),
     ])
     def test_infinite_value_exits_1_with_empty_stdout(self, capsys, tmp_path, flag, message):
@@ -428,8 +438,8 @@ class TestSimulateSync:
         assert main(["simulate-sync", "--loss", "1.5"]) == 1
 
     @pytest.mark.parametrize("flags, message", [
-        (["--latency=nan"], "latency and jitter must be finite and non-negative"),
-        (["--jitter=inf"], "latency and jitter must be finite and non-negative"),
+        (["--latency=nan"], "latency must be finite and non-negative, got nan"),
+        (["--jitter=inf"], "jitter must be finite and non-negative, got inf"),
         (["--offset-a=nan"], "clock offsets must be finite"),
         (["--capture=50", "--offset-b=-inf"], "clock offsets must be finite"),
         (["--capture=nan"], "capture delay must be finite, got nan"),
@@ -618,37 +628,40 @@ class TestNonFiniteFlags:
         return work
 
     @staticmethod
-    def _run(work: Path, out: Path, command: str) -> list[str]:
-        """Arguments of a run that reads its inputs from `work` and writes under `out`."""
-        # mode two is the gen-template mode that draws every material flag
-        return [command, *{
+    def _runs(work: Path, out: Path, command: str) -> list[list[str]]:
+        """Arguments of each run that reads its inputs from `work` and writes under `out`."""
+        if command == "gen-template":  # every mode checks every material flag
+            return [[command, "--mode", mode, "--device", "J7-fixture", "-o", str(out / "t.svg")]
+                    for mode in ("two", "three", "mirror")]
+        return [[command, *{
             "base-model": ["--a", "J7-fixture", "--b", "A5-fixture"],
-            "gen-template": ["--mode", "two", "--device", "J7-fixture",
-                             "-o", str(out / "t.svg")],
             "align-check": ["--readings", str(work / "readings.json")],
             "grid-overlay": ["--device", "J7-fixture", "--svg", str(out / "grid.svg")],
             "simulate-sync": ["--capture", "50", "--duration", "100"],
             "merge": ["--left", str(work / "left.txt"), "--right", str(work / "right.txt"),
                       "--mode", "sbs", "-o", str(out / "out")],
-        }[command]]
+        }[command]]]
 
     @pytest.mark.parametrize("command", sorted({c for c, _ in _float_options()}))
     def test_each_run_succeeds_with_its_defaults(self, work, tmp_path, command):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(self._run(work, tmp_path, command)) == 0
+        for argv in self._runs(work, tmp_path, command):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                assert main(argv) == 0, argv
 
     @pytest.mark.parametrize("command, option", _float_options())
     @settings(max_examples=12, deadline=None)
     @given(value=_NON_FINITE)
     def test_non_finite_value_exits_1_with_no_output(self, work, command, option, value):
         before = sorted(os.listdir(work))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = main([*self._run(work, work, command), f"{option}={value}"])
-        assert rc == 1, stderr.getvalue()
-        assert stdout.getvalue() == ""
-        assert stderr.getvalue().startswith("error: ")
-        assert sorted(os.listdir(work)) == before
+        for argv in self._runs(work, work, command):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([*argv, f"{option}={value}"])
+            assert rc == 1, (argv, stderr.getvalue())
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: ")
+            assert sorted(os.listdir(work)) == before
 
 
 # a child that imports the CLI, runs one command and prints sys.modules as JSON

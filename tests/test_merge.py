@@ -93,7 +93,7 @@ class TestPairFrames:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_tolerance_rejected(self, bad):
-        with pytest.raises(MergeError, match=f"tolerance must be finite, got {bad}"):
+        with pytest.raises(MergeError, match=f"tolerance must be finite and non-negative, got {bad}"):
             pair_frames(_stream([0.0, 1000.0]), _stream([500.0, 5000.0], "right"), bad)
 
     def test_tie_goes_to_earlier_right_frame(self):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,9 @@ from oracles import (
     serialized_specs_oracle,
     validate_spec_dict,
 )
+
+
+_TINY = 5e-324  # the smallest positive float
 
 
 def _one_device(**overrides) -> str:
@@ -149,6 +153,55 @@ class TestParse:
         rng = random.Random(seed)
         specs = [random_spec(rng, f"dev-{i}") for i in range(count)]
         assert serialize_device_specs(specs) == serialized_specs_oracle(specs)
+
+
+# every field whose annotation holds a number, read from the dataclass itself
+_NUMERIC_FIELDS = [f.name for f in dataclasses.fields(DeviceSpec)
+                   if re.search(r"\b(int|float)\b", str(f.type))]
+
+
+def _with_number(current, value, slot: int):
+    """`current` with one number replaced by `value`; a set keeps one entry."""
+    if isinstance(current, (int, float)):
+        return value
+    if isinstance(current, tuple):
+        return tuple(value if i == slot else v for i, v in enumerate(current))
+    return frozenset({_with_number(min(current), value, slot)})
+
+
+class TestSpecSelfCheck:
+    """A `DeviceSpec` made in code is held to the same rules as one read from JSON."""
+
+    def test_numeric_fields_are_found(self):
+        assert _NUMERIC_FIELDS == [
+            "body_width", "body_length", "body_thickness", "camera_center",
+            "screen_width_px", "screen_height_px", "pixel_density", "resolutions",
+            "frame_rates",
+        ]
+
+    @pytest.mark.parametrize("field, bad", [
+        ("screen_width_px", math.nan), ("screen_height_px", math.inf),
+        ("resolutions", frozenset({(math.inf, 1080)})),
+        ("resolutions", frozenset({(1920, math.nan)})),
+    ])
+    def test_non_finite_screen_and_resolution_rejected(self, j7, field, bad):
+        # `<= 0` is false for nan, so these were accepted before
+        with pytest.raises(RegistryError, match=f"^J7-fixture: {field} must be positive"):
+            dataclasses.replace(j7, **{field: bad})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(_NUMERIC_FIELDS),
+        slot=st.integers(0, 1),
+        value=st.sampled_from([math.nan, math.inf, -math.inf])
+        | st.floats(max_value=-_TINY),
+    )
+    def test_bad_number_names_model_and_field(self, j7, field, slot, value):
+        bad = _with_number(getattr(j7, field), value, slot)
+        with pytest.raises(RegistryError) as err:
+            dataclasses.replace(j7, **{field: bad})
+        assert str(err.value).startswith("J7-fixture: ")
+        assert field in str(err.value)
 
 
 class TestLookup:

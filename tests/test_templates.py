@@ -9,6 +9,7 @@ import pytest
 from stereorig.alignment import LayoutConfig, Rect, compute_base_model
 from stereorig.svgio import render_svg
 from stereorig.templates import (
+    Materials,
     TemplateError,
     aperture_separations,
     assembled_aperture_centers,
@@ -33,7 +34,7 @@ VERT180 = LayoutConfig(axis="vertical", stacking="coplanar", rotation_b=180)
 @pytest.fixture(scope="module")
 def two_layout(j7):
     base = compute_base_model(j7, j7, VERT180)
-    return two_phone_layout(j7, base, velcro_mm=20.0, cardboard_mm=2.0)
+    return two_phone_layout(j7, base, Materials(velcro=20.0, cardboard=2.0))
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,9 @@ class TestStrapLengths:
             strap_lengths(j7, v, m)
 
     @pytest.mark.parametrize("v, m, message", [
-        (math.nan, 2.0, "velcro length must be positive, got nan"),
-        (math.inf, 2.0, "velcro length must be finite, got inf"),
-        (20.0, math.inf, "cardboard thickness must be finite, got inf"),
+        (math.nan, 2.0, "velcro length must be positive and finite, got nan"),
+        (math.inf, 2.0, "velcro length must be positive and finite, got inf"),
+        (20.0, math.inf, "cardboard thickness must be positive and finite, got inf"),
     ])
     def test_non_finite_inputs_rejected(self, j7, v, m, message):
         with pytest.raises(TemplateError, match=f"^{message}$"):
@@ -106,7 +107,10 @@ _BAD_FILLETS = [math.nan, math.inf, -math.inf, -5.0]
 
 
 class TestMaterialChecks:
-    """Strap widths and fillet radii are lengths: finite, the width also positive."""
+    """Strap widths and fillet radii are lengths: finite, the width also positive.
+
+    `Materials` checks them when built, so no layout can draw a bad one.
+    """
 
     @pytest.fixture(scope="class")
     def base(self, j7):
@@ -115,19 +119,18 @@ class TestMaterialChecks:
     @pytest.mark.parametrize("width", _BAD_WIDTHS)
     def test_bad_strap_width_rejected(self, j7, base, width):
         with pytest.raises(TemplateError, match=f"^strap width must be positive and finite, got {width}$"):
-            two_phone_layout(j7, base, strap_width=width)
+            Materials(strap_width=width)
 
     @pytest.mark.parametrize("radius", _BAD_FILLETS)
     def test_bad_fillet_rejected_in_both_layouts_that_draw_one(self, j7, base, radius):
         message = f"^fillet radius must be finite and non-negative, got {radius}$"
         with pytest.raises(TemplateError, match=message):
-            two_phone_layout(j7, base, fillet_radius=radius)
-        with pytest.raises(TemplateError, match=message):
-            mirror_rig_layout(j7, fillet_radius=radius)
+            Materials(fillet=radius)
 
     def test_zero_fillet_and_small_positive_values_accepted(self, j7, base):
-        two_phone_layout(j7, base, velcro_mm=1e-3, cardboard_mm=1e-3, strap_width=1e-3)
-        mirror_rig_layout(j7, fillet_radius=0.0)
+        small = Materials(velcro=1e-3, cardboard=1e-3, strap_width=1e-3, fillet=0.0)
+        two_phone_layout(j7, base, small)
+        mirror_rig_layout(j7, materials=small)
 
 
 class TestTwoPhoneLayout:
