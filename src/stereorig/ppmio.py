@@ -160,11 +160,25 @@ def read_manifest(path: str) -> list[tuple[float, str]]:
 
 
 def write_manifest(path: str, entries: list[tuple[float, str]]) -> None:
+    """Write `entries` as a manifest at `path`, which appears only once complete.
+
+    The lines go to `<path>.tmp` in the same directory, which then replaces
+    `path`; on any exception the temporary file is removed.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="utf-8") as fh:
-        for ts, p in entries:
-            rel = os.path.relpath(p, base)
-            fh.write(f"{_format_timestamp(ts)} {rel}\n")
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for ts, p in entries:
+                rel = os.path.relpath(p, base)
+                fh.write(f"{_format_timestamp(ts)} {rel}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:  # never made, or not removable: the first error matters
+            pass
+        raise
 
 
 def _format_timestamp(ts: float) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from importlib import resources
@@ -25,6 +26,49 @@ def subprocess_env():
     inherited = os.environ.get("PYTHONPATH")
     path = pkg_root + (os.pathsep + inherited if inherited else "")
     return dict(os.environ, PYTHONPATH=path)
+
+
+class _FullDisk:
+    """A text file whose writes after the first fail with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+
+@pytest.fixture
+def manifest_fault(monkeypatch):
+    """Call with "write" or "replace" to make `ppmio.write_manifest` fail there.
+
+    "write" fails the second line written to a file that `ppmio` opens for
+    writing; "replace" fails the `os.replace` that puts the finished file in
+    place.
+    """
+    from stereorig import ppmio
+
+    def inject(where: str) -> None:
+        if where == "write":
+            def open_full(file, mode="r", **kwargs):
+                fh = open(file, mode, **kwargs)
+                return _FullDisk(fh) if "w" in mode else fh
+            monkeypatch.setattr(ppmio, "open", open_full, raising=False)
+        else:
+            def replace(src, dst):
+                raise OSError(errno.EIO, "Input/output error")
+            monkeypatch.setattr(ppmio.os, "replace", replace)
+
+    return inject
 
 
 @pytest.fixture(scope="session")

@@ -531,6 +531,22 @@ class TestMerge:
         assert "error:" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("where", ["write", "replace"])
+    def test_failed_manifest_write_leaves_no_pairs_txt(
+            self, capsys, tmp_path, manifest_fault, where):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        outdir = tmp_path / "out"
+        manifest_fault(where)
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", "anaglyph", "--tol", "10", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno")
+        # neither pairs.txt nor its temporary file
+        assert not list(outdir.glob("pairs.txt*"))
+
     # each case rewrites the last frame of a 3-pair stream, or adds a dropped one
     BAD_LAST_FRAME = {
         "other dimensions": ("right/2.ppm", b"P6\n5 4\n255\n" + b"\0" * 60, 1),

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,8 +366,9 @@ class TestAnaglyphTiling:
         assert (out == want[::-1]).all()
 
     def test_concurrent_calls_each_get_the_oracle_output(self):
-        # two strips a frame; each call has its own work space, so calls
-        # from more threads than CPUs must not see each other's strips
+        # two strips a frame; each worker of each call has its own work
+        # space, so calls from more threads than CPUs must not see each
+        # other's strips
         frames = [(_rand_pixels(2 * i, 2, 65537), _rand_pixels(2 * i + 1, 2, 65537))
                   for i in range(3)]
         wants = [anaglyph_oracle(left, right) for left, right in frames]
@@ -408,6 +412,127 @@ class TestAnaglyphTiling:
         res = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
                              capture_output=True, text=True, check=True)
         assert res.stdout.split() == ["1", "1"]
+
+
+@contextlib.contextmanager
+def _started_threads():
+    """Yields the list of the threads started inside the block."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    with mock.patch.object(threading.Thread, "start", start):
+        yield started
+
+
+def _affinity(cpus: int):
+    """Patch the process's affinity mask to `cpus` CPUs."""
+    return mock.patch.object(_kernels.os, "sched_getaffinity", create=True,
+                             new=lambda pid: set(range(cpus)))
+
+
+def _failing_out(shape, store):
+    """An output array whose every store first calls `store()`, which may raise."""
+
+    class Out(np.ndarray):
+        def __setitem__(self, key, value):
+            store()
+            super().__setitem__(key, value)
+
+    return np.empty(shape, dtype=np.uint8).view(Out)
+
+
+class TestAnaglyphWorkers:
+    def test_one_cpu_starts_no_thread(self):
+        # 2 rows a strip at w=21846, so three rows make two strips
+        left, right = _rand_pixels(20, 3, 21846), _rand_pixels(21, 3, 21846)
+        with _affinity(1), _started_threads() as started:
+            out = _kernels.anaglyph_pixels(left, right)
+        assert started == []
+        assert (out == anaglyph_oracle(left, right)).all()
+
+    @pytest.mark.parametrize("cpu_count, helpers", [(2, 1), (None, 0)])
+    def test_cpu_count_stands_in_for_the_affinity_mask(self, monkeypatch, cpu_count, helpers):
+        monkeypatch.delattr(_kernels.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: cpu_count)
+        left, right = _rand_pixels(22, 3, 21846), _rand_pixels(23, 3, 21846)
+        with _started_threads() as started:
+            out = _kernels.anaglyph_pixels(left, right)
+        assert len(started) == helpers
+        assert (out == anaglyph_oracle(left, right)).all()
+
+    def test_one_strip_frame_starts_no_thread(self):
+        left, right = _rand_pixels(24, 2, 21846), _rand_pixels(25, 2, 21846)
+        with _affinity(2), _started_threads() as started:
+            out = _kernels.anaglyph_pixels(left, right)
+        assert started == []
+        assert (out == anaglyph_oracle(left, right)).all()
+
+    @settings(max_examples=6, deadline=None)
+    @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1), cpus=st.integers(2, 8))
+    @example(shape=(9, 13108), seed=4, cpus=2)
+    @example(shape=(2, 65537), seed=5, cpus=2)
+    @example(shape=(5, 21846), seed=6, cpus=8)
+    def test_several_cpus_match_oracle(self, shape, seed, cpus):
+        left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
+        rows = max(1, _kernels._STRIP_PIXELS // shape[1])
+        strips = -(-shape[0] // rows)
+        out = np.full((*shape, 3), 0xAB, dtype=np.uint8)
+        with _affinity(cpus), _started_threads() as started:
+            assert _kernels.anaglyph_pixels(left, right, out) is out
+        # one helper per further CPU, but no more workers than strips
+        assert len(started) == min(cpus, strips) - 1
+        assert not any(t.is_alive() for t in started)
+        assert (out == anaglyph_oracle(left, right)).all()
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failing_strip_reaches_the_caller_and_leaves_no_thread(self, failing):
+        caller = threading.current_thread()
+        failed = threading.Event()
+
+        def store():
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                failed.set()
+                raise RuntimeError(f"store failed in the {failing}")
+            # the other worker waits in its first strip, which leaves the next
+            # strip to the failing one
+            if not failed.wait(timeout=30):
+                raise AssertionError(f"the {failing} took no strip")
+
+        # one row a strip at w=65537: four strips
+        left, right = _rand_pixels(26, 4, 65537), _rand_pixels(27, 4, 65537)
+        before = threading.active_count()
+        with _affinity(2), _started_threads() as started:
+            with pytest.raises(RuntimeError, match=f"store failed in the {failing}"):
+                _kernels.anaglyph_pixels(left, right, _failing_out(left.shape, store))
+        assert len(started) == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_the_kernel(self, subprocess_env):
+        # the parent runs a four-strip frame on two workers, then forks; the
+        # child must find no worker state left behind and run it again
+        script = (
+            "import os, signal, sys\n"
+            "import numpy as np\n"
+            "from stereorig import _kernels\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "rng = np.random.default_rng(0)\n"
+            "left, right = rng.integers(0, 256, (2, 4, 65537, 3), dtype=np.uint8)\n"
+            "want = _kernels.anaglyph_pixels(left, right)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    same = (_kernels.anaglyph_pixels(left, right) == want).all()\n"
+            "    os._exit(0 if same else 3)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
 
 
 class TestLoadStream:

@@ -264,6 +264,18 @@ class TestManifest:
         with pytest.raises(PpmError, match="bad timestamp"):
             read_manifest(str(manifest))
 
+    @pytest.mark.parametrize("where", ["write", "replace"])
+    def test_failed_write_keeps_the_old_manifest_and_no_temporary(
+            self, tmp_path, manifest_fault, where):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("0 old.ppm\n")
+        manifest_fault(where)
+        entries = [(float(i), str(tmp_path / f"{i}.ppm")) for i in range(3)]
+        with pytest.raises(OSError):
+            write_manifest(str(manifest), entries)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+        assert manifest.read_text() == "0 old.ppm\n"
+
     def test_paths_with_spaces_survive(self, tmp_path):
         d = tmp_path / "my frames"
         d.mkdir()
