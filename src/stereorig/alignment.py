@@ -284,27 +284,5 @@ def model_to_dict(model: BaseModel) -> dict:
     return round_floats(asdict(model), 3)
 
 
-def model_from_dict(doc: dict) -> BaseModel:
-    lay = doc["layout"]
-    return BaseModel(
-        camera_a=tuple(doc["camera_a"]),
-        camera_b_target=tuple(doc["camera_b_target"]),
-        box_b=Rect(**doc["box_b"]),
-        body_a=Rect(**doc["body_a"]),
-        camera_b_offset=tuple(doc["camera_b_offset"]),
-        layout=LayoutConfig(
-            axis=lay["axis"],
-            stacking=lay["stacking"],
-            orientation=lay["orientation"],
-            rotation_b=int(lay["rotation_b"]),
-        ),
-        ipd=float(doc["ipd"]),
-        rotation_applied=int(doc["rotation_applied"]),
-        device_a=doc["device_a"],
-        device_b=doc["device_b"],
-        axis_gap=float(doc["axis_gap"]),
-    )
-
-
 def model_to_json(model: BaseModel) -> str:
     return json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n"

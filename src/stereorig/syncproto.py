@@ -421,7 +421,6 @@ class Simulator:
         self.transcript: list[TranscriptEntry] = []
         self.capture_begin_global: dict[str, float] = {}
         self.sent_ticks: dict[str, list[TickStamp]] = {e: [] for e in ids}
-        self.applied: list[tuple[float, str, str, int]] = []
         self._heap: list = []
         self._counter = itertools.count()
         # the armed retransmit timer per endpoint; its payload counts resends
@@ -486,11 +485,9 @@ class Simulator:
         if (new.focus_mode, new.focus_depth) != (old.focus_mode, old.focus_depth):
             detail = f"focus mode={new.focus_mode} depth={new.focus_depth} next_seq={seq}"
             self._log(t_global, endpoint, "apply", detail)
-            self.applied.append((t_global, endpoint, "focus", seq))
         if new.capture_mode != old.capture_mode:
             detail = f"capture mode={new.capture_mode} next_seq={seq}"
             self._log(t_global, endpoint, "apply", detail)
-            self.applied.append((t_global, endpoint, "mode", seq))
         if new.capture_start is not None and old.capture_start is None:
             begin_global = new.capture_start - self.offsets[endpoint]
             self.schedule(begin_global, endpoint, Timer("capture_begin"))
@@ -517,32 +514,40 @@ class Simulator:
                 self.dispatch(endpoint, Timer("abort"), t)
 
 
-class PairingRun(NamedTuple):
+class StageRun(NamedTuple):
+    """One stage's outcome, ends in endpoint-id order; a field it does not produce is None or empty.
+
+    `start_*` is the global time an end began capturing in this stage, `skew`
+    their difference once both did, and `ticks_*` the FrameTicks each end sent.
+    """
+
     state_a: SessionState
     state_b: SessionState
     transcript: list[TranscriptEntry]
-
-
-class CaptureSyncRun(NamedTuple):
     start_a: float | None
     start_b: float | None
     skew: float | None
-    state_a: SessionState
-    state_b: SessionState
-    transcript: list[TranscriptEntry]
-
-
-class FrameSyncRun(NamedTuple):
     ticks_a: list[TickStamp]
     ticks_b: list[TickStamp]
-    state_a: SessionState
-    state_b: SessionState
-    transcript: list[TranscriptEntry]
-    applied: list[tuple[float, str, str, int]]
 
 
-def _two(states: dict[str, SessionState]) -> tuple[SessionState, SessionState]:
-    return tuple(state for _, state in sorted(states.items()))
+def _simulate(
+    sessions: tuple[SessionState, SessionState],
+    transport: SimulatedTransport,
+    seed: int,
+    clock_offsets: tuple[float, float],
+    events: list[tuple[float, str, Timer]],
+) -> StageRun:
+    """Run one stage: schedule the (global ms, endpoint, timer) `events` in order."""
+    sim = Simulator(sessions, transport, seed, clock_offsets)
+    for when, endpoint, timer in events:
+        sim.schedule(when, endpoint, timer)
+    sim.run()
+    a, b = sorted(sim.states)
+    ga, gb = sim.capture_begin_global.get(a), sim.capture_begin_global.get(b)
+    skew = abs(ga - gb) if ga is not None and gb is not None else None
+    return StageRun(sim.states[a], sim.states[b], sim.transcript, ga, gb, skew,
+                    sim.sent_ticks[a], sim.sent_ticks[b])
 
 
 def run_pairing(
@@ -551,15 +556,11 @@ def run_pairing(
     transport: SimulatedTransport,
     seed: int = 0,
     clock_offsets: tuple[float, float] = (0.0, 0.0),
-) -> PairingRun:
+) -> StageRun:
     """Drive both sessions from Idle to a shared terminal phase."""
     sessions = (new_session("A", "initiator", spec_a), new_session("B", "responder", spec_b))
-    sim = Simulator(sessions, transport, seed, clock_offsets)
-    sim.schedule(0.0, "A", Timer("start"))
-    sim.schedule(0.0, "B", Timer("start"))
-    sim.run()
-    sa, sb = _two(sim.states)
-    return PairingRun(sa, sb, sim.transcript)
+    events = [(0.0, "A", Timer("start")), (0.0, "B", Timer("start"))]
+    return _simulate(sessions, transport, seed, clock_offsets, events)
 
 
 def run_capture_sync(
@@ -568,7 +569,7 @@ def run_capture_sync(
     capture_delay: float,
     seed: int = 0,
     clock_offsets: tuple[float, float] = (0.0, 0.0),
-) -> CaptureSyncRun:
+) -> StageRun:
     """Propose a shared future start time and begin capture on both ends."""
     check_range("capture delay", capture_delay)
     sa, sb = sessions
@@ -576,13 +577,8 @@ def run_capture_sync(
         if s.phase is not Phase.CONFIGURED:
             raise ValueError(f"session {s.endpoint_id} is {s.phase.value}, need configured")
     initiator = sa if sa.role == "initiator" else sb
-    sim = Simulator(sessions, transport, seed, clock_offsets)
-    sim.schedule(0.0, initiator.endpoint_id, Timer("propose_capture", capture_delay))
-    sim.run()
-    na, nb = _two(sim.states)
-    ga, gb = (sim.capture_begin_global.get(s.endpoint_id) for s in (na, nb))
-    skew = abs(ga - gb) if ga is not None and gb is not None else None
-    return CaptureSyncRun(ga, gb, skew, na, nb, sim.transcript)
+    events = [(0.0, initiator.endpoint_id, Timer("propose_capture", capture_delay))]
+    return _simulate(sessions, transport, seed, clock_offsets, events)
 
 
 def run_frame_sync(
@@ -592,7 +588,7 @@ def run_frame_sync(
     seed: int = 0,
     clock_offsets: tuple[float, float] = (0.0, 0.0),
     directives: tuple[tuple[float, FocusDirective | ModeDirective], ...] = (),
-) -> FrameSyncRun:
+) -> StageRun:
     """Emit FrameTicks at the negotiated fps for `duration` ms on both ends.
 
     Sessions must already be Capturing with a capture start recorded (the
@@ -604,32 +600,27 @@ def run_frame_sync(
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:
             raise ValueError(f"session {s.endpoint_id} is not mid-capture")
-    sim = Simulator(sessions, transport, seed, clock_offsets)
-    for s in (sa, sb):
+    events = []
+    for s, offset in zip(sessions, clock_offsets):
         fps = s.negotiated.frame_rate
         period = 1000.0 / fps
         count = math.floor(duration * fps / 1000.0 + 1e-9)
         for k in range(s.next_tick_seq, count):
             local_due = s.capture_start + k * period
-            sim.schedule(local_due - sim.offsets[s.endpoint_id], s.endpoint_id, Timer("tick_due"))
-        end = s.capture_start + duration - sim.offsets[s.endpoint_id]
-        sim.schedule(end, s.endpoint_id, Timer("capture_end"))
+            events.append((local_due - offset, s.endpoint_id, Timer("tick_due")))
+        events.append((s.capture_start + duration - offset, s.endpoint_id, Timer("capture_end")))
     initiator = sa if sa.role == "initiator" else sb
-    for when, directive in directives:
-        sim.schedule(when, initiator.endpoint_id, Timer("send_directive", directive))
-    sim.run()
-    na, nb = _two(sim.states)
-    ticks = (sim.sent_ticks[s.endpoint_id] for s in (na, nb))
-    return FrameSyncRun(*ticks, na, nb, sim.transcript, sim.applied)
+    events += [(when, initiator.endpoint_id, Timer("send_directive", d)) for when, d in directives]
+    return _simulate(sessions, transport, seed, clock_offsets, events)
 
 
 class SessionRun(NamedTuple):
-    pairing: PairingRun
-    capture: CaptureSyncRun | None
-    frames: FrameSyncRun | None
+    pairing: StageRun
+    capture: StageRun | None
+    frames: StageRun | None
 
     @property
-    def final(self) -> PairingRun | CaptureSyncRun | FrameSyncRun:
+    def final(self) -> StageRun:
         """The last stage that ran: its states are the ones the session ended in."""
         return self.frames or self.capture or self.pairing
 

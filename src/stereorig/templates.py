@@ -54,8 +54,6 @@ class StrapSet:
     long_strap_length: float
     short_strap_length: float
     strap4_width: float
-    velcro_length: float
-    cardboard_thickness: float
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,6 @@ def strap_lengths(spec: DeviceSpec, velcro_mm: float, cardboard_mm: float) -> St
         long_strap_length=velcro_mm + (h + cardboard_mm) + w + h,
         short_strap_length=velcro_mm + (h + cardboard_mm),
         strap4_width=h,
-        velcro_length=velcro_mm,
-        cardboard_thickness=cardboard_mm,
     )
 
 
@@ -159,7 +155,6 @@ def two_phone_layout(
     velcro_mm, cardboard_mm = materials.velcro, materials.cardboard
     strap_width = materials.strap_width
     straps = strap_lengths(spec, velcro_mm, cardboard_mm)
-    h = spec.body_thickness
     w = spec.body_width
 
     bx = min(base.body_a.x, base.box_b.x)
@@ -208,11 +203,7 @@ def two_phone_layout(
         ),
     ]
 
-    long_folds = (
-        velcro_mm,
-        velcro_mm + (h + cardboard_mm),
-        velcro_mm + (h + cardboard_mm) + w,
-    )
+    long_folds = (velcro_mm, straps.short_strap_length, straps.short_strap_length + w)
     short_folds = (velcro_mm,)
     strap_rows = []
     y = _MARGIN_MM + panel_h + _PIECE_GAP_MM
@@ -409,14 +400,6 @@ def mirror_rig_layout(
         },
     }
     return TemplateLayout(pieces, (0.0, 0.0, plate_w, plate_h), metadata)
-
-
-def reflect_direction(direction: tuple[float, float], tilt_deg: float) -> tuple[float, float]:
-    """Reflect a 2D ray direction off a mirror line tilted by tilt_deg."""
-    t = math.radians(tilt_deg)
-    nx, ny = -math.sin(t), math.cos(t)  # unit normal of the mirror line
-    d = direction[0] * nx + direction[1] * ny
-    return (direction[0] - 2.0 * d * nx, direction[1] - 2.0 * d * ny)
 
 
 def fold_point(

@@ -22,7 +22,6 @@ from stereorig.alignment import (
     Rect,
     camera_separation,
     compute_base_model,
-    model_from_dict,
     model_to_dict,
     model_to_json,
     oriented_footprint,
@@ -309,11 +308,11 @@ class TestSerialization:
     def test_round_trip(self, j7, a5):
         model = compute_base_model(j7, a5, VERT180)
         doc = model_to_dict(model)
-        back = model_from_dict(doc)
-        assert camera_separation(back) == pytest.approx(camera_separation(model), abs=0.002)
-        assert back.layout == model.layout
-        assert back.rotation_applied == model.rotation_applied
-        assert model_to_dict(back) == doc
+        assert json.loads(model_to_json(model)) == doc
+        # the rounded cameras keep the separation to within 0.002 mm
+        ax, ay = doc["camera_a"]
+        bx, by = doc["camera_b_target"]
+        assert math.hypot(bx - ax, by - ay) == pytest.approx(camera_separation(model), abs=0.002)
 
     def test_json_is_stable_and_rounded(self, j7):
         text = model_to_json(compute_base_model(j7, j7, DEPTH))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -544,8 +545,71 @@ class TestMerge:
         assert rc == 1
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno")
-        # neither pairs.txt nor its temporary file
-        assert not list(outdir.glob("pairs.txt*"))
+        # neither pairs.txt nor its temporary file, nor the frames and their directory
+        assert not outdir.exists()
+
+    @staticmethod
+    def _fail_at(monkeypatch, target: str, k: int, exc: BaseException) -> list:
+        """Make the k-th call of `target` ("module.name") raise `exc`; returns its call log."""
+        module, name = target.rsplit(".", 1)
+        real = getattr(sys.modules[module], name)
+        calls = []
+
+        def faulty(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == k:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, faulty)
+        return calls
+
+    @staticmethod
+    def _tree(path: Path) -> dict | None:
+        """Every entry under `path` with a file's bytes, or None if `path` does not exist."""
+        if not path.exists():
+            return None
+        return {str(p.relative_to(path)): p.is_file() and p.read_bytes()
+                for p in path.rglob("*")}
+
+    # a 3-pair stream reads 6 frames and writes 3, each frame in one os.writev
+    FAULTS = [("stereorig.merge.read_ppm", k) for k in range(1, 7)] + [
+        ("os.writev", k) for k in range(1, 4)]
+
+    @pytest.mark.parametrize("before", ["absent", "empty", "holding a file"])
+    @pytest.mark.parametrize("target, k", FAULTS)
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_io_fault_leaves_output_as_it_was(
+            self, capsys, tmp_path, monkeypatch, mode, target, k, before):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        outdir = tmp_path / "out"
+        if before != "absent":
+            outdir.mkdir()
+        if before == "holding a file":
+            (outdir / "notes.txt").write_text("kept\n")
+        was = self._tree(outdir)
+        calls = self._fail_at(monkeypatch, target, k, OSError(errno.EIO, "Input/output error"))
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert len(calls) == k  # the fault fired, and the run stopped there
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 5] Input/output error\n"
+        assert self._tree(outdir) == was
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_interrupt_leaves_no_output(self, capsys, tmp_path, monkeypatch, mode):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        outdir = tmp_path / "out"
+        self._fail_at(monkeypatch, "stereorig.merge.read_ppm", 5, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["merge", "--left", left, "--right", right,
+                  "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        assert capsys.readouterr().out == ""
+        assert not outdir.exists()
 
     # each case rewrites the last frame of a 3-pair stream, or adds a dropped one
     BAD_LAST_FRAME = {

@@ -657,8 +657,9 @@ class TestRunFrameSync:
         )
         assert frames.state_a.focus_mode == "auto"
         assert frames.state_b.focus_mode == "auto"
-        applied_by = {who: t for t, who, kind, _ in frames.applied if kind == "focus"}
-        assert set(applied_by) == {"A", "B"}
+        applied_by = {e.who for e in frames.transcript
+                      if e.kind == "apply" and e.detail.startswith("focus")}
+        assert applied_by == {"A", "B"}
         # transcript-order oracle: each endpoint applies before sending seq >= 10
         entries = frames.transcript
         for endpoint in ("A", "B"):
@@ -697,6 +698,41 @@ class TestRunFrameSync:
         pairing = run_pairing(j7, a5, LOSSLESS, seed=0)
         with pytest.raises(ValueError, match="mid-capture"):
             run_frame_sync((pairing.state_a, pairing.state_b), LOSSLESS, 100.0)
+
+
+class TestRunSession:
+    OFFSETS = (3.0, -4.0)
+    DIRECTIVES = ((100.0, FocusDirective(mode="auto", depth=1.25, effective_seq=10)),)
+
+    # (loss, jitter, seed, stages that run): every stage, a capture start
+    # lost on the way, and a pairing that fails
+    @pytest.mark.parametrize("loss, jitter, seed, stages", [
+        (0.0, 0.0, 0, 3), (0.3, 5.0, 1, 3), (0.3, 5.0, 0, 2), (0.5, 5.0, 3, 2), (0.1, 0.0, 7, 1),
+    ])
+    def test_stages_equal_the_hand_chained_runners(self, j7, a5, loss, jitter, seed, stages):
+        transport = SimulatedTransport(10.0, jitter, loss)
+        run = _chain(j7, a5, transport, seed, self.OFFSETS, duration=300.0,
+                     directives=self.DIRECTIVES)
+        pairing = run_pairing(j7, a5, transport, seed, self.OFFSETS)
+        capture = frames = None
+        if pairing.state_a.phase is Phase.CONFIGURED:
+            ends = (pairing.state_a, pairing.state_b)
+            capture = run_capture_sync(ends, transport, 50.0, seed + 1, self.OFFSETS)
+            if capture.skew is not None:
+                ends = (capture.state_a, capture.state_b)
+                frames = run_frame_sync(ends, transport, 300.0, seed + 2, self.OFFSETS,
+                                        self.DIRECTIVES)
+        assert run == (pairing, capture, frames)
+        assert sum(stage is not None for stage in run) == stages
+
+    def test_fields_a_stage_does_not_produce_are_none_or_empty(self, j7, a5):
+        pairing, capture, frames = _chain(j7, a5, LOSSLESS, offsets=self.OFFSETS)
+        assert (pairing.start_a, pairing.start_b, pairing.skew) == (None, None, None)
+        assert pairing.ticks_a == pairing.ticks_b == []
+        assert capture.skew == pytest.approx(7.0)
+        assert capture.ticks_a == capture.ticks_b == []
+        assert (frames.start_a, frames.start_b, frames.skew) == (None, None, None)
+        assert len(frames.ticks_a) == len(frames.ticks_b) == 30
 
 
 class TestTransport:
