@@ -7,9 +7,7 @@ final reading, failed run), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 
 # Each _cmd_* imports the modules it uses, so a run compiles only those and
@@ -150,29 +148,12 @@ def _cmd_simulate_sync(args) -> int:
 
 def _cmd_merge(args) -> int:
     # MergeError and PpmError are ValueErrors, caught by main()
-    from . import merge, ppmio
+    from . import merge
 
     left = merge.scan_stream(args.left)
     right = merge.scan_stream(args.right)
     result = merge.pair_frames(left, right, args.tol)
-    frames = merge.stream_merge(result.pairs, args.mode)
-    created = not os.path.exists(args.output)
-    os.makedirs(args.output, exist_ok=True)
-    entries = []
-    try:
-        for i, raster in enumerate(frames):
-            path = os.path.join(args.output, f"{args.mode}_{i:04d}.ppm")
-            entries.append((raster.timestamp, path))
-            ppmio.write_raster(path, raster.width, raster.height, raster.chunks)
-        ppmio.write_manifest(os.path.join(args.output, "pairs.txt"), entries)
-    except BaseException:  # a failed or interrupted run leaves no partial output
-        for _, path in entries:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-        if created:
-            with contextlib.suppress(OSError):  # one holding other files stays
-                os.rmdir(args.output)
-        raise
+    merge.write_merged(result.pairs, args.mode, args.output)
     print(
         f"paired {len(result.pairs)} frames "
         f"(dropped {len(result.dropped_left)} left, {len(result.dropped_right)} right) "

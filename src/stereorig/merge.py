@@ -8,18 +8,21 @@ glasses accordingly; this is the reverse of the common red-left habit.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import os
+import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from . import check_range
-from .ppmio import read_manifest, read_ppm, read_ppm_header
+from .ppmio import read_manifest, read_ppm, read_ppm_header, write_manifest, write_raster
 
 if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported only by the ndarray APIs (Frame, the composers,
-# load_stream) and by an anaglyph stream; an sbs stream moves bytes only.
+# load_stream) and by an anaglyph merge; an sbs merge moves bytes only.
 
 
 class MergeError(ValueError):
@@ -191,58 +194,71 @@ def scan_stream(manifest_path: str) -> list[FrameRef]:
     ]
 
 
-@dataclass(frozen=True)
-class Raster:
-    """A merged frame as the flat byte chunks of its P6 raster, in order."""
-
-    timestamp: float  # ms, the left frame's
-    width: int
-    height: int
-    chunks: list
+# what an earlier merge left: its manifest, or a frame of either mode
+_MERGE_OUTPUT = re.compile(r"pairs\.txt|(sbs|anaglyph)_\d{4,}\.ppm")
 
 
-def stream_merge(pairs: list[FramePair], mode: str) -> Iterator[Raster]:
-    """Merged rasters of `FrameRef` pairs, each pair read only when its turn comes.
+def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
+    """Write the merged frames of `FrameRef` pairs, then `pairs.txt`, into `out_dir`.
 
-    The mode and every pair's dimensions are checked before this returns,
-    so a caller that writes output while iterating writes none for a bad
-    input.  While the frame size stays the same, every pair is read into the
-    same two buffers: a yielded raster is valid only until the next one is
-    requested.  An sbs raster's chunks are the input rows themselves (left
-    row y, then right row y), so it is written with no compose copy; an
-    anaglyph raster's one chunk is the kernel's reused output array.
+    The mode, every pair's dimensions and `out_dir` are checked before any
+    directory is made or pixel read: an `out_dir` holding `pairs.txt` or a
+    merged frame of either mode is refused.  Each pair is read into two
+    buffers reused while the frame size stays the same, and its frame is
+    written as `<mode>_NNNN.ppm` at once: sbs from the input rows themselves,
+    anaglyph from the kernel's reused output.  On any exception, every frame
+    written or begun and every directory made (unless it holds other files)
+    is removed before the exception is re-raised.
     """
     _composer(mode)  # rejects an unknown mode
     for pair in pairs:
         _check_dims(pair)
-    return _stream(pairs, mode)
+    names = os.listdir(out_dir) if os.path.exists(out_dir) else []
+    stale = sorted(n for n in names if _MERGE_OUTPUT.fullmatch(n))
+    if stale:
+        raise MergeError(f"output directory {out_dir} already holds an earlier {stale[0]}")
+    made, missing = [], out_dir  # the missing directories, deepest first
+    while missing and not os.path.exists(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
+    entries = []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        size = None
+        for i, pair in enumerate(pairs):
+            lref, rref = pair.left, pair.right
+            if (lref.width, lref.height) != size:
+                size = w, h = lref.width, lref.height
+                left_buf, right_buf = bytearray(w * h * 3), bytearray(w * h * 3)
+                if mode == "sbs":
+                    out_width, row = 2 * w, 3 * w
+                    views = memoryview(left_buf), memoryview(right_buf)
+                    chunks = [v[y * row : (y + 1) * row] for y in range(h) for v in views]
+                else:
+                    import numpy as np
 
+                    from . import _kernels
 
-def _stream(pairs: list[FramePair], mode: str) -> Iterator[Raster]:
-    size = None
-    for pair in pairs:
-        lref, rref = pair.left, pair.right
-        if (lref.width, lref.height) != size:
-            size = w, h = lref.width, lref.height
-            left_buf, right_buf = bytearray(w * h * 3), bytearray(w * h * 3)
-            if mode == "sbs":
-                out_width, row = 2 * w, 3 * w
-                views = memoryview(left_buf), memoryview(right_buf)
-                chunks = [v[y * row : (y + 1) * row] for y in range(h) for v in views]
-            else:
-                import numpy as np
-
-                from . import _kernels
-
-                out_width = w
-                left_px, right_px = (
-                    np.frombuffer(b, dtype=np.uint8).reshape(h, w, 3)
-                    for b in (left_buf, right_buf)
-                )
-                out = np.empty((h, w, 3), dtype=np.uint8)
-                chunks = [memoryview(out).cast("B")]
-        read_ppm(lref.path, left_buf)
-        read_ppm(rref.path, right_buf)
-        if mode == "anaglyph":
-            _kernels.anaglyph_pixels(left_px, right_px, out)
-        yield Raster(lref.timestamp, out_width, h, chunks)
+                    out_width = w
+                    left_px, right_px = (
+                        np.frombuffer(b, dtype=np.uint8).reshape(h, w, 3)
+                        for b in (left_buf, right_buf)
+                    )
+                    out = np.empty((h, w, 3), dtype=np.uint8)
+                    chunks = [memoryview(out).cast("B")]
+            read_ppm(lref.path, left_buf)
+            read_ppm(rref.path, right_buf)
+            if mode == "anaglyph":
+                _kernels.anaglyph_pixels(left_px, right_px, out)
+            path = os.path.join(out_dir, f"{mode}_{i:04d}.ppm")
+            entries.append((lref.timestamp, path))
+            write_raster(path, out_width, h, chunks)
+        write_manifest(os.path.join(out_dir, "pairs.txt"), entries)
+    except BaseException:  # a failed or interrupted run leaves no partial output
+        for _, path in entries:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        for d in made:
+            with contextlib.suppress(OSError):  # one holding other files stays
+                os.rmdir(d)
+        raise

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import replace
 from xml.sax import saxutils
 
@@ -302,6 +303,62 @@ def optimal_pairs_oracle(
             dp[i][j] = best
     count, skew = dp[n][m]
     return count, skew
+
+
+# --- merge outcome oracle -----------------------------------------------------
+
+# a P6 header: magic, width, height and maxval, each separated by whitespace
+# and `#` comments, then exactly one whitespace byte before the raster
+_HEADER_SEP = rb"\s(?:\s|#[^\n]*\n)*"
+_P6_HEADER = re.compile(
+    rb"P6" + _HEADER_SEP + rb"(\d+)" + _HEADER_SEP + rb"(\d+)" + _HEADER_SEP + rb"(\d+)\s"
+)
+
+
+def _ppm_size_oracle(data: bytes | None) -> tuple[int, int] | None:
+    """(width, height) of a whole binary P6 file with maxval 255, else None."""
+    m = _P6_HEADER.match(data or b"")
+    if m is None:
+        return None
+    w, h, maxval = (int(g) for g in m.groups())
+    if w == 0 or h == 0 or maxval != 255 or len(data) - m.end() < w * h * 3:
+        return None
+    return w, h
+
+
+def merge_outcome_oracle(
+    left: list[tuple[str, bytes | None]],
+    right: list[tuple[str, bytes | None]],
+    tol: float,
+    mode: str,
+) -> tuple[int, set[str]]:
+    """(exit code, names in -o) of `stereorig merge` on two streams.
+
+    Each stream is its manifest's entries in order: the timestamp as text
+    and the frame file's bytes, None for a missing file.  Every frame,
+    dropped ones included, must have a finite timestamp, non-decreasing
+    within its stream, and a valid whole P6 file; paired frames must have
+    the same size.  A failed run leaves nothing.
+    """
+    streams = []
+    for entries in (left, right):
+        times, sizes = [], []
+        for text, data in entries:
+            try:
+                ts = float(text)
+            except ValueError:
+                return 1, set()
+            size = _ppm_size_oracle(data)
+            if not math.isfinite(ts) or size is None or (times and ts < times[-1]):
+                return 1, set()
+            times.append(ts)
+            sizes.append(size)
+        streams.append((times, sizes))
+    (lts, lsizes), (rts, rsizes) = streams
+    pairs = greedy_pairs_oracle(lts, rts, tol)
+    if any(lsizes[i] != rsizes[j] for i, j in pairs):
+        return 1, set()
+    return 0, {"pairs.txt"} | {f"{mode}_{k:04d}.ppm" for k in range(len(pairs))}
 
 
 # --- segment intersection sweep ----------------------------------------------

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from stereorig.cli import build_parser, main
 from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
-from oracles import sbs_oracle
+from oracles import merge_outcome_oracle, sbs_oracle
 
 
 def _write_stream(dirpath, name, times, fill):
@@ -576,19 +577,22 @@ class TestMerge:
     FAULTS = [("stereorig.merge.read_ppm", k) for k in range(1, 7)] + [
         ("os.writev", k) for k in range(1, 4)]
 
-    @pytest.mark.parametrize("before", ["absent", "empty", "holding a file"])
+    @pytest.mark.parametrize("before", [
+        "absent", "absent, with missing parents", "empty", "holding a file"])
     @pytest.mark.parametrize("target, k", FAULTS)
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_io_fault_leaves_output_as_it_was(
             self, capsys, tmp_path, monkeypatch, mode, target, k, before):
         left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
         right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
-        outdir = tmp_path / "out"
-        if before != "absent":
+        nested = before == "absent, with missing parents"
+        top = tmp_path / ("a" if nested else "out")
+        outdir = top / "b" / "out" if nested else top
+        if before in ("empty", "holding a file"):
             outdir.mkdir()
         if before == "holding a file":
             (outdir / "notes.txt").write_text("kept\n")
-        was = self._tree(outdir)
+        was = self._tree(top)
         calls = self._fail_at(monkeypatch, target, k, OSError(errno.EIO, "Input/output error"))
         rc = main(["merge", "--left", left, "--right", right,
                    "--mode", mode, "--tol", "10", "-o", str(outdir)])
@@ -597,19 +601,69 @@ class TestMerge:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == "error: [Errno 5] Input/output error\n"
-        assert self._tree(outdir) == was
+        assert self._tree(top) == was
 
+    @pytest.mark.parametrize("out", ["out", "a/b/out"])
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
-    def test_interrupt_leaves_no_output(self, capsys, tmp_path, monkeypatch, mode):
+    def test_interrupt_leaves_no_output(self, capsys, tmp_path, monkeypatch, mode, out):
         left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
         right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
-        outdir = tmp_path / "out"
         self._fail_at(monkeypatch, "stereorig.merge.read_ppm", 5, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             main(["merge", "--left", left, "--right", right,
-                  "--mode", mode, "--tol", "10", "-o", str(outdir)])
+                  "--mode", mode, "--tol", "10", "-o", str(tmp_path / out)])
         assert capsys.readouterr().out == ""
-        assert not outdir.exists()
+        assert not (tmp_path / out.split("/")[0]).exists()
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_rerun_into_earlier_output_is_refused(self, capsys, tmp_path, monkeypatch, mode):
+        outdir = tmp_path / "out"
+        five = [_write_stream(tmp_path, name, [33.0 * i + skew for i in range(5)], fill)
+                for name, skew, fill in (("left5", 0.0, 255), ("right5", 2.0, 0))]
+        assert main(["merge", "--left", five[0], "--right", five[1],
+                     "--mode", "sbs", "--tol", "10", "-o", str(outdir)]) == 0
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 1)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 2)
+        was = self._tree(outdir)
+        capsys.readouterr()
+        reads = []
+        monkeypatch.setattr("stereorig.merge.read_ppm", lambda *args: reads.append(args))
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: output directory {outdir} already holds an earlier pairs.txt\n"
+        assert reads == []
+        assert self._tree(outdir) == was
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_directory_holding_a_merged_frame_is_refused(self, capsys, tmp_path, mode):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0], 0)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "anaglyph_0003.ppm").write_bytes(b"an earlier frame")
+        was = self._tree(outdir)
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        assert rc == 1
+        assert "already holds an earlier anaglyph_0003.ppm" in capsys.readouterr().err
+        assert self._tree(outdir) == was
+
+    @pytest.mark.parametrize("name", ["notes.txt", "pairs.txt.bak", "sbs_1.ppm", "sbs_0000.png"])
+    def test_unrelated_files_are_kept(self, capsys, tmp_path, name):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0], 0)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / name).write_text("kept\n")
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", "sbs", "--tol", "10", "-o", str(outdir)])
+        assert rc == 0
+        assert sorted(os.listdir(outdir)) == sorted([name, "pairs.txt", "sbs_0000.ppm",
+                                                     "sbs_0001.ppm"])
+        assert (outdir / name).read_text() == "kept\n"
 
     # each case rewrites the last frame of a 3-pair stream, or adds a dropped one
     BAD_LAST_FRAME = {
@@ -673,6 +727,93 @@ class TestMerge:
             want = tmp_path / f"want_{i}.ppm"
             write_ppm(str(want), frame.pixels)
             assert (outdir / f"{mode}_{i:04d}.ppm").read_bytes() == want.read_bytes()
+
+
+_RASTER_2X2 = bytes(range(12))
+_MANIFEST_FAULTS = {  # each fault, and the exit code it must give
+    "unsorted timestamps": 1, "duplicate timestamps": 0, "non-finite timestamp": 1,
+    "missing file": 1, "bad magic": 1, "header with comments": 0, "short raster": 1,
+    "other size, paired": 1, "other size, dropped": 0,
+}
+
+
+@st.composite
+def _faulty_streams(draw):
+    """(fault, {side: [(timestamp text, frame bytes or None)]}) for a merge at --tol 10.
+
+    Left and right frame i are 0-5 ms either side of 40 i, so the first n of
+    each side pair; one side has one more frame, 500 ms after the rest,
+    which is dropped.  One fault is injected into one frame or timestamp.
+    """
+    n = draw(st.integers(2, 3))
+    extra = draw(st.sampled_from(["left", "right"]))
+    streams = {}
+    for side in ("left", "right"):
+        times = [40 * i + draw(st.integers(0, 5)) for i in range(n)]
+        times += [40 * n + 500] * (side == extra)
+        streams[side] = [[f"{t:g}", b"P6\n2 2\n255\n" + _RASTER_2X2] for t in times]
+    fault = draw(st.sampled_from(sorted(_MANIFEST_FAULTS)))
+    if fault.endswith("timestamps"):  # frames k and k + 1 of one side
+        side = draw(st.sampled_from(["left", "right"]))
+        k = draw(st.integers(0, len(streams[side]) - 2))
+    elif fault == "other size, dropped" or (fault != "other size, paired" and draw(st.booleans())):
+        side, k = extra, n  # the dropped frame
+    else:
+        side, k = draw(st.sampled_from(["left", "right"])), draw(st.integers(0, n - 1))
+    entries = streams[side]
+    frame = entries[k]
+    if fault == "unsorted timestamps":
+        frame[0], entries[k + 1][0] = entries[k + 1][0], frame[0]
+    elif fault == "duplicate timestamps":
+        entries[k + 1][0] = frame[0]
+    elif fault == "non-finite timestamp":
+        frame[0] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif fault == "missing file":
+        frame[1] = None
+    elif fault == "bad magic":
+        frame[1] = draw(st.sampled_from([b"P3", b"P5", b"p6", b"P7"])) + frame[1][2:]
+    elif fault == "header with comments":
+        frame[1] = draw(st.sampled_from([
+            b"P6 # from a test\n2 2\n255\n",
+            b"P6\n# width\n2\n# height\n2 #\n255\n",
+        ])) + _RASTER_2X2
+    elif fault == "short raster":
+        frame[1] = frame[1][: -draw(st.integers(1, 12))]
+    else:
+        w, h = draw(st.sampled_from([(3, 2), (2, 3), (1, 1)]))
+        frame[1] = f"P6\n{w} {h}\n255\n".encode() + bytes(w * h * 3)
+    return fault, {side: [tuple(e) for e in entries] for side, entries in streams.items()}
+
+
+class TestManifestFaults:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_faulty_streams(), mode=st.sampled_from(["sbs", "anaglyph"]))
+    def test_exit_code_and_output_match_the_oracle(self, case, mode):
+        fault, streams = case
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for side, entries in streams.items():
+                lines = []
+                for i, (ts, data) in enumerate(entries):
+                    if data is not None:
+                        (work / f"{side}{i}.ppm").write_bytes(data)
+                    lines.append(f"{ts} {side}{i}.ppm\n")
+                (work / f"{side}.txt").write_text("".join(lines))
+            outdir = work / "out"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(["merge", "--left", str(work / "left.txt"),
+                           "--right", str(work / "right.txt"),
+                           "--mode", mode, "--tol", "10", "-o", str(outdir)])
+            names = set(os.listdir(outdir)) if outdir.exists() else None
+        want_rc, want_names = merge_outcome_oracle(streams["left"], streams["right"], 10.0, mode)
+        assert want_rc == _MANIFEST_FAULTS[fault]
+        assert rc == want_rc, stderr.getvalue()
+        if rc:
+            assert names is None  # -o was never made
+            assert stdout.getvalue() == ""
+        else:
+            assert names == want_names
 
 
 def _float_options() -> list[tuple[str, str]]:

@@ -26,7 +26,7 @@ from stereorig.merge import (
     pair_frames,
     scan_stream,
     side_by_side,
-    stream_merge,
+    write_merged,
 )
 from stereorig.ppmio import write_manifest, write_ppm
 
@@ -257,11 +257,12 @@ class TestMergePairs:
             assert len(out) == 3
             assert [f.timestamp for f in out] == [0.0, 33.0, 66.0]
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(MergeError, match="mode"):
             merge_pairs([], "cross-eye")
         with pytest.raises(MergeError, match="mode"):
-            stream_merge([], "cross-eye")
+            write_merged([], "cross-eye", str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestFrameValidation:
@@ -565,9 +566,9 @@ class TestLoadStream:
             (33.3, entries[1][1], 3, 5),
         ]
 
-    def test_stream_merge_checks_every_pair_before_reading(self, tmp_path):
+    def test_write_merged_checks_every_pair_before_reading(self, tmp_path):
         # the first pair's files do not exist: the mismatch on the second
-        # pair is reported before any file is opened
+        # pair is reported before any file is opened or directory made
         refs = [
             (FrameRef(0.0, str(tmp_path / "missing"), 4, 4),
              FrameRef(1.0, str(tmp_path / "missing"), 4, 4)),
@@ -576,4 +577,5 @@ class TestLoadStream:
         ]
         pairs = [FramePair(l, r, 1.0) for l, r in refs]
         with pytest.raises(MergeError, match="dimension mismatch: left 4x4 vs right 5x4"):
-            stream_merge(pairs, "sbs")
+            write_merged(pairs, "sbs", str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
