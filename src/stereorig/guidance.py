@@ -219,6 +219,8 @@ def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GuidanceError(f"malformed readings file: {exc}") from exc
+        except RecursionError as exc:
+            raise GuidanceError("malformed readings file: nested too deeply") from exc
     if not isinstance(doc, list) or not doc:
         raise GuidanceError("readings file must be a non-empty JSON array")
     pairs = []

@@ -15,8 +15,15 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import check_range
-from .ppmio import read_manifest, read_ppm, read_ppm_header, write_manifest, write_raster
+from . import check_range, share_strips
+from .ppmio import (
+    raster_reader,
+    raster_writer,
+    read_manifest,
+    read_ppm,
+    read_ppm_header,
+    write_manifest,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,12 +210,10 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
 
     The mode, every pair's dimensions and `out_dir` are checked before any
     directory is made or pixel read: an `out_dir` holding `pairs.txt` or a
-    merged frame of either mode is refused.  Each pair is read into two
-    buffers reused while the frame size stays the same, and its frame is
-    written as `<mode>_NNNN.ppm` at once: sbs from the input rows themselves,
-    anaglyph from the kernel's reused output.  On any exception, every frame
-    written or begun and every directory made (unless it holds other files)
-    is removed before the exception is re-raised.
+    merged frame of either mode is refused.  Each pair is then merged into
+    `<mode>_NNNN.ppm` strip by strip (`_merge_pair`).  On any exception,
+    every frame written or begun and every directory made (unless it holds
+    other files) is removed before the exception is re-raised.
     """
     _composer(mode)  # rejects an unknown mode
     for pair in pairs:
@@ -221,38 +226,13 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
     while missing and not os.path.exists(missing):
         made.append(missing)
         missing = os.path.dirname(missing)
-    entries = []
+    entries, spare = [], []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        size = None
         for i, pair in enumerate(pairs):
-            lref, rref = pair.left, pair.right
-            if (lref.width, lref.height) != size:
-                size = w, h = lref.width, lref.height
-                left_buf, right_buf = bytearray(w * h * 3), bytearray(w * h * 3)
-                if mode == "sbs":
-                    out_width, row = 2 * w, 3 * w
-                    views = memoryview(left_buf), memoryview(right_buf)
-                    chunks = [v[y * row : (y + 1) * row] for y in range(h) for v in views]
-                else:
-                    import numpy as np
-
-                    from . import _kernels
-
-                    out_width = w
-                    left_px, right_px = (
-                        np.frombuffer(b, dtype=np.uint8).reshape(h, w, 3)
-                        for b in (left_buf, right_buf)
-                    )
-                    out = np.empty((h, w, 3), dtype=np.uint8)
-                    chunks = [memoryview(out).cast("B")]
-            read_ppm(lref.path, left_buf)
-            read_ppm(rref.path, right_buf)
-            if mode == "anaglyph":
-                _kernels.anaglyph_pixels(left_px, right_px, out)
             path = os.path.join(out_dir, f"{mode}_{i:04d}.ppm")
-            entries.append((lref.timestamp, path))
-            write_raster(path, out_width, h, chunks)
+            entries.append((pair.left.timestamp, path))
+            _merge_pair(pair.left, pair.right, mode, path, spare)
         write_manifest(os.path.join(out_dir, "pairs.txt"), entries)
     except BaseException:  # a failed or interrupted run leaves no partial output
         for _, path in entries:
@@ -262,3 +242,80 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
             with contextlib.suppress(OSError):  # one holding other files stays
                 os.rmdir(d)
         raise
+
+
+def _merge_pair(left: FrameRef, right: FrameRef, mode: str, path: str, spare: list) -> None:
+    """Merge one pair of frames into the P6 file `path`, strip by strip.
+
+    Both inputs are opened and their headers parsed again: a frame whose
+    size has changed since `scan_stream` is a `PpmError`.  The strips are
+    shared among one worker per CPU (`stereorig.share_strips`).  Each
+    worker owns strip-sized buffers; for each strip it takes, it reads the
+    left and the right rows at their raster offsets, composes them and
+    writes the result at its output offset, so the I/O of one strip
+    overlaps the compute of another and no frame-sized buffer exists.  sbs
+    writes the row views of its input buffers; anaglyph writes the output
+    of its worker's `_kernels.anaglyph_composer`.  A worker takes its
+    buffers from `spare` (which only ever holds buffers of this `mode`)
+    when they fit the strip, and every worker's buffers go back there once
+    the pair is done, so a stream of one frame size allocates them once
+    per worker, not once per pair.
+    """
+    w, h = left.width, left.height
+    row = 3 * w
+    out_row = 2 * row if mode == "sbs" else row
+    taken = []
+    with (
+        raster_reader(left.path, w, h) as read_left,
+        raster_reader(right.path, w, h) as read_right,
+        raster_writer(path, out_row // 3, h) as write,
+    ):
+
+        def worker(rows: int):
+            try:
+                buffers = spare.pop()
+            except IndexError:  # `pop` is atomic, so workers never share buffers
+                buffers = None
+            if buffers is None or buffers[0] != (rows, w):
+                buffers = (rows, w), *_strip_buffers(mode, rows, w)
+            taken.append(buffers)
+            _, left_buf, right_buf, compose = buffers
+
+            def strip(y0: int, y1: int) -> None:
+                n = y1 - y0
+                read_left(left_buf[: n * row], y0 * row)
+                read_right(right_buf[: n * row], y0 * row)
+                write(compose(n), y0 * out_row)
+
+            return strip
+
+        share_strips(h, w, worker)
+    spare.extend(taken)
+
+
+def _strip_buffers(mode: str, rows: int, w: int):
+    """One worker's left and right strip buffers, and its `compose(n)`.
+
+    `compose(n)` merges the first n rows of the buffers and returns the
+    flat views to write, in order.
+    """
+    row = 3 * w
+    left, right = memoryview(bytearray(rows * row)), memoryview(bytearray(rows * row))
+    if mode == "sbs":
+        views = [side[y * row : (y + 1) * row] for y in range(rows) for side in (left, right)]
+        return left, right, lambda n: views[: 2 * n]
+    import numpy as np
+
+    from . import _kernels
+
+    out = bytearray(rows * row)  # green stays 0
+    left_px, right_px, out_px = (
+        np.frombuffer(buf, dtype=np.uint8).reshape(rows, w, 3) for buf in (left, right, out)
+    )
+    anaglyph = _kernels.anaglyph_composer(rows, w)
+
+    def compose(n: int) -> list:
+        anaglyph(left_px[:n], right_px[:n], out_px[:n])
+        return [memoryview(out)[: n * row]]
+
+    return left, right, compose

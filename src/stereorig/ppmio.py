@@ -6,6 +6,7 @@ per frame; relative paths resolve against the manifest's directory.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from typing import TYPE_CHECKING
@@ -13,28 +14,35 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.writev call accepts
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one os.pwritev call accepts
+_TOKEN_MAX = 20  # bytes of a header token; a P6 width, height or maxval needs far fewer
 
 
 class PpmError(ValueError):
     """Raised for malformed PPM files or manifests."""
 
 
-def _next_token(fh) -> bytes:
-    """The next header token, consuming the one whitespace byte that ends it."""
+def _next_token(fh, path: str) -> bytes:
+    """The next header token, consuming the one whitespace byte that ends it.
+
+    A token longer than `_TOKEN_MAX` bytes is refused as soon as its next
+    byte is read, so a file of digits is rejected after a few bytes.
+    """
     c = fh.read(1)
     while c == b"#" or c.isspace():
         if c == b"#":
             while c not in (b"\n", b""):
                 c = fh.read(1)
         c = fh.read(1)
-    token = b""
+    token = bytearray()
     while c and not c.isspace():
+        if len(token) == _TOKEN_MAX:
+            raise PpmError(f"{path}: header token longer than {_TOKEN_MAX} bytes")
         token += c
         c = fh.read(1)
     if not token:
-        raise PpmError("truncated header")
-    return token
+        raise PpmError(f"{path}: truncated header")
+    return bytes(token)
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
@@ -44,10 +52,10 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     there; headers may hold `#` comments, so their length is not fixed.
     """
     try:
-        magic = _next_token(fh)
+        magic = _next_token(fh, path)
         if magic != b"P6":
-            raise PpmError(f"unsupported magic {magic!r}; only binary P6 is handled")
-        tokens = [_next_token(fh) for _ in range(3)]
+            raise PpmError(f"{path}: unsupported magic {magic!r}; only binary P6 is handled")
+        tokens = [_next_token(fh, path) for _ in range(3)]
         w, h, maxval = (int(t) for t in tokens)
     except PpmError:
         raise
@@ -56,7 +64,7 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     if w <= 0 or h <= 0:
         raise PpmError(f"bad dimensions {w}x{h} in {path}")
     if maxval != 255:
-        raise PpmError(f"maxval {maxval} unsupported; expected 255")
+        raise PpmError(f"{path}: maxval {maxval} unsupported; expected 255")
     need = w * h * 3
     got = os.fstat(fh.fileno()).st_size - fh.tell()
     if got < need:
@@ -70,23 +78,80 @@ def read_ppm_header(path: str) -> tuple[int, int]:
         return _read_header(fh, path)
 
 
-def read_ppm(path: str, out: bytearray | None = None) -> np.ndarray | bytearray:
-    """Pixels of a P6 file as (height, width, 3) uint8, or read into `out` when given.
+def read_ppm(path: str) -> np.ndarray:
+    """Pixels of a P6 file as (height, width, 3) uint8."""
+    import numpy as np
 
-    `out` must be a bytearray of exactly the raster's size; it is returned filled.
-    """
     with open(path, "rb") as fh:
         w, h = _read_header(fh, path)
-        if out is None:
-            import numpy as np
-
-            out = np.empty((h, w, 3), dtype=np.uint8)
-        elif len(out) != w * h * 3:
-            raise PpmError(f"{path}: {w}x{h} frame does not fit a {len(out)}-byte buffer")
+        out = np.empty((h, w, 3), dtype=np.uint8)
         got = fh.readinto(out)
     if got != w * h * 3:
         raise PpmError(f"{path}: expected {w * h * 3} raster bytes, got {got}")
     return out
+
+
+@contextlib.contextmanager
+def raster_reader(path: str, width: int, height: int):
+    """Open a P6 file and yield `read(buf, offset)`, which fills `buf` from its raster.
+
+    The header is parsed again and must still give `width` x `height`, or
+    the file is refused with a `PpmError`.  Each read is one `os.preadv`
+    at `offset` bytes into the raster, so threads may read at once; a short
+    read is a `PpmError` naming the file.
+    """
+    with open(path, "rb") as fh:
+        size = _read_header(fh, path)
+        if size != (width, height):
+            raise PpmError(f"{path}: frame is now {size[0]}x{size[1]}, not {width}x{height}")
+        fd, start = fh.fileno(), fh.tell()
+
+        def read(buf, offset: int) -> None:
+            got = os.preadv(fd, [buf], start + offset)
+            if got != len(buf):
+                raise PpmError(
+                    f"{path}: expected {len(buf)} raster bytes at {offset}, got {got}"
+                )
+
+        yield read
+
+
+@contextlib.contextmanager
+def raster_writer(path: str, width: int, height: int):
+    """Create the P6 file `path`, write its header and yield `write(views, offset)`.
+
+    `write` puts flat bytes-like `views` back to back at `offset` bytes into
+    the raster, through `_write_at`, so threads may write at once.
+    """
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _write_at(fd, [header], 0, path)
+        yield lambda views, offset: _write_at(fd, views, len(header) + offset, path)
+    finally:
+        os.close(fd)
+
+
+def _write_at(fd: int, views: list, offset: int, path: str) -> None:
+    """Write flat bytes-like `views` back to back at `offset` of `fd`.
+
+    Each `os.pwritev` call takes at most `_IOV_MAX` buffers, with no copy
+    into one buffer; a short write resumes where it stopped.
+    """
+    views = list(views)
+    while views:
+        batch = views[:_IOV_MAX]
+        n = os.pwritev(fd, batch, offset)
+        if n == 0:
+            raise OSError(f"{path}: write made no progress")
+        offset += n
+        k = 0
+        while k < len(batch) and n >= len(batch[k]):
+            n -= len(batch[k])
+            k += 1
+        del views[:k]
+        if n:
+            views[0] = memoryview(views[0])[n:]
 
 
 def write_raster(path: str, width: int, height: int, chunks: list) -> None:
@@ -95,33 +160,14 @@ def write_raster(path: str, width: int, height: int, chunks: list) -> None:
     Each chunk is a flat bytes-like object (bytes, bytearray or a one-byte
     memoryview), so its len() is its size in bytes.  The chunks must hold
     exactly width * height * 3 bytes, which is checked before the file is
-    opened.  The header and chunks go out through `os.writev`, at most
-    `_IOV_MAX` buffers per call, with no copy into one buffer; a short write
-    resumes where it stopped.
+    opened.
     """
     need = width * height * 3
     got = sum(map(len, chunks))
     if got != need:
         raise PpmError(f"{width}x{height} raster needs {need} bytes, got {got}")
-    views = [f"P6\n{width} {height}\n255\n".encode("ascii"), *chunks]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while views:
-            batch = views[:_IOV_MAX]
-            n = os.writev(fd, batch)
-            if n == sum(map(len, batch)):
-                del views[:_IOV_MAX]
-                continue
-            if n == 0:
-                raise OSError(f"{path}: write made no progress")
-            k = 0
-            while n >= len(views[k]):
-                n -= len(views[k])
-                k += 1
-            del views[:k]
-            views[0] = memoryview(views[0])[n:]
-    finally:
-        os.close(fd)
+    with raster_writer(path, width, height) as write:
+        write(chunks, 0)
 
 
 def write_ppm(path: str, pixels: np.ndarray) -> None:

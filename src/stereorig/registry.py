@@ -101,6 +101,8 @@ def parse_device_specs(text: str) -> list[DeviceSpec]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RegistryError(f"malformed catalog document: {exc}") from exc
+    except RecursionError as exc:
+        raise RegistryError("malformed catalog document: nested too deeply") from exc
     if not isinstance(doc, list):
         raise RegistryError("catalog document must be a JSON array of device objects")
     specs = [_spec_from_dict(entry) for entry in doc]

@@ -3,25 +3,30 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereorig import alignment, svgio
+import stereorig
+from stereorig import alignment, merge, svgio
 from stereorig.cli import build_parser, main
 from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
-from oracles import merge_outcome_oracle, sbs_oracle
+from oracles import anaglyph_oracle, merge_outcome_oracle, sbs_oracle
 
 
 def _write_stream(dirpath, name, times, fill):
@@ -573,9 +578,15 @@ class TestMerge:
         return {str(p.relative_to(path)): p.is_file() and p.read_bytes()
                 for p in path.rglob("*")}
 
-    # a 3-pair stream reads 6 frames and writes 3, each frame in one os.writev
-    FAULTS = [("stereorig.merge.read_ppm", k) for k in range(1, 7)] + [
-        ("os.writev", k) for k in range(1, 4)]
+    @staticmethod
+    def _two_strips_a_frame(monkeypatch, cpus: int) -> None:
+        """Make every 4x4 frame two strips of two rows, shared among `cpus` workers."""
+        monkeypatch.setattr(stereorig, "STRIP_PIXELS", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    # on one worker a 3-pair stream of two-strip frames makes 12 strip reads
+    # (os.preadv), then 3 header and 6 strip writes (os.pwritev)
+    FAULTS = [("os.preadv", k) for k in range(1, 13)] + [("os.pwritev", k) for k in range(1, 10)]
 
     @pytest.mark.parametrize("before", [
         "absent", "absent, with missing parents", "empty", "holding a file"])
@@ -593,6 +604,7 @@ class TestMerge:
         if before == "holding a file":
             (outdir / "notes.txt").write_text("kept\n")
         was = self._tree(top)
+        self._two_strips_a_frame(monkeypatch, cpus=1)
         calls = self._fail_at(monkeypatch, target, k, OSError(errno.EIO, "Input/output error"))
         rc = main(["merge", "--left", left, "--right", right,
                    "--mode", mode, "--tol", "10", "-o", str(outdir)])
@@ -603,12 +615,47 @@ class TestMerge:
         assert captured.err == "error: [Errno 5] Input/output error\n"
         assert self._tree(top) == was
 
+    @pytest.mark.parametrize("name", ["preadv", "pwritev"])
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_io_fault_in_a_helper_thread_leaves_no_output(
+            self, capsys, tmp_path, monkeypatch, mode, name):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        self._two_strips_a_frame(monkeypatch, cpus=2)
+        real = getattr(os, name)
+        caller = threading.current_thread()
+        failed = threading.Event()
+        raised_in = []
+
+        def faulty(fd, buffers, offset):
+            if threading.current_thread() is not caller and not failed.is_set():
+                raised_in.append(threading.current_thread())
+                failed.set()
+                raise OSError(errno.EIO, "Input/output error")
+            # past its header write (offset 0), the caller waits in its first
+            # strip, which leaves the second strip to the helper
+            if offset and not failed.wait(timeout=30):
+                raise AssertionError("no helper took a strip")
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, name, faulty)
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", mode, "--tol", "10", "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert len(raised_in) == 1 and raised_in[0] is not caller
+        assert not raised_in[0].is_alive()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 5] Input/output error\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out", ["out", "a/b/out"])
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_interrupt_leaves_no_output(self, capsys, tmp_path, monkeypatch, mode, out):
         left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
         right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
-        self._fail_at(monkeypatch, "stereorig.merge.read_ppm", 5, KeyboardInterrupt())
+        self._two_strips_a_frame(monkeypatch, cpus=1)
+        self._fail_at(monkeypatch, "os.preadv", 5, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             main(["merge", "--left", left, "--right", right,
                   "--mode", mode, "--tol", "10", "-o", str(tmp_path / out)])
@@ -626,8 +673,8 @@ class TestMerge:
         right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 2)
         was = self._tree(outdir)
         capsys.readouterr()
-        reads = []
-        monkeypatch.setattr("stereorig.merge.read_ppm", lambda *args: reads.append(args))
+        # the 0th call never comes, so this only records the reads
+        reads = self._fail_at(monkeypatch, "os.preadv", 0, AssertionError("never raised"))
         rc = main(["merge", "--left", left, "--right", right,
                    "--mode", mode, "--tol", "10", "-o", str(outdir)])
         captured = capsys.readouterr()
@@ -636,6 +683,62 @@ class TestMerge:
         assert captured.err == f"error: output directory {outdir} already holds an earlier pairs.txt\n"
         assert reads == []
         assert self._tree(outdir) == was
+
+    # each case rewrites right/2.ppm after the streams were scanned, before
+    # the merge reads it; the error names the file
+    CHANGED_FRAME = {
+        "shrunk raster": (b"P6\n4 4\n255\n" + b"\0" * 47, "expected 48 raster bytes, got 47"),
+        "other size, same raster bytes": (
+            b"P6\n8 2\n255\n" + b"\0" * 48, "frame is now 8x2, not 4x4"),
+        "bad magic": (b"P5\n4 4\n255\n" + b"\0" * 48, "only binary P6 is handled"),
+        "long header token": (b"P6\n" + b"4" * 100 + b" 4\n255\n", "header token longer than"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHANGED_FRAME))
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_frame_changed_after_the_scan_leaves_no_output(
+            self, capsys, tmp_path, monkeypatch, mode, case):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        data, reason = self.CHANGED_FRAME[case]
+        real = merge.write_merged
+
+        def write_merged(pairs, *args):
+            (tmp_path / "right" / "2.ppm").write_bytes(data)
+            return real(pairs, *args)
+
+        monkeypatch.setattr(merge, "write_merged", write_merged)
+        outdir = tmp_path / "out"
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path / 'right' / '2.ppm'}")
+        assert reason in captured.err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_frame_shrunk_after_its_header_was_read_leaves_no_output(
+            self, capsys, tmp_path, monkeypatch, mode):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        shrunk = tmp_path / "right" / "2.ppm"
+        real = os.preadv
+
+        def preadv(fd, buffers, offset):
+            if os.fstat(fd).st_ino == shrunk.stat().st_ino:
+                os.truncate(shrunk, shrunk.stat().st_size - 1)
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        outdir = tmp_path / "out"
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", mode, "--tol", "10", "-o", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {shrunk}: expected 48 raster bytes at 0, got 47\n"
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_directory_holding_a_merged_frame_is_refused(self, capsys, tmp_path, mode):
@@ -727,6 +830,83 @@ class TestMerge:
             want = tmp_path / f"want_{i}.ppm"
             write_ppm(str(want), frame.pixels)
             assert (outdir / f"{mode}_{i:04d}.ppm").read_bytes() == want.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_case(shape: tuple[int, int], mode: str) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """Random left and right frames of `shape` and the oracle's merged P6 file."""
+    rng = np.random.default_rng(shape[0] * 100_003 + shape[1])
+    left, right = rng.integers(0, 256, size=(2, *shape, 3), dtype=np.uint8)
+    want = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(left, right)
+    return left, right, f"P6\n{want.shape[1]} {want.shape[0]}\n255\n".encode() + want.tobytes()
+
+
+def _write_pair(work: Path, left: np.ndarray, right: np.ndarray) -> None:
+    """One frame pair and its two one-line manifests in `work`."""
+    for name, frame, t in (("left", left, 0.0), ("right", right, 1.0)):
+        write_ppm(str(work / f"{name}.ppm"), frame)
+        write_manifest(str(work / f"{name}.txt"), [(t, str(work / f"{name}.ppm"))])
+
+
+def _merge_pair_in(work: Path, mode: str, cpus: int) -> Path:
+    """The merged file of the pair in `work`, run through `main` with `cpus` CPUs."""
+    out = work / "out"
+    with mock.patch.object(os, "sched_getaffinity", create=True,
+                           new=lambda pid: set(range(cpus))):
+        rc = main(["merge", "--left", str(work / "left.txt"), "--right", str(work / "right.txt"),
+                   "--mode", mode, "-o", str(out)])
+    assert rc == 0
+    return out / f"{mode}_0000.ppm"
+
+
+class TestStripPipeline:
+    """`merge` output equals the oracles' at every strip edge and worker count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 9), strip_pixels=st.integers(1, 40),
+           cpus=st.integers(1, 2), mode=st.sampled_from(["sbs", "anaglyph"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_small_strips_match_the_oracles(self, h, w, strip_pixels, cpus, mode, seed):
+        rng = np.random.default_rng(seed)
+        left, right = rng.integers(0, 256, size=(2, h, w, 3), dtype=np.uint8)
+        want = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(left, right)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(stereorig, "STRIP_PIXELS", strip_pixels), \
+                contextlib.redirect_stdout(io.StringIO()):
+            _write_pair(Path(tmp), left, right)
+            got = _merge_pair_in(Path(tmp), mode, cpus).read_bytes()
+        assert got == f"P6\n{want.shape[1]} {h}\n255\n".encode() + want.tobytes()
+
+    # 1x1; one row a strip at width 65537; strips of two rows, the last one
+    # partial, at width 21846
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 65537), (3, 21846)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_frame_edges_match_the_oracles(self, capsys, tmp_path, shape, cpus, mode):
+        left, right, want = _edge_case(shape, mode)
+        _write_pair(tmp_path, left, right)
+        assert _merge_pair_in(tmp_path, mode, cpus).read_bytes() == want
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_merge_allocates_no_frame_sized_buffer(self, capsys, tmp_path, monkeypatch, mode):
+        # 720 kB frames in strips of at most 2048 pixels: two workers' buffers
+        # take about 300 kB in anaglyph mode, and one frame buffer would show
+        rng = np.random.default_rng(3)
+        left, right = rng.integers(0, 256, size=(2, 600, 400, 3), dtype=np.uint8)
+        monkeypatch.setattr(stereorig, "STRIP_PIXELS", 2048)
+        warm, work = tmp_path / "warm", tmp_path / "work"
+        warm.mkdir()
+        work.mkdir()
+        _write_pair(warm, left[:1, :1], right[:1, :1])
+        _merge_pair_in(warm, mode, 2)  # imports every module
+        _write_pair(work, left, right)
+        tracemalloc.start()
+        try:
+            _merge_pair_in(work, mode, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < left.nbytes
 
 
 _RASTER_2X2 = bytes(range(12))
@@ -831,6 +1011,25 @@ def _float_options() -> list[tuple[str, str]]:
 _NON_FINITE = st.sampled_from(
     ["nan", "NaN", "-nan", "inf", "+inf", "Infinity", "1e999", "-inf", "-Infinity", "-1e999"]
 )
+
+
+class TestDeeplyNestedJson:
+    """A JSON input nested past the parser's recursion limit is a domain error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["base-model", "--a", "J7-fixture", "--b", "A5-fixture", "--specs", "{file}"],
+        ["simulate-sync", "--specs", "{file}"],
+        ["align-check", "--readings", "{file}"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_1_with_an_error_line(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        rc = main([a.format(file=deep) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed ")
+        assert captured.err.endswith(": nested too deeply\n")
 
 
 class TestNonFiniteFlags:

@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+import stereorig
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -28,7 +30,7 @@ from stereorig.merge import (
     side_by_side,
     write_merged,
 )
-from stereorig.ppmio import write_manifest, write_ppm
+from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
 from oracles import (
     anaglyph_oracle,
@@ -431,86 +433,102 @@ def _started_threads():
 
 def _affinity(cpus: int):
     """Patch the process's affinity mask to `cpus` CPUs."""
-    return mock.patch.object(_kernels.os, "sched_getaffinity", create=True,
+    return mock.patch.object(os, "sched_getaffinity", create=True,
                              new=lambda pid: set(range(cpus)))
 
 
-def _failing_out(shape, store):
-    """An output array whose every store first calls `store()`, which may raise."""
+def _recorded_strips(height: int, width: int) -> list:
+    """Run `share_strips` with workers that record (thread, rows, y0, y1) per strip."""
+    done = []
 
-    class Out(np.ndarray):
-        def __setitem__(self, key, value):
-            store()
-            super().__setitem__(key, value)
+    def worker(rows):
+        return lambda y0, y1: done.append((threading.current_thread(), rows, y0, y1))
 
-    return np.empty(shape, dtype=np.uint8).view(Out)
+    stereorig.share_strips(height, width, worker)
+    return done
 
 
-class TestAnaglyphWorkers:
+class TestShareStrips:
     def test_one_cpu_starts_no_thread(self):
         # 2 rows a strip at w=21846, so three rows make two strips
-        left, right = _rand_pixels(20, 3, 21846), _rand_pixels(21, 3, 21846)
         with _affinity(1), _started_threads() as started:
-            out = _kernels.anaglyph_pixels(left, right)
+            done = _recorded_strips(3, 21846)
         assert started == []
-        assert (out == anaglyph_oracle(left, right)).all()
+        assert [d[1:] for d in done] == [(2, 0, 2), (2, 2, 3)]
 
     @pytest.mark.parametrize("cpu_count, helpers", [(2, 1), (None, 0)])
     def test_cpu_count_stands_in_for_the_affinity_mask(self, monkeypatch, cpu_count, helpers):
-        monkeypatch.delattr(_kernels.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: cpu_count)
-        left, right = _rand_pixels(22, 3, 21846), _rand_pixels(23, 3, 21846)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         with _started_threads() as started:
-            out = _kernels.anaglyph_pixels(left, right)
+            done = _recorded_strips(3, 21846)
         assert len(started) == helpers
-        assert (out == anaglyph_oracle(left, right)).all()
+        assert sorted(d[2:] for d in done) == [(0, 2), (2, 3)]
 
     def test_one_strip_frame_starts_no_thread(self):
-        left, right = _rand_pixels(24, 2, 21846), _rand_pixels(25, 2, 21846)
         with _affinity(2), _started_threads() as started:
-            out = _kernels.anaglyph_pixels(left, right)
+            done = _recorded_strips(2, 21846)
         assert started == []
-        assert (out == anaglyph_oracle(left, right)).all()
+        assert [d[1:] for d in done] == [(2, 0, 2)]
 
-    @settings(max_examples=6, deadline=None)
-    @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1), cpus=st.integers(2, 8))
-    @example(shape=(9, 13108), seed=4, cpus=2)
-    @example(shape=(2, 65537), seed=5, cpus=2)
-    @example(shape=(5, 21846), seed=6, cpus=8)
-    def test_several_cpus_match_oracle(self, shape, seed, cpus):
-        left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
-        rows = max(1, _kernels._STRIP_PIXELS // shape[1])
-        strips = -(-shape[0] // rows)
-        out = np.full((*shape, 3), 0xAB, dtype=np.uint8)
+    def test_a_strip_has_no_more_rows_than_the_frame(self):
+        with _affinity(2):
+            assert [d[1:] for d in _recorded_strips(3, 2)] == [(3, 0, 3)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(height=st.integers(1, 40), width=st.integers(1, 70000), cpus=st.integers(1, 8))
+    @example(height=9, width=13108, cpus=2)
+    @example(height=1, width=1, cpus=2)
+    @example(height=2, width=65537, cpus=2)
+    def test_every_row_is_in_one_strip_taken_once(self, height, width, cpus):
+        rows = max(1, min(height, stereorig.STRIP_PIXELS // width))
+        strips = -(-height // rows)
         with _affinity(cpus), _started_threads() as started:
-            assert _kernels.anaglyph_pixels(left, right, out) is out
+            done = _recorded_strips(height, width)
         # one helper per further CPU, but no more workers than strips
         assert len(started) == min(cpus, strips) - 1
         assert not any(t.is_alive() for t in started)
-        assert (out == anaglyph_oracle(left, right)).all()
+        assert sorted(d[2:] for d in done) == [
+            (y, min(y + rows, height)) for y in range(0, height, rows)]
+        assert {d[1] for d in done} == {rows}
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_failing_strip_reaches_the_caller_and_leaves_no_thread(self, failing):
         caller = threading.current_thread()
         failed = threading.Event()
+        done = []
 
-        def store():
-            if (threading.current_thread() is caller) == (failing == "caller"):
-                failed.set()
-                raise RuntimeError(f"store failed in the {failing}")
-            # the other worker waits in its first strip, which leaves the next
-            # strip to the failing one
-            if not failed.wait(timeout=30):
-                raise AssertionError(f"the {failing} took no strip")
+        def worker(rows):
+            def strip(y0, y1):
+                if (threading.current_thread() is caller) == (failing == "caller"):
+                    failed.set()
+                    raise RuntimeError(f"strip failed in the {failing}")
+                # the other worker waits in its first strip, which leaves the next
+                # strip to the failing one
+                if not failed.wait(timeout=30):
+                    raise AssertionError(f"the {failing} took no strip")
+                done.append(y0)
+            return strip
 
-        # one row a strip at w=65537: four strips
-        left, right = _rand_pixels(26, 4, 65537), _rand_pixels(27, 4, 65537)
+        # one row a strip at w=65537: eight strips
         before = threading.active_count()
         with _affinity(2), _started_threads() as started:
-            with pytest.raises(RuntimeError, match=f"store failed in the {failing}"):
-                _kernels.anaglyph_pixels(left, right, _failing_out(left.shape, store))
+            with pytest.raises(RuntimeError, match=f"strip failed in the {failing}"):
+                stereorig.share_strips(8, 65537, worker)
         assert len(started) == 1
         assert threading.active_count() == before
+        # once a worker has failed, the other finishes the strip it holds, if
+        # any, and takes no more
+        assert len(done) <= 1
+
+    def test_failing_worker_setup_reaches_the_caller(self):
+        def worker(rows):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no buffers")
+            return lambda y0, y1: None
+
+        with _affinity(2), pytest.raises(MemoryError, match="no buffers"):
+            stereorig.share_strips(4, 65537, worker)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_the_kernel(self, subprocess_env):
@@ -534,6 +552,32 @@ class TestAnaglyphWorkers:
         res = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
+
+
+class TestAnaglyphWorkers:
+    @settings(max_examples=6, deadline=None)
+    @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1), cpus=st.integers(1, 8))
+    @example(shape=(9, 13108), seed=4, cpus=2)
+    @example(shape=(2, 65537), seed=5, cpus=2)
+    @example(shape=(5, 21846), seed=6, cpus=8)
+    @example(shape=(3, 21846), seed=7, cpus=1)
+    def test_several_cpus_match_oracle(self, shape, seed, cpus):
+        left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
+        out = np.full((*shape, 3), 0xAB, dtype=np.uint8)
+        with _affinity(cpus):
+            assert _kernels.anaglyph_pixels(left, right, out) is out
+        assert (out == anaglyph_oracle(left, right)).all()
+
+    def test_failing_strip_reaches_the_caller(self):
+        class Out(np.ndarray):
+            def __setitem__(self, key, value):
+                raise RuntimeError("store failed")
+
+        left = _rand_pixels(26, 4, 65537)
+        before = threading.active_count()
+        with _affinity(2), pytest.raises(RuntimeError, match="store failed"):
+            _kernels.anaglyph_pixels(left, left, np.empty_like(left).view(Out))
+        assert threading.active_count() == before
 
 
 class TestLoadStream:
@@ -579,3 +623,30 @@ class TestLoadStream:
         with pytest.raises(MergeError, match="dimension mismatch: left 4x4 vs right 5x4"):
             write_merged(pairs, "sbs", str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_write_merged_makes_strip_buffers_once_per_worker_and_size(
+            self, tmp_path, monkeypatch, mode):
+        from stereorig import merge
+
+        sizes = [(4, 6), (4, 6), (4, 6), (3, 5), (3, 5), (4, 6)]
+        pairs = []
+        for i, (h, w) in enumerate(sizes):
+            refs = []
+            for side in ("left", "right"):
+                p = tmp_path / f"{side}{i}.ppm"
+                write_ppm(str(p), _rand_pixels(2 * i + (side == "right"), h, w))
+                refs.append(FrameRef(33.0 * i, str(p), w, h))
+            pairs.append(FramePair(*refs, 0.0))
+        made = []
+        real = merge._strip_buffers
+        monkeypatch.setattr(merge, "_strip_buffers",
+                            lambda *args: made.append(args) or real(*args))
+        with _affinity(1):
+            write_merged(pairs, mode, str(tmp_path / "out"))
+        # one worker: new buffers only where the frame size changes
+        assert made == [(mode, 4, 6), (mode, 3, 5), (mode, 4, 6)]
+        for i, pair in enumerate(pairs):
+            composed = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(
+                *(read_ppm(ref.path) for ref in (pair.left, pair.right)))
+            assert (read_ppm(str(tmp_path / "out" / f"{mode}_{i:04d}.ppm")) == composed).all()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -108,21 +109,55 @@ class TestPpmHeaderParsing:
             read_ppm(str(p))
 
 
-class TestReadInto:
-    def test_reads_into_bytearray_of_the_raster_size(self, tmp_path):
-        pixels = _random_pixels(5)
-        p = tmp_path / "img.ppm"
-        write_ppm(str(p), pixels)
-        buf = bytearray(pixels.nbytes)
-        assert read_ppm(str(p), buf) is buf
-        assert bytes(buf) == pixels.tobytes()
+class TestHeaderTokens:
+    def test_twenty_byte_token_is_read(self, tmp_path):
+        p = tmp_path / "zeros.ppm"
+        p.write_bytes(b"P6\n" + b"0" * 19 + b"2 2\n255\n" + bytes(12))
+        assert read_ppm_header(str(p)) == (2, 2)
 
-    @pytest.mark.parametrize("size", [6 * 4 * 3 - 1, 6 * 4 * 3 + 1])
-    def test_bytearray_of_other_size_rejected(self, tmp_path, size):
+    @pytest.mark.parametrize("where", ["magic", "width", "height", "maxval"])
+    def test_long_token_stops_the_reader_within_the_cap(self, tmp_path, where):
+        tokens = {"magic": b"P6", "width": b"2", "height": b"2", "maxval": b"255"}
+        tokens[where] = b"7" * 1_000_000
+        p = tmp_path / "long.ppm"
+        p.write_bytes(b"\n".join(tokens.values()) + b"\n" + bytes(12))
+        before = sum(len(t) + 1 for t in list(tokens.values())[: list(tokens).index(where)])
+        with open(p, "rb") as fh:
+            with pytest.raises(PpmError, match=f"^{re.escape(str(p))}: header token longer than 20 bytes$"):
+                ppmio._read_header(fh, str(p))
+            assert fh.tell() <= before + ppmio._TOKEN_MAX + 1
+        with pytest.raises(PpmError, match="header token longer than 20 bytes"):
+            read_ppm_header(str(p))
+
+
+class TestRasterReader:
+    def test_reads_rows_at_their_offsets(self, tmp_path):
+        pixels = _random_pixels(5, w=3, h=4)
         p = tmp_path / "img.ppm"
-        write_ppm(str(p), _random_pixels(4))
-        with pytest.raises(PpmError, match=f"does not fit a {size}-byte buffer"):
-            read_ppm(str(p), bytearray(size))
+        p.write_bytes(b"P6\n# rows\n3 4\n255\n" + pixels.tobytes())
+        buf = bytearray(2 * 9)
+        with ppmio.raster_reader(str(p), 3, 4) as read:
+            read(buf, 9)
+            assert bytes(buf) == pixels[1:3].tobytes()
+            read(memoryview(buf)[:9], 27)
+            assert bytes(buf[:9]) == pixels[3].tobytes()
+
+    @pytest.mark.parametrize("size", [(4, 3), (2, 6)])
+    def test_other_size_than_expected_rejected(self, tmp_path, size):
+        p = tmp_path / "img.ppm"
+        write_ppm(str(p), _random_pixels(4, w=3, h=4))
+        with pytest.raises(PpmError, match=f"{re.escape(str(p))}: frame is now 3x4, not {size[0]}x{size[1]}"):
+            with ppmio.raster_reader(str(p), *size):
+                pass
+
+    def test_short_read_names_the_file(self, tmp_path):
+        p = tmp_path / "img.ppm"
+        write_ppm(str(p), _random_pixels(4, w=3, h=4))
+        with ppmio.raster_reader(str(p), 3, 4) as read:
+            os.truncate(p, os.path.getsize(p) - 5)  # shrinks after its header was checked
+            read(bytearray(9), 0)
+            with pytest.raises(PpmError, match=f"{re.escape(str(p))}: expected 9 raster bytes at 27, got 4"):
+                read(bytearray(9), 27)
 
 
 def _sbs_rows(left: np.ndarray, right: np.ndarray) -> list[memoryview]:
@@ -138,12 +173,12 @@ class TestWriteRaster:
         assert p.read_bytes() == b"P6\n10 7\n255\n" + sbs_oracle(left, right).tobytes()
 
     def test_short_writes_resume(self, tmp_path, monkeypatch):
-        # every writev call writes at most 1000 bytes and takes few buffers,
+        # every pwritev call writes at most 1000 bytes and takes few buffers,
         # so writes stop inside chunks and a frame needs many batches
-        real_writev = os.writev
+        real_pwritev = os.pwritev
         calls = []
 
-        def short_writev(fd, buffers):
+        def short_pwritev(fd, buffers, offset):
             calls.append(len(buffers))
             take, room = [], 1000
             for b in buffers:
@@ -152,9 +187,9 @@ class TestWriteRaster:
                 room -= len(b)
                 if not room:
                     break
-            return real_writev(fd, take)
+            return real_pwritev(fd, take, offset)
 
-        monkeypatch.setattr(os, "writev", short_writev)
+        monkeypatch.setattr(os, "pwritev", short_pwritev)
         monkeypatch.setattr(ppmio, "_IOV_MAX", 5)
         left, right = _random_pixels(3, w=37, h=23), _random_pixels(4, w=37, h=23)
         p = tmp_path / "sbs.ppm"
@@ -166,7 +201,7 @@ class TestWriteRaster:
         write_ppm(str(q), left)
         assert q.read_bytes() == b"P6\n37 23\n255\n" + left.tobytes()
 
-    def test_more_chunks_than_one_writev_takes(self, tmp_path):
+    def test_more_chunks_than_one_pwritev_takes(self, tmp_path):
         h = ppmio._IOV_MAX  # 2h row chunks plus the header
         left, right = _random_pixels(5, w=2, h=h), _random_pixels(6, w=2, h=h)
         p = tmp_path / "tall.ppm"
