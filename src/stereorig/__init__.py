@@ -60,42 +60,43 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def share_strips(height: int, width: int, worker) -> None:
-    """Run a `height`-row frame of `width` pixels a row strip by strip, on one worker per CPU.
+def strip_rows(height: int, width: int) -> int:
+    """Rows in each strip of a frame: `STRIP_PIXELS // width`, at least 1, at most `height`."""
+    return max(1, min(height, STRIP_PIXELS // max(width, 1)))
 
-    A strip is `STRIP_PIXELS // width` rows, at least one and at most
-    `height`; the last strip may have fewer.  The workers are the calling
-    thread and one helper thread per further CPU this process may run on,
-    but no more workers than strips.  Each worker calls `worker(rows)` once
-    for its own strip function, which owns that worker's buffers, then
-    calls it as `strip(y0, y1)` on every strip it takes.  It takes the next
-    strip's start row from one shared range iterator (`next` on it is one
-    step under the interpreter lock).  Once a worker has failed, the others
-    take no further strip.  Helpers are joined before this returns, so no
-    thread outlives a call, and the first exception is raised only then;
-    with one CPU, or one strip, no thread starts at all.
+
+def share_items(n: int, worker) -> None:
+    """Run items 0 .. n-1 on one worker per CPU, item 0 alone on the calling thread first.
+
+    Each worker calls `worker()` once for its own `run`, which owns that
+    worker's buffers, then `run(i)` on each item it takes from one shared
+    range iterator.  After item 0 the caller starts one helper thread per
+    further CPU this process may run on, never more workers than items
+    left: a helper started sooner would slow item 0 down.  Once a worker
+    has failed, the others take no further item.  Helpers are joined before
+    this returns, and the first exception is raised only then; with one
+    CPU, or one item, no thread starts.
     """
-    rows = max(1, min(height, STRIP_PIXELS // max(width, 1)))
-    strips = range(0, height, rows)
-    starts = iter(strips)
+    items = iter(range(n))
     errors: list[BaseException] = []
+    helpers = []
 
     def work() -> None:
         try:
-            strip = worker(rows)
-            for y0 in starts:
+            run = worker()
+            for i in items:
                 if errors:
                     break
-                strip(y0, min(y0 + rows, height))
+                run(i)
+                if i == 0:  # on the caller, alone so far: the helpers join it now
+                    for _ in range(min(_cpus(), n - 1) - 1):
+                        thread = threading.Thread(target=work)
+                        thread.start()
+                        helpers.append(thread)
         except BaseException as exc:  # raised by the caller once every helper is joined
             errors.append(exc)
 
-    helpers = []
     try:
-        for _ in range(min(_cpus(), len(strips)) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            helpers.append(thread)
         work()
     finally:
         for thread in helpers:

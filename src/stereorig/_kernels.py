@@ -2,7 +2,7 @@
 
 The anaglyph works a strip at a time, each worker in its own float32 work
 space (`anaglyph_composer`), and `anaglyph_pixels` shares a frame's strips
-among one worker per CPU through `stereorig.share_strips`.  It is exact:
+among one worker per CPU through `stereorig.share_items`.  It is exact:
 
 - A luma in thousandths, `v = 299 R + 587 G + 114 B`, is an integer of at
   most 255,000.  Every product and partial sum is an integer below 2^24,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import share_strips
+from . import share_items, strip_rows
 
 # BT.601 luma weights in thousandths, and the float64 weights of the formula itself
 _WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
@@ -85,9 +85,9 @@ def anaglyph_pixels(
 
     `out` is allocated when not given.  Red is the right frame's BT.601
     luma, blue the left frame's, green is 0, each byte equal to the float64
-    formula's.  The strips are shared among one worker per CPU, and an
-    exception in any worker is raised here once every helper has been
-    joined.
+    formula's.  The strips are shared among one worker per CPU, strip 0
+    alone on the calling thread first, and an exception in any worker is
+    raised here once every helper has been joined.
     """
     h, w = left.shape[:2]
     if out is None:
@@ -98,16 +98,19 @@ def anaglyph_pixels(
             f"left {left.shape}, right {right.shape}, out {out.shape}"
         )
 
-    def worker(rows: int):
+    rows = strip_rows(h, w)
+
+    def worker():
         compose = anaglyph_composer(rows, w)
 
-        def strip(y0: int, y1: int) -> None:
-            compose(left[y0:y1], right[y0:y1], out[y0:y1])
-            out[y0:y1, :, 1] = 0
+        def strip(i: int) -> None:
+            rows_i = slice(i * rows, (i + 1) * rows)  # the last strip may have fewer
+            compose(left[rows_i], right[rows_i], out[rows_i])
+            out[rows_i, :, 1] = 0
 
         return strip
 
-    share_strips(h, w, worker)
+    share_items(-(-h // rows), worker)
     return out
 
 

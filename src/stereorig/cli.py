@@ -7,6 +7,7 @@ final reading, failed run), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -162,8 +163,44 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An `ArgumentParser` whose float options take a separate `-inf`, `-nan` or `-1e999`.
+
+    argparse reads an argument that starts with `-` as an option unless it
+    looks like `-1` or `-.5`, so `--tol -inf` would be a usage error while
+    `--tol=-inf` reaches the range check.  A value that `float` reads,
+    after a float option named in full or by a unique `--` prefix, is
+    joined to it with `=`; every other argument is parsed as it was.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.option_types = {}  # every option string of this parser, and its type
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.option_types.update(dict.fromkeys(action.option_strings, action.type))
+        return action
+
+    def _takes_float(self, arg: str) -> bool:
+        names = [arg] if arg in self.option_types else [
+            name for name in self.option_types if arg.startswith("--") and name.startswith(arg)]
+        return len(names) == 1 and self.option_types[names[0]] is float
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        i = 0
+        while i < len(args) - 1 and args[i] != "--":
+            if self._takes_float(args[i]) and args[i + 1].startswith("-"):
+                with contextlib.suppress(ValueError):
+                    float(args[i + 1])
+                    args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
+            i += 1
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stereorig",
         description="Phone stereo-rig tools: placement, templates, guidance, sync, merge.",
     )

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import check_range, share_strips
+from . import check_range, share_items, strip_rows
 from .ppmio import (
     raster_reader,
     raster_writer,
@@ -210,10 +210,13 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
 
     The mode, every pair's dimensions and `out_dir` are checked before any
     directory is made or pixel read: an `out_dir` holding `pairs.txt` or a
-    merged frame of either mode is refused.  Each pair is then merged into
-    `<mode>_NNNN.ppm` strip by strip (`_merge_pair`).  On any exception,
-    every frame written or begun and every directory made (unless it holds
-    other files) is removed before the exception is re-raised.
+    merged frame of either mode is refused.  The pairs are then shared
+    among one worker per CPU, pair 0 alone first (`stereorig.share_items`),
+    and a worker merges each pair it takes into `<mode>_NNNN.ppm` by itself
+    (`_pair_merger`).  So a one-pair stream merges on one CPU, a trade made
+    for video streams of many pairs.  On any exception, every frame written
+    or begun and every directory made (unless it holds other files) is
+    removed before the exception is re-raised.
     """
     _composer(mode)  # rejects an unknown mode
     for pair in pairs:
@@ -226,16 +229,15 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
     while missing and not os.path.exists(missing):
         made.append(missing)
         missing = os.path.dirname(missing)
-    entries, spare = [], []
+    # named before any pair starts, so that cleanup reaches every worker's frames
+    paths = [os.path.join(out_dir, f"{mode}_{i:04d}.ppm") for i in range(len(pairs))]
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for i, pair in enumerate(pairs):
-            path = os.path.join(out_dir, f"{mode}_{i:04d}.ppm")
-            entries.append((pair.left.timestamp, path))
-            _merge_pair(pair.left, pair.right, mode, path, spare)
-        write_manifest(os.path.join(out_dir, "pairs.txt"), entries)
+        share_items(len(pairs), lambda: _pair_merger(pairs, mode, paths))
+        write_manifest(os.path.join(out_dir, "pairs.txt"),
+                       [(pair.left.timestamp, path) for pair, path in zip(pairs, paths)])
     except BaseException:  # a failed or interrupted run leaves no partial output
-        for _, path in entries:
+        for path in paths:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(path)
         for d in made:
@@ -244,53 +246,42 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
         raise
 
 
-def _merge_pair(left: FrameRef, right: FrameRef, mode: str, path: str, spare: list) -> None:
-    """Merge one pair of frames into the P6 file `path`, strip by strip.
+def _pair_merger(pairs: list[FramePair], mode: str, paths: list[str]):
+    """One worker's `merge(i)`, which merges pair i into the P6 file `paths[i]`.
 
     Both inputs are opened and their headers parsed again: a frame whose
-    size has changed since `scan_stream` is a `PpmError`.  The strips are
-    shared among one worker per CPU (`stereorig.share_strips`).  Each
-    worker owns strip-sized buffers; for each strip it takes, it reads the
-    left and the right rows at their raster offsets, composes them and
-    writes the result at its output offset, so the I/O of one strip
-    overlaps the compute of another and no frame-sized buffer exists.  sbs
-    writes the row views of its input buffers; anaglyph writes the output
-    of its worker's `_kernels.anaglyph_composer`.  A worker takes its
-    buffers from `spare` (which only ever holds buffers of this `mode`)
-    when they fit the strip, and every worker's buffers go back there once
-    the pair is done, so a stream of one frame size allocates them once
-    per worker, not once per pair.
+    size has changed since `scan_stream` is a `PpmError`.  Then, strip by
+    strip in row order, it reads the left and the right rows at their
+    raster offsets, composes them and writes the result at its output
+    offset, so no frame-sized buffer exists.  sbs writes the row views of
+    its input buffers; anaglyph writes the output of its worker's
+    `_kernels.anaglyph_composer`.  The worker keeps its strip buffers from
+    pair to pair and makes new ones only when the strip size changes.
     """
-    w, h = left.width, left.height
-    row = 3 * w
-    out_row = 2 * row if mode == "sbs" else row
-    taken = []
-    with (
-        raster_reader(left.path, w, h) as read_left,
-        raster_reader(right.path, w, h) as read_right,
-        raster_writer(path, out_row // 3, h) as write,
-    ):
+    buffers = None
 
-        def worker(rows: int):
-            try:
-                buffers = spare.pop()
-            except IndexError:  # `pop` is atomic, so workers never share buffers
-                buffers = None
-            if buffers is None or buffers[0] != (rows, w):
-                buffers = (rows, w), *_strip_buffers(mode, rows, w)
-            taken.append(buffers)
-            _, left_buf, right_buf, compose = buffers
-
-            def strip(y0: int, y1: int) -> None:
-                n = y1 - y0
+    def merge(i: int) -> None:
+        nonlocal buffers
+        left, right = pairs[i].left, pairs[i].right
+        w, h = left.width, left.height
+        rows = strip_rows(h, w)
+        if buffers is None or buffers[0] != (rows, w):
+            buffers = (rows, w), *_strip_buffers(mode, rows, w)
+        _, left_buf, right_buf, compose = buffers
+        row = 3 * w
+        out_row = 2 * row if mode == "sbs" else row
+        with (
+            raster_reader(left.path, w, h) as read_left,
+            raster_reader(right.path, w, h) as read_right,
+            raster_writer(paths[i], out_row // 3, h) as write,
+        ):
+            for y0 in range(0, h, rows):
+                n = min(rows, h - y0)
                 read_left(left_buf[: n * row], y0 * row)
                 read_right(right_buf[: n * row], y0 * row)
                 write(compose(n), y0 * out_row)
 
-            return strip
-
-        share_strips(h, w, worker)
-    spare.extend(taken)
+    return merge
 
 
 def _strip_buffers(mode: str, rows: int, w: int):

@@ -212,11 +212,12 @@ class TestGenTemplate:
     ])
     def test_non_finite_ipd_exits_1_without_output(self, capsys, tmp_path, mode, ipd, message):
         out = tmp_path / "t.svg"
-        rc = main(["gen-template", "--mode", mode, "--device", "J7-fixture",
-                   f"--ipd={ipd}", "-o", str(out)])  # a separate `-inf` reads as an option
-        assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in ([f"--ipd={ipd}"], ["--ipd", ipd]):
+            rc = main(["gen-template", "--mode", mode, "--device", "J7-fixture",
+                       *flag, "-o", str(out)])
+            assert rc == 1
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode, flag, message", [
         ("two", "--velcro=inf", "velcro length must be positive and finite, got inf"),
@@ -509,14 +510,15 @@ class TestMerge:
         left = _write_stream(tmp_path, "left", [0.0, 1000.0], 1)
         right = _write_stream(tmp_path, "right", [500.0, 5000.0], 2)
         outdir = tmp_path / "out"
-        rc = main(["merge", "--left", left, "--right", right,
-                   "--mode", "sbs", f"--tol={tol}", "-o", str(outdir)])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert "error: tolerance must be " in captured.err
-        assert f"got {float(tol)}" in captured.err
-        assert not outdir.exists()
+        for flag in ([f"--tol={tol}"], ["--tol", tol], ["--to", tol]):
+            rc = main(["merge", "--left", left, "--right", right,
+                       "--mode", "sbs", *flag, "-o", str(outdir)])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert "error: tolerance must be " in captured.err
+            assert f"got {float(tol)}" in captured.err
+            assert not outdir.exists()
 
     def test_missing_manifest_exits_1(self, capsys, tmp_path):
         rc = main(["merge", "--left", str(tmp_path / "no.txt"),
@@ -624,6 +626,7 @@ class TestMerge:
         self._two_strips_a_frame(monkeypatch, cpus=2)
         real = getattr(os, name)
         caller = threading.current_thread()
+        before = threading.active_count()
         failed = threading.Event()
         raised_in = []
 
@@ -632,10 +635,10 @@ class TestMerge:
                 raised_in.append(threading.current_thread())
                 failed.set()
                 raise OSError(errno.EIO, "Input/output error")
-            # past its header write (offset 0), the caller waits in its first
-            # strip, which leaves the second strip to the helper
-            if offset and not failed.wait(timeout=30):
-                raise AssertionError("no helper took a strip")
+            # pair 0 runs alone; once the helper has started, the caller waits
+            # in its pair, which leaves the next pair to the helper
+            if threading.active_count() > before and not failed.wait(timeout=30):
+                raise AssertionError("no helper took a pair")
             return real(fd, buffers, offset)
 
         monkeypatch.setattr(os, name, faulty)
@@ -832,81 +835,168 @@ class TestMerge:
             assert (outdir / f"{mode}_{i:04d}.ppm").read_bytes() == want.read_bytes()
 
 
+def _oracle_file(mode: str, left: np.ndarray, right: np.ndarray) -> bytes:
+    """The merged P6 file of one pair, by the oracles."""
+    want = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(left, right)
+    return f"P6\n{want.shape[1]} {want.shape[0]}\n255\n".encode() + want.tobytes()
+
+
 @functools.lru_cache(maxsize=None)
-def _edge_case(shape: tuple[int, int], mode: str) -> tuple[np.ndarray, np.ndarray, bytes]:
-    """Random left and right frames of `shape` and the oracle's merged P6 file."""
+def _edge_case(shape: tuple[int, int], mode: str) -> tuple[list, list[bytes]]:
+    """Three random pairs of `shape`, the second one mirrored, and the oracle's merged files."""
     rng = np.random.default_rng(shape[0] * 100_003 + shape[1])
     left, right = rng.integers(0, 256, size=(2, *shape, 3), dtype=np.uint8)
-    want = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(left, right)
-    return left, right, f"P6\n{want.shape[1]} {want.shape[0]}\n255\n".encode() + want.tobytes()
+    frames = [(left, right), (right, left), (left, right)]
+    return frames, [_oracle_file(mode, *pair) for pair in frames]
 
 
-def _write_pair(work: Path, left: np.ndarray, right: np.ndarray) -> None:
-    """One frame pair and its two one-line manifests in `work`."""
-    for name, frame, t in (("left", left, 0.0), ("right", right, 1.0)):
-        write_ppm(str(work / f"{name}.ppm"), frame)
-        write_manifest(str(work / f"{name}.txt"), [(t, str(work / f"{name}.ppm"))])
+def _write_streams(work: Path, frames: list) -> None:
+    """(left, right) frame pairs as two streams with manifests in `work`, pair i at 33 i ms."""
+    for side in (0, 1):
+        name = ("left", "right")[side]
+        (work / name).mkdir()
+        entries = []
+        for i, pair in enumerate(frames):
+            write_ppm(str(work / name / f"{i}.ppm"), pair[side])
+            entries.append((33.0 * i + side, str(work / name / f"{i}.ppm")))
+        write_manifest(str(work / f"{name}.txt"), entries)
 
 
-def _merge_pair_in(work: Path, mode: str, cpus: int) -> Path:
-    """The merged file of the pair in `work`, run through `main` with `cpus` CPUs."""
+def _merge_in(work: Path, mode: str, cpus: int) -> list[Path]:
+    """The merged files of the streams in `work`, run through `main` with `cpus` CPUs."""
     out = work / "out"
     with mock.patch.object(os, "sched_getaffinity", create=True,
                            new=lambda pid: set(range(cpus))):
         rc = main(["merge", "--left", str(work / "left.txt"), "--right", str(work / "right.txt"),
                    "--mode", mode, "-o", str(out)])
     assert rc == 0
-    return out / f"{mode}_0000.ppm"
+    return sorted(out.glob(f"{mode}_*.ppm"))
 
 
 class TestStripPipeline:
     """`merge` output equals the oracles' at every strip edge and worker count."""
 
+    # streams of 1-4 pairs of any sizes on 1-3 CPUs: some have fewer pairs
+    # than workers, and a helper's buffers change size with its pairs
     @settings(max_examples=40, deadline=None)
-    @given(h=st.integers(1, 12), w=st.integers(1, 9), strip_pixels=st.integers(1, 40),
-           cpus=st.integers(1, 2), mode=st.sampled_from(["sbs", "anaglyph"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_small_strips_match_the_oracles(self, h, w, strip_pixels, cpus, mode, seed):
+    @given(sizes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                          min_size=1, max_size=4),
+           strip_pixels=st.integers(1, 40), cpus=st.integers(1, 3),
+           mode=st.sampled_from(["sbs", "anaglyph"]), seed=st.integers(0, 2**32 - 1))
+    def test_small_strips_match_the_oracles(self, sizes, strip_pixels, cpus, mode, seed):
         rng = np.random.default_rng(seed)
-        left, right = rng.integers(0, 256, size=(2, h, w, 3), dtype=np.uint8)
-        want = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(left, right)
+        frames = [rng.integers(0, 256, size=(2, h, w, 3), dtype=np.uint8) for h, w in sizes]
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(stereorig, "STRIP_PIXELS", strip_pixels), \
                 contextlib.redirect_stdout(io.StringIO()):
-            _write_pair(Path(tmp), left, right)
-            got = _merge_pair_in(Path(tmp), mode, cpus).read_bytes()
-        assert got == f"P6\n{want.shape[1]} {h}\n255\n".encode() + want.tobytes()
+            _write_streams(Path(tmp), frames)
+            got = [p.read_bytes() for p in _merge_in(Path(tmp), mode, cpus)]
+        assert got == [_oracle_file(mode, *pair) for pair in frames]
 
     # 1x1; one row a strip at width 65537; strips of two rows, the last one
     # partial, at width 21846
     @pytest.mark.parametrize("shape", [(1, 1), (2, 65537), (3, 21846)])
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_frame_edges_match_the_oracles(self, capsys, tmp_path, shape, cpus, mode):
-        left, right, want = _edge_case(shape, mode)
-        _write_pair(tmp_path, left, right)
-        assert _merge_pair_in(tmp_path, mode, cpus).read_bytes() == want
+        frames, want = _edge_case(shape, mode)
+        _write_streams(tmp_path, frames)
+        assert [p.read_bytes() for p in _merge_in(tmp_path, mode, cpus)] == want
 
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_merge_allocates_no_frame_sized_buffer(self, capsys, tmp_path, monkeypatch, mode):
         # 720 kB frames in strips of at most 2048 pixels: two workers' buffers
         # take about 300 kB in anaglyph mode, and one frame buffer would show
         rng = np.random.default_rng(3)
-        left, right = rng.integers(0, 256, size=(2, 600, 400, 3), dtype=np.uint8)
+        frames = rng.integers(0, 256, size=(3, 2, 600, 400, 3), dtype=np.uint8)
         monkeypatch.setattr(stereorig, "STRIP_PIXELS", 2048)
         warm, work = tmp_path / "warm", tmp_path / "work"
         warm.mkdir()
         work.mkdir()
-        _write_pair(warm, left[:1, :1], right[:1, :1])
-        _merge_pair_in(warm, mode, 2)  # imports every module
-        _write_pair(work, left, right)
+        _write_streams(warm, [(left[:1, :1], right[:1, :1]) for left, right in frames])
+        _merge_in(warm, mode, 2)  # imports every module
+        _write_streams(work, frames)
         tracemalloc.start()
         try:
-            _merge_pair_in(work, mode, 2)
+            _merge_in(work, mode, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < left.nbytes
+        assert peak < frames[0, 0].nbytes
+
+
+class TestPairWorkers:
+    """`merge` gives each pair to one worker, pair 0 to the caller before any helper starts."""
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_each_frame_has_one_writer_in_row_order(
+            self, capsys, tmp_path, monkeypatch, mode, cpus, pairs):
+        rng = np.random.default_rng(pairs * 10 + cpus)
+        frames = rng.integers(0, 256, size=(pairs, 2, 4, 4, 3), dtype=np.uint8)
+        _write_streams(tmp_path, frames)
+        monkeypatch.setattr(stereorig, "STRIP_PIXELS", 8)  # two strips a frame
+        real = os.pwritev
+        writes = []  # (thread, inode, offset), in call order
+
+        def pwritev(fd, buffers, offset):
+            writes.append((threading.current_thread(), os.fstat(fd).st_ino, offset))
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "pwritev", pwritev)
+        got = [p.read_bytes() for p in _merge_in(tmp_path, mode, cpus)]
+        assert got == [_oracle_file(mode, *pair) for pair in frames]
+        names = {(tmp_path / "out" / f"{mode}_{i:04d}.ppm").stat().st_ino: i for i in range(pairs)}
+        by_frame = {i: [(t, offset) for t, ino, offset in writes if names[ino] == i]
+                    for i in range(pairs)}
+        caller = threading.current_thread()
+        for i, frame_writes in by_frame.items():
+            # the header, then two strips at increasing offsets, all by one thread
+            assert len(frame_writes) == 3
+            assert len({t for t, _ in frame_writes}) == 1
+            offsets = [offset for _, offset in frame_writes]
+            assert offsets == sorted(set(offsets))
+        assert {t for t, _ in by_frame[0]} == {caller}
+        helper_writes = [k for k, (t, _, _) in enumerate(writes) if t is not caller]
+        if helper_writes:
+            frame_0_writes = [k for k, (_, ino, _) in enumerate(writes) if names[ino] == 0]
+            assert max(frame_0_writes) < min(helper_writes)
+        # no more workers than CPUs, nor than the pairs left after pair 0
+        assert len({t for t, _, _ in writes}) <= max(1, min(cpus, pairs - 1))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_fault_on_a_pair_stops_the_workers(
+            self, capsys, tmp_path, monkeypatch, cpus, k):
+        # a worker that opens a pair past k waits until pair k has failed:
+        # it then merges the pair it holds, and takes no other
+        left = _write_stream(tmp_path, "left", [33.0 * i for i in range(8)], 255)
+        right = _write_stream(tmp_path, "right", [33.0 * i + 1 for i in range(8)], 0)
+        real = merge.raster_reader
+        failed = threading.Event()
+        opened = []
+
+        def raster_reader(path, *args):
+            if Path(path).parent.name == "left":
+                i = int(Path(path).stem)
+                opened.append(i)
+                if i == k:
+                    failed.set()
+                    raise OSError(errno.EIO, "Input/output error")
+                if i > k and not failed.wait(timeout=30):
+                    raise AssertionError(f"pair {k} was never opened")
+            return real(path, *args)
+
+        monkeypatch.setattr(merge, "raster_reader", raster_reader)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        rc = main(["merge", "--left", left, "--right", right,
+                   "--mode", "sbs", "--tol", "10", "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+        assert k in opened
+        assert max(opened) <= k + cpus - 1
+        assert not (tmp_path / "out").exists()
 
 
 _RASTER_2X2 = bytes(range(12))
@@ -1075,13 +1165,14 @@ class TestNonFiniteFlags:
     def test_non_finite_value_exits_1_with_no_output(self, work, command, option, value):
         before = sorted(os.listdir(work))
         for argv in self._runs(work, work, command):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = main([*argv, f"{option}={value}"])
-            assert rc == 1, (argv, stderr.getvalue())
-            assert stdout.getvalue() == ""
-            assert stderr.getvalue().startswith("error: ")
-            assert sorted(os.listdir(work)) == before
+            for flag in ([f"{option}={value}"], [option, value]):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc = main([*argv, *flag])
+                assert rc == 1, (argv, flag, stderr.getvalue())
+                assert stdout.getvalue() == ""
+                assert stderr.getvalue().startswith("error: ")
+                assert sorted(os.listdir(work)) == before
 
 
 # a child that imports the CLI, runs one command and prints sys.modules as JSON

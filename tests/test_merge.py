@@ -438,13 +438,15 @@ def _affinity(cpus: int):
 
 
 def _recorded_strips(height: int, width: int) -> list:
-    """Run `share_strips` with workers that record (thread, rows, y0, y1) per strip."""
+    """Share a frame's strips with `share_items`, recording (thread, rows, y0, y1) per strip."""
+    rows = stereorig.strip_rows(height, width)
     done = []
 
-    def worker(rows):
-        return lambda y0, y1: done.append((threading.current_thread(), rows, y0, y1))
+    def worker():
+        return lambda i: done.append(
+            (threading.current_thread(), rows, i * rows, min(i * rows + rows, height)))
 
-    stereorig.share_strips(height, width, worker)
+    stereorig.share_items(-(-height // rows), worker)
     return done
 
 
@@ -460,16 +462,30 @@ class TestShareStrips:
     def test_cpu_count_stands_in_for_the_affinity_mask(self, monkeypatch, cpu_count, helpers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        # three strips: strip 0 alone, then two left for two workers
         with _started_threads() as started:
-            done = _recorded_strips(3, 21846)
+            done = _recorded_strips(5, 21846)
         assert len(started) == helpers
-        assert sorted(d[2:] for d in done) == [(0, 2), (2, 3)]
+        assert sorted(d[2:] for d in done) == [(0, 2), (2, 4), (4, 5)]
 
     def test_one_strip_frame_starts_no_thread(self):
         with _affinity(2), _started_threads() as started:
             done = _recorded_strips(2, 21846)
         assert started == []
         assert [d[1:] for d in done] == [(2, 0, 2)]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_item_0_runs_alone_on_the_caller(self, cpus):
+        seen = []
+        with _affinity(cpus), _started_threads() as started:
+            def worker():
+                return lambda i: seen.append((i, threading.current_thread(), len(started)))
+
+            stereorig.share_items(6, worker)
+        assert len(started) == cpus - 1
+        # no helper had started when item 0 ran
+        assert seen[0] == (0, threading.current_thread(), 0)
+        assert sorted(i for i, *_ in seen) == list(range(6))
 
     def test_a_strip_has_no_more_rows_than_the_frame(self):
         with _affinity(2):
@@ -485,8 +501,9 @@ class TestShareStrips:
         strips = -(-height // rows)
         with _affinity(cpus), _started_threads() as started:
             done = _recorded_strips(height, width)
-        # one helper per further CPU, but no more workers than strips
-        assert len(started) == min(cpus, strips) - 1
+        # strip 0 alone, then one helper per further CPU, but no more workers
+        # than strips left
+        assert len(started) == max(0, min(cpus, strips - 1) - 1)
         assert not any(t.is_alive() for t in started)
         assert sorted(d[2:] for d in done) == [
             (y, min(y + rows, height)) for y in range(0, height, rows)]
@@ -498,8 +515,10 @@ class TestShareStrips:
         failed = threading.Event()
         done = []
 
-        def worker(rows):
-            def strip(y0, y1):
+        def worker():
+            def strip(i):
+                if i == 0:  # runs alone, before any helper starts
+                    return
                 if (threading.current_thread() is caller) == (failing == "caller"):
                     failed.set()
                     raise RuntimeError(f"strip failed in the {failing}")
@@ -507,14 +526,13 @@ class TestShareStrips:
                 # strip to the failing one
                 if not failed.wait(timeout=30):
                     raise AssertionError(f"the {failing} took no strip")
-                done.append(y0)
+                done.append(i)
             return strip
 
-        # one row a strip at w=65537: eight strips
         before = threading.active_count()
         with _affinity(2), _started_threads() as started:
             with pytest.raises(RuntimeError, match=f"strip failed in the {failing}"):
-                stereorig.share_strips(8, 65537, worker)
+                stereorig.share_items(8, worker)
         assert len(started) == 1
         assert threading.active_count() == before
         # once a worker has failed, the other finishes the strip it holds, if
@@ -522,13 +540,13 @@ class TestShareStrips:
         assert len(done) <= 1
 
     def test_failing_worker_setup_reaches_the_caller(self):
-        def worker(rows):
+        def worker():
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("no buffers")
-            return lambda y0, y1: None
+            return lambda i: None
 
         with _affinity(2), pytest.raises(MemoryError, match="no buffers"):
-            stereorig.share_strips(4, 65537, worker)
+            stereorig.share_items(4, worker)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_the_kernel(self, subprocess_env):
@@ -638,15 +656,42 @@ class TestLoadStream:
                 write_ppm(str(p), _rand_pixels(2 * i + (side == "right"), h, w))
                 refs.append(FrameRef(33.0 * i, str(p), w, h))
             pairs.append(FramePair(*refs, 0.0))
-        made = []
-        real = merge._strip_buffers
-        monkeypatch.setattr(merge, "_strip_buffers",
-                            lambda *args: made.append(args) or real(*args))
-        with _affinity(1):
-            write_merged(pairs, mode, str(tmp_path / "out"))
-        # one worker: new buffers only where the frame size changes
-        assert made == [(mode, 4, 6), (mode, 3, 5), (mode, 4, 6)]
-        for i, pair in enumerate(pairs):
-            composed = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(
-                *(read_ppm(ref.path) for ref in (pair.left, pair.right)))
-            assert (read_ppm(str(tmp_path / "out" / f"{mode}_{i:04d}.ppm")) == composed).all()
+        caller = threading.current_thread()
+        helper_took_a_pair = threading.Event()
+        made, taken = [], []
+        real_buffers, real_writer = merge._strip_buffers, merge.raster_writer
+
+        def strip_buffers(*args):
+            made.append((threading.current_thread(), args))
+            return real_buffers(*args)
+
+        def raster_writer(path, *args):
+            thread = threading.current_thread()
+            taken.append((thread, int(path[-8:-4])))
+            if thread is not caller:
+                helper_took_a_pair.set()
+            elif cpus > 1 and len(taken) > 1:
+                # past pair 0 the caller lets a helper take a pair first
+                assert helper_took_a_pair.wait(timeout=30), "no helper took a pair"
+            return real_writer(path, *args)
+
+        monkeypatch.setattr(merge, "_strip_buffers", strip_buffers)
+        monkeypatch.setattr(merge, "raster_writer", raster_writer)
+        for cpus in (1, 2):
+            made.clear()
+            taken.clear()
+            out = tmp_path / f"out{cpus}"
+            with _affinity(cpus):
+                write_merged(pairs, mode, str(out))
+            workers = {thread for thread, _ in taken}
+            assert len(workers) == cpus
+            # each worker makes new buffers only where the size of the pairs it
+            # takes changes; with one worker that is (4, 6), (3, 5), (4, 6)
+            for worker in workers:
+                seq = [sizes[i] for thread, i in taken if thread is worker]
+                assert [args for thread, args in made if thread is worker] == [
+                    (mode, *size) for k, size in enumerate(seq) if not k or seq[k - 1] != size]
+            for i, pair in enumerate(pairs):
+                composed = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(
+                    *(read_ppm(ref.path) for ref in (pair.left, pair.right)))
+                assert (read_ppm(str(out / f"{mode}_{i:04d}.ppm")) == composed).all()
