@@ -7,8 +7,6 @@ protocol, and stereo frame merging (side-by-side and anaglyph).
 """
 
 import math
-import os
-import threading
 
 __version__ = "0.1.0"
 
@@ -53,53 +51,6 @@ def round_floats(obj, ndigits: int):
 STRIP_PIXELS = 1 << 16
 
 
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def strip_rows(height: int, width: int) -> int:
     """Rows in each strip of a frame: `STRIP_PIXELS // width`, at least 1, at most `height`."""
     return max(1, min(height, STRIP_PIXELS // max(width, 1)))
-
-
-def share_items(n: int, worker) -> None:
-    """Run items 0 .. n-1 on one worker per CPU, item 0 alone on the calling thread first.
-
-    Each worker calls `worker()` once for its own `run`, which owns that
-    worker's buffers, then `run(i)` on each item it takes from one shared
-    range iterator.  After item 0 the caller starts one helper thread per
-    further CPU this process may run on, never more workers than items
-    left: a helper started sooner would slow item 0 down.  Once a worker
-    has failed, the others take no further item.  Helpers are joined before
-    this returns, and the first exception is raised only then; with one
-    CPU, or one item, no thread starts.
-    """
-    items = iter(range(n))
-    errors: list[BaseException] = []
-    helpers = []
-
-    def work() -> None:
-        try:
-            run = worker()
-            for i in items:
-                if errors:
-                    break
-                run(i)
-                if i == 0:  # on the caller, alone so far: the helpers join it now
-                    for _ in range(min(_cpus(), n - 1) - 1):
-                        thread = threading.Thread(target=work)
-                        thread.start()
-                        helpers.append(thread)
-        except BaseException as exc:  # raised by the caller once every helper is joined
-            errors.append(exc)
-
-    try:
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]

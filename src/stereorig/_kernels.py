@@ -1,8 +1,9 @@
 """Pixel kernels: the anaglyph and side-by-side composers, in numpy.
 
-The anaglyph works a strip at a time, each worker in its own float32 work
-space (`anaglyph_composer`), and `anaglyph_pixels` shares a frame's strips
-among one worker per CPU through `stereorig.share_items`.  It is exact:
+The anaglyph works a strip at a time in one composer's own float32 work
+space (`anaglyph_composer`): the CLI's merge workers each keep one, and
+`anaglyph_pixels` runs a frame's strips through one on the calling
+thread.  It is exact:
 
 - A luma in thousandths, `v = 299 R + 587 G + 114 B`, is an integer of at
   most 255,000.  Every product and partial sum is an integer below 2^24,
@@ -10,7 +11,7 @@ among one worker per CPU through `stereorig.share_items`.  It is exact:
   without FMA.  Each strip is cast to float32 in one contiguous pass per
   eye, and `v` of both eyes comes from one `np.matmul` call whose every
   block of `_GEMV_PIXELS` pixels is one gemv, small enough that OpenBLAS
-  starts no threads of its own to compete with the workers.
+  starts no threads of its own to compete with the merge workers.
 - `y = fl32((v + 500) / 1000)` is correctly rounded, so `trunc(y)` is
   floor((v + 500) / 1000), the BT.601 byte floor(luma + 0.5) in exact
   arithmetic: off a tie the quotient is at least 0.001 from a whole
@@ -21,14 +22,14 @@ among one worker per CPU through `stereorig.share_items`.  It is exact:
 - At a tie `y` is exactly a whole number, so each strip finds its ties
   where `trunc(y) == y` (about 140 of the 2 x 65,536 values of a strip of
   noise) and recomputes just those with the float64 formula, term by term.
-  The output is bit-identical to the oracle whichever worker made a strip.
+  The output is bit-identical to the oracle whichever composer made a strip.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import share_items, strip_rows
+from . import strip_rows
 
 # BT.601 luma weights in thousandths, and the float64 weights of the formula itself
 _WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
@@ -85,9 +86,8 @@ def anaglyph_pixels(
 
     `out` is allocated when not given.  Red is the right frame's BT.601
     luma, blue the left frame's, green is 0, each byte equal to the float64
-    formula's.  The strips are shared among one worker per CPU, strip 0
-    alone on the calling thread first, and an exception in any worker is
-    raised here once every helper has been joined.
+    formula's.  The strips run in row order through one composer on the
+    calling thread.
     """
     h, w = left.shape[:2]
     if out is None:
@@ -99,18 +99,11 @@ def anaglyph_pixels(
         )
 
     rows = strip_rows(h, w)
-
-    def worker():
-        compose = anaglyph_composer(rows, w)
-
-        def strip(i: int) -> None:
-            rows_i = slice(i * rows, (i + 1) * rows)  # the last strip may have fewer
-            compose(left[rows_i], right[rows_i], out[rows_i])
-            out[rows_i, :, 1] = 0
-
-        return strip
-
-    share_items(-(-h // rows), worker)
+    compose = anaglyph_composer(rows, w)
+    for y in range(0, h, rows):
+        strip = slice(y, y + rows)  # the last strip may have fewer
+        compose(left[strip], right[strip], out[strip])
+        out[strip, :, 1] = 0
     return out
 
 

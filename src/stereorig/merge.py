@@ -12,10 +12,11 @@ import contextlib
 import math
 import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import check_range, share_items, strip_rows
+from . import check_range, strip_rows
 from .ppmio import (
     raster_reader,
     raster_writer,
@@ -211,12 +212,15 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
     The mode, every pair's dimensions and `out_dir` are checked before any
     directory is made or pixel read: an `out_dir` holding `pairs.txt` or a
     merged frame of either mode is refused.  The pairs are then shared
-    among one worker per CPU, pair 0 alone first (`stereorig.share_items`),
-    and a worker merges each pair it takes into `<mode>_NNNN.ppm` by itself
-    (`_pair_merger`).  So a one-pair stream merges on one CPU, a trade made
-    for video streams of many pairs.  On any exception, every frame written
-    or begun and every directory made (unless it holds other files) is
-    removed before the exception is re-raised.
+    among one worker per CPU, pair 0 alone on the caller first, the others
+    forked helper processes (`share_items`, so meant for a
+    single-threaded process such as the CLI), and a worker merges each
+    pair it takes into `<mode>_NNNN.ppm` by itself (`_pair_merger`).  So a
+    one-pair stream merges on one CPU, a trade made for video streams of
+    many pairs.  On any exception, `KeyboardInterrupt` included, every
+    frame written or begun and every directory made (unless it holds other
+    files) is removed, after every helper has been reaped, before the
+    exception is re-raised.
     """
     _composer(mode)  # rejects an unknown mode
     for pair in pairs:
@@ -244,6 +248,127 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
             with contextlib.suppress(OSError):  # one holding other files stays
                 os.rmdir(d)
         raise
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def share_items(n: int, worker) -> None:
+    """Run items 0 .. n-1 on one worker per CPU, item 0 alone on the caller first.
+
+    Each worker calls `worker()` once for its own `run`, which owns that
+    worker's buffers, then `run(i)` on each item it takes.  After item 0
+    the caller forks one helper process per further CPU this process may
+    run on, never more workers than items left: a helper started sooner
+    would slow item 0 down.  Forking copies the whole process but only the
+    calling thread, so this is meant for a single-threaded process such as
+    the CLI, and a helper's work reaches the caller only through files.
+    Once a worker has failed, no worker takes a further item, and a helper
+    whose parent is gone takes none either.  Every helper is reaped before
+    this returns; then the first exception is raised, the caller's before
+    the helpers', and a helper killed by a signal is a `MergeError` naming
+    it.  With one CPU, one item, or no `os.fork`, every item runs on the
+    caller and no process starts.
+    """
+    run = worker()
+    if n < 1:
+        return
+    run(0)
+    forks = min(_cpus(), n - 1) - 1 if hasattr(os, "fork") else 0
+    if forks < 1:
+        for i in range(1, n):
+            run(i)
+        return
+    # items 1 .. n-1 as 8-byte records in a file whose one open description,
+    # and so whose offset, every worker shares: each read takes the next
+    # record whole, and a failed worker stops the rest by seeking to the end
+    with tempfile.TemporaryFile() as queue:
+        queue.write(b"".join(i.to_bytes(8, "little") for i in range(1, n)))
+        queue.seek(0)  # flushes every record to the file
+        records = iter(lambda: os.read(queue.fileno(), 8), b"")
+        items = (int.from_bytes(record, "little") for record in records)
+
+        def stop() -> None:
+            os.lseek(queue.fileno(), 0, os.SEEK_END)
+
+        helpers, errors = [], []
+        try:
+            for _ in range(forks):
+                helpers.append(_fork_helper(worker, items, stop))
+            for i in items:
+                run(i)
+        except BaseException as exc:  # raised once every helper is reaped
+            stop()
+            errors.append(exc)
+        for pid, pipe in helpers:
+            try:
+                error = _reap(pid, pipe)
+            except BaseException as exc:  # an interrupt: reap the others all the same
+                error = exc
+            if error is not None:
+                stop()
+                errors.append(error)
+    if errors:
+        raise errors[0]
+
+
+def _fork_helper(worker, items, stop) -> tuple[int, int]:
+    """Fork a helper that runs `worker()` on `items`; its pid and the pipe it reports on.
+
+    A failed helper sends its exception, pickled, and every helper leaves
+    through `os._exit`, so it flushes none of the stdio buffers it
+    inherited and runs none of the caller's exit code.
+    """
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        run = worker()
+        while os.getppid() == parent and (i := next(items, None)) is not None:
+            run(i)
+        status = 0
+    except BaseException as exc:
+        import pickle  # only a failure needs it, here and in `_reap`
+
+        stop()
+        with open(write_end, "wb") as report:
+            report.write(pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, pipe: int) -> BaseException | None:
+    """Wait for helper `pid` to end; the exception it reported through `pipe`, if any."""
+    try:
+        with open(pipe, "rb") as report:
+            sent = report.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if sent:
+        import pickle
+
+        return pickle.loads(sent)
+    if code == 0:
+        return None
+    if code < 0:
+        import signal
+
+        return MergeError(f"merge helper {pid} was killed by {signal.Signals(-code).name}")
+    return MergeError(f"merge helper {pid} exited with status {code} and no report")
 
 
 def _pair_merger(pairs: list[FramePair], mode: str, paths: list[str]):

@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -26,6 +26,7 @@ from stereorig.cli import build_parser, main
 from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
+import forked
 from oracles import anaglyph_oracle, merge_outcome_oracle, sbs_oracle
 
 
@@ -625,28 +626,28 @@ class TestMerge:
         right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
         self._two_strips_a_frame(monkeypatch, cpus=2)
         real = getattr(os, name)
-        caller = threading.current_thread()
-        before = threading.active_count()
-        failed = threading.Event()
-        raised_in = []
+        caller = os.getpid()
 
         def faulty(fd, buffers, offset):
-            if threading.current_thread() is not caller and not failed.is_set():
-                raised_in.append(threading.current_thread())
+            if os.getpid() != caller and not failed.is_set():
+                raised_in.add()
                 failed.set()
                 raise OSError(errno.EIO, "Input/output error")
             # pair 0 runs alone; once the helper has started, the caller waits
             # in its pair, which leaves the next pair to the helper
-            if threading.active_count() > before and not failed.wait(timeout=30):
+            if helpers and not failed.wait(timeout=30):
                 raise AssertionError("no helper took a pair")
             return real(fd, buffers, offset)
 
         monkeypatch.setattr(os, name, faulty)
-        rc = main(["merge", "--left", left, "--right", right,
-                   "--mode", mode, "--tol", "10", "-o", str(tmp_path / "out")])
+        with forked.Event() as failed, forked.Records() as raised_in, \
+                forked.forks() as helpers:
+            rc = main(["merge", "--left", left, "--right", right,
+                       "--mode", mode, "--tol", "10", "-o", str(tmp_path / "out")])
+            raisers = raised_in.read()
         captured = capsys.readouterr()
-        assert len(raised_in) == 1 and raised_in[0] is not caller
-        assert not raised_in[0].is_alive()
+        assert len(helpers) == 1 and raisers == [(helpers[0],)]
+        assert forked.no_child_left()
         assert rc == 1
         assert captured.out == ""
         assert captured.err == "error: [Errno 5] Input/output error\n"
@@ -664,6 +665,40 @@ class TestMerge:
                   "--mode", mode, "--tol", "10", "-o", str(tmp_path / out)])
         assert capsys.readouterr().out == ""
         assert not (tmp_path / out.split("/")[0]).exists()
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_interrupt_beside_a_helper_leaves_no_output_and_no_child(
+            self, capsys, tmp_path, monkeypatch, mode, where):
+        # the caller waits past pair 0 until the helper holds a pair; then one
+        # of them is interrupted while the other is still merging its pair
+        left = _write_stream(tmp_path, "left", [33.0 * i for i in range(6)], 255)
+        right = _write_stream(tmp_path, "right", [33.0 * i + 1 for i in range(6)], 0)
+        self._two_strips_a_frame(monkeypatch, cpus=2)
+        caller, real = os.getpid(), merge.raster_writer
+
+        def raster_writer(path, *args):
+            if os.getpid() != caller:
+                helper_took.set()
+                if where == "helper":
+                    raise KeyboardInterrupt
+                time.sleep(0.2)  # still merging when the caller is interrupted
+            elif not path.endswith("_0000.ppm"):
+                assert helper_took.wait(timeout=30), "no helper took a pair"
+                if where == "caller":
+                    raise KeyboardInterrupt
+            return real(path, *args)
+
+        monkeypatch.setattr(merge, "raster_writer", raster_writer)
+        with forked.Event() as helper_took, forked.forks() as helpers:
+            with pytest.raises(KeyboardInterrupt):
+                main(["merge", "--left", left, "--right", right,
+                      "--mode", mode, "--tol", "10", "-o", str(tmp_path / "out")])
+        assert len(helpers) == 1
+        assert forked.no_child_left()
+        assert capsys.readouterr().out == ""
+        # the helper's frame too: it was removed after the helper was reaped
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_rerun_into_earlier_output_is_refused(self, capsys, tmp_path, monkeypatch, mode):
@@ -938,65 +973,183 @@ class TestPairWorkers:
         _write_streams(tmp_path, frames)
         monkeypatch.setattr(stereorig, "STRIP_PIXELS", 8)  # two strips a frame
         real = os.pwritev
-        writes = []  # (thread, inode, offset), in call order
 
         def pwritev(fd, buffers, offset):
-            writes.append((threading.current_thread(), os.fstat(fd).st_ino, offset))
+            records.add(os.fstat(fd).st_ino, offset)
             return real(fd, buffers, offset)
 
         monkeypatch.setattr(os, "pwritev", pwritev)
-        got = [p.read_bytes() for p in _merge_in(tmp_path, mode, cpus)]
+        with forked.Records() as records, forked.forks() as helpers:
+            got = [p.read_bytes() for p in _merge_in(tmp_path, mode, cpus)]
+            writes = records.read()  # (pid, inode, offset), in call order
         assert got == [_oracle_file(mode, *pair) for pair in frames]
         names = {(tmp_path / "out" / f"{mode}_{i:04d}.ppm").stat().st_ino: i for i in range(pairs)}
-        by_frame = {i: [(t, offset) for t, ino, offset in writes if names[ino] == i]
+        by_frame = {i: [(pid, offset) for pid, ino, offset in writes if names[ino] == i]
                     for i in range(pairs)}
-        caller = threading.current_thread()
+        caller = os.getpid()
         for i, frame_writes in by_frame.items():
-            # the header, then two strips at increasing offsets, all by one thread
+            # the header, then two strips at increasing offsets, all by one process
             assert len(frame_writes) == 3
-            assert len({t for t, _ in frame_writes}) == 1
+            assert len({pid for pid, _ in frame_writes}) == 1
             offsets = [offset for _, offset in frame_writes]
             assert offsets == sorted(set(offsets))
-        assert {t for t, _ in by_frame[0]} == {caller}
-        helper_writes = [k for k, (t, _, _) in enumerate(writes) if t is not caller]
+        assert {pid for pid, _ in by_frame[0]} == {caller}
+        helper_writes = [k for k, (pid, _, _) in enumerate(writes) if pid != caller]
         if helper_writes:
             frame_0_writes = [k for k, (_, ino, _) in enumerate(writes) if names[ino] == 0]
             assert max(frame_0_writes) < min(helper_writes)
-        # no more workers than CPUs, nor than the pairs left after pair 0
-        assert len({t for t, _, _ in writes}) <= max(1, min(cpus, pairs - 1))
+        # one helper per further CPU, but no more workers than the pairs left
+        # after pair 0; every write is the caller's or a helper's
+        assert len(helpers) == max(0, min(cpus, pairs - 1) - 1)
+        assert {pid for pid, _, _ in writes} <= {caller, *helpers}
+        assert forked.no_child_left()
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_fault_on_a_pair_stops_the_workers(
             self, capsys, tmp_path, monkeypatch, cpus, k):
-        # a worker that opens a pair past k waits until pair k has failed:
-        # it then merges the pair it holds, and takes no other
+        # a worker that opens a pair past k waits until pair k has failed, and
+        # a little longer for the failed worker to stop the pairs (on one CPU
+        # the woken worker may run first): it then merges the pair it holds,
+        # and takes no other
         left = _write_stream(tmp_path, "left", [33.0 * i for i in range(8)], 255)
         right = _write_stream(tmp_path, "right", [33.0 * i + 1 for i in range(8)], 0)
         real = merge.raster_reader
-        failed = threading.Event()
-        opened = []
 
         def raster_reader(path, *args):
             if Path(path).parent.name == "left":
                 i = int(Path(path).stem)
-                opened.append(i)
+                opened.add(i)
                 if i == k:
                     failed.set()
                     raise OSError(errno.EIO, "Input/output error")
-                if i > k and not failed.wait(timeout=30):
-                    raise AssertionError(f"pair {k} was never opened")
+                if i > k:
+                    if not failed.wait(timeout=30):
+                        raise AssertionError(f"pair {k} was never opened")
+                    time.sleep(0.1)
             return real(path, *args)
 
         monkeypatch.setattr(merge, "raster_reader", raster_reader)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        rc = main(["merge", "--left", left, "--right", right,
-                   "--mode", "sbs", "--tol", "10", "-o", str(tmp_path / "out")])
+        with forked.Event() as failed, forked.Records() as opened:
+            rc = main(["merge", "--left", left, "--right", right,
+                       "--mode", "sbs", "--tol", "10", "-o", str(tmp_path / "out")])
+            pairs = [i for _, i in opened.read()]
         assert rc == 1
         assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
-        assert k in opened
-        assert max(opened) <= k + cpus - 1
+        assert k in pairs
+        assert max(pairs) <= k + cpus - 1
         assert not (tmp_path / "out").exists()
+        assert forked.no_child_left()
+
+
+# the merge CLI on two CPUs, in a process of its own; the caller opens each
+# of its pairs 50 ms late, which leaves pairs to the helper
+_TWO_CPU_MERGE = """\
+import errno, os, sys, time
+from stereorig import merge
+from stereorig.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}
+caller, fail, real = os.getpid(), sys.argv[1] == "fail", merge.raster_reader
+
+
+def raster_reader(path, *args):
+    if os.getpid() == caller:
+        time.sleep(0.05)
+    elif fail:
+        raise OSError(errno.EIO, "Input/output error")
+    return real(path, *args)
+
+
+merge.raster_reader = raster_reader
+print("before the merge")  # still in stdout's buffer when the helper forks
+sys.exit(main(sys.argv[2:]))
+"""
+
+# the merge CLI on two CPUs, each worker logging its pid as it opens a frame,
+# which takes 100 ms
+_SLOW_MERGE = """\
+import os, sys, time
+from stereorig import merge
+from stereorig.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}
+real = merge.raster_reader
+
+
+def raster_reader(path, *args):
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    time.sleep(0.1)
+    return real(path, *args)
+
+
+merge.raster_reader = raster_reader
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestForkedMergeProcess:
+    """The merge CLI in a process of its own, with a helper process beside it."""
+
+    @staticmethod
+    def _argv(tmp_path: Path, mode: str, pairs: int = 8) -> list[str]:
+        left = _write_stream(tmp_path, "left", [33.0 * i for i in range(pairs)], 255)
+        right = _write_stream(tmp_path, "right", [33.0 * i + 1 for i in range(pairs)], 0)
+        return ["merge", "--left", left, "--right", right, "--mode", mode,
+                "--tol", "10", "-o", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("fail", ["ok", "fail"])
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_output_is_written_once(self, tmp_path, subprocess_env, mode, fail):
+        # stdout and stderr are files, so block-buffered: a helper that
+        # flushed what it inherited would write "before the merge" again
+        with open(tmp_path / "stdout", "w+") as out, open(tmp_path / "stderr", "w+") as err:
+            res = subprocess.run(
+                [sys.executable, "-c", _TWO_CPU_MERGE, fail, *self._argv(tmp_path, mode)],
+                env=subprocess_env, stdout=out, stderr=err, timeout=60)
+        stdout, stderr = ((tmp_path / name).read_text() for name in ("stdout", "stderr"))
+        if fail == "ok":
+            assert res.returncode == 0, stderr
+            assert stdout == ("before the merge\n"
+                              f"paired 8 frames (dropped 0 left, 0 right) -> {tmp_path / 'out'}\n")
+            assert stderr == ""
+        else:
+            assert res.returncode == 1
+            assert stdout == "before the merge\n"
+            assert stderr == "error: [Errno 5] Input/output error\n"
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_no_helper_outlives_a_killed_merge(self, tmp_path, subprocess_env):
+        log = tmp_path / "pids"
+        log.touch()
+        proc = subprocess.Popen([sys.executable, "-c", _SLOW_MERGE, str(log),
+                                 *self._argv(tmp_path, "sbs", 60)], env=subprocess_env)
+        try:
+            deadline = time.monotonic() + 30
+            while not (helpers := {int(pid) for pid in log.read_text().split()} - {proc.pid}):
+                assert time.monotonic() < deadline, "no helper opened a pair"
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        # each helper finishes the pair it holds, then finds its parent gone;
+        # merging all 60 pairs would take it 12 s
+        deadline = time.monotonic() + 5
+        while any(map(_running, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, helpers))
 
 
 _RASTER_2X2 = bytes(range(12))

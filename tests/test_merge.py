@@ -1,11 +1,12 @@
 from __future__ import annotations
 
-import contextlib
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -27,11 +28,13 @@ from stereorig.merge import (
     merge_pairs,
     pair_frames,
     scan_stream,
+    share_items,
     side_by_side,
     write_merged,
 )
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
+import forked
 from oracles import (
     anaglyph_oracle,
     greedy_pairs_oracle,
@@ -417,20 +420,6 @@ class TestAnaglyphTiling:
         assert res.stdout.split() == ["1", "1"]
 
 
-@contextlib.contextmanager
-def _started_threads():
-    """Yields the list of the threads started inside the block."""
-    started = []
-    real_start = threading.Thread.start
-
-    def start(thread):
-        started.append(thread)
-        real_start(thread)
-
-    with mock.patch.object(threading.Thread, "start", start):
-        yield started
-
-
 def _affinity(cpus: int):
     """Patch the process's affinity mask to `cpus` CPUs."""
     return mock.patch.object(os, "sched_getaffinity", create=True,
@@ -438,22 +427,20 @@ def _affinity(cpus: int):
 
 
 def _recorded_strips(height: int, width: int) -> list:
-    """Share a frame's strips with `share_items`, recording (thread, rows, y0, y1) per strip."""
+    """Share a frame's strips with `share_items`, recording (pid, rows, y0, y1) per strip."""
     rows = stereorig.strip_rows(height, width)
-    done = []
+    with forked.Records() as done:
+        def worker():
+            return lambda i: done.add(rows, i * rows, min(i * rows + rows, height))
 
-    def worker():
-        return lambda i: done.append(
-            (threading.current_thread(), rows, i * rows, min(i * rows + rows, height)))
-
-    stereorig.share_items(-(-height // rows), worker)
-    return done
+        share_items(-(-height // rows), worker)
+        return done.read()
 
 
 class TestShareStrips:
     def test_one_cpu_starts_no_thread(self):
         # 2 rows a strip at w=21846, so three rows make two strips
-        with _affinity(1), _started_threads() as started:
+        with _affinity(1), forked.forks() as started:
             done = _recorded_strips(3, 21846)
         assert started == []
         assert [d[1:] for d in done] == [(2, 0, 2), (2, 2, 3)]
@@ -463,29 +450,36 @@ class TestShareStrips:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         # three strips: strip 0 alone, then two left for two workers
-        with _started_threads() as started:
+        with forked.forks() as started:
             done = _recorded_strips(5, 21846)
         assert len(started) == helpers
         assert sorted(d[2:] for d in done) == [(0, 2), (2, 4), (4, 5)]
 
+    def test_without_fork_every_item_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with _affinity(2):
+            done = _recorded_strips(5, 21846)
+        assert [d[0] for d in done] == [os.getpid()] * 3
+        assert [d[2:] for d in done] == [(0, 2), (2, 4), (4, 5)]
+
     def test_one_strip_frame_starts_no_thread(self):
-        with _affinity(2), _started_threads() as started:
+        with _affinity(2), forked.forks() as started:
             done = _recorded_strips(2, 21846)
         assert started == []
         assert [d[1:] for d in done] == [(2, 0, 2)]
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_item_0_runs_alone_on_the_caller(self, cpus):
-        seen = []
-        with _affinity(cpus), _started_threads() as started:
+        with _affinity(cpus), forked.forks() as started, forked.Records() as records:
             def worker():
-                return lambda i: seen.append((i, threading.current_thread(), len(started)))
+                return lambda i: records.add(i, len(started))
 
-            stereorig.share_items(6, worker)
+            share_items(6, worker)
+            seen = records.read()
         assert len(started) == cpus - 1
         # no helper had started when item 0 ran
-        assert seen[0] == (0, threading.current_thread(), 0)
-        assert sorted(i for i, *_ in seen) == list(range(6))
+        assert seen[0] == (os.getpid(), 0, 0)
+        assert sorted(i for _, i, _ in seen) == list(range(6))
 
     def test_a_strip_has_no_more_rows_than_the_frame(self):
         with _affinity(2):
@@ -499,64 +493,89 @@ class TestShareStrips:
     def test_every_row_is_in_one_strip_taken_once(self, height, width, cpus):
         rows = max(1, min(height, stereorig.STRIP_PIXELS // width))
         strips = -(-height // rows)
-        with _affinity(cpus), _started_threads() as started:
+        with _affinity(cpus), forked.forks() as started:
             done = _recorded_strips(height, width)
         # strip 0 alone, then one helper per further CPU, but no more workers
         # than strips left
         assert len(started) == max(0, min(cpus, strips - 1) - 1)
-        assert not any(t.is_alive() for t in started)
+        assert forked.no_child_left()
         assert sorted(d[2:] for d in done) == [
             (y, min(y + rows, height)) for y in range(0, height, rows)]
         assert {d[1] for d in done} == {rows}
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_failing_strip_reaches_the_caller_and_leaves_no_thread(self, failing):
-        caller = threading.current_thread()
-        failed = threading.Event()
-        done = []
+        caller = os.getpid()
+        with forked.Event() as failed, forked.Records() as records:
+            def worker():
+                def strip(i):
+                    if i == 0:  # runs alone, before any helper starts
+                        return
+                    if (os.getpid() == caller) == (failing == "caller"):
+                        failed.set()
+                        raise RuntimeError(f"strip failed in the {failing}")
+                    # the other worker waits in its first strip, which leaves the
+                    # next strip to the failing one; on one CPU it may run first
+                    # once woken, so it waits a little longer for the failed
+                    # worker to stop the items
+                    if not failed.wait(timeout=30):
+                        raise AssertionError(f"the {failing} took no strip")
+                    time.sleep(0.1)
+                    records.add(i)
+                return strip
 
-        def worker():
-            def strip(i):
-                if i == 0:  # runs alone, before any helper starts
-                    return
-                if (threading.current_thread() is caller) == (failing == "caller"):
-                    failed.set()
-                    raise RuntimeError(f"strip failed in the {failing}")
-                # the other worker waits in its first strip, which leaves the next
-                # strip to the failing one
-                if not failed.wait(timeout=30):
-                    raise AssertionError(f"the {failing} took no strip")
-                done.append(i)
-            return strip
-
-        before = threading.active_count()
-        with _affinity(2), _started_threads() as started:
-            with pytest.raises(RuntimeError, match=f"strip failed in the {failing}"):
-                stereorig.share_items(8, worker)
+            with _affinity(2), forked.forks() as started:
+                with pytest.raises(RuntimeError, match=f"strip failed in the {failing}"):
+                    share_items(8, worker)
+            done = records.read()
         assert len(started) == 1
-        assert threading.active_count() == before
+        assert forked.no_child_left()
         # once a worker has failed, the other finishes the strip it holds, if
         # any, and takes no more
         assert len(done) <= 1
 
     def test_failing_worker_setup_reaches_the_caller(self):
+        caller = os.getpid()
+
         def worker():
-            if threading.current_thread() is not threading.main_thread():
+            if os.getpid() != caller:
                 raise MemoryError("no buffers")
             return lambda i: None
 
         with _affinity(2), pytest.raises(MemoryError, match="no buffers"):
-            stereorig.share_items(4, worker)
+            share_items(4, worker)
+        assert forked.no_child_left()
+
+    @pytest.mark.parametrize("end, message", [
+        ("signal", "merge helper [0-9]+ was killed by SIGKILL"),
+        ("exit", "merge helper [0-9]+ exited with status 3 and no report"),
+    ])
+    def test_helper_that_ends_without_a_report_is_a_merge_error(self, end, message):
+        caller = os.getpid()
+        with forked.Event() as took:
+            def worker():
+                def run(i):
+                    if os.getpid() == caller:  # past item 0, wait for the helper
+                        assert i == 0 or took.wait(timeout=30), "no helper took an item"
+                        return
+                    took.set()
+                    if end == "signal":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    os._exit(3)
+                return run
+
+            with _affinity(2), pytest.raises(MergeError, match=message):
+                share_items(4, worker)
+        assert forked.no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_the_kernel(self, subprocess_env):
-        # the parent runs a four-strip frame on two workers, then forks; the
-        # child must find no worker state left behind and run it again
+        # the parent runs a four-strip frame, then forks; the child must find
+        # no kernel state left behind and run it again
         script = (
             "import os, signal, sys\n"
             "import numpy as np\n"
             "from stereorig import _kernels\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "rng = np.random.default_rng(0)\n"
             "left, right = rng.integers(0, 256, (2, 4, 65537, 3), dtype=np.uint8)\n"
             "want = _kernels.anaglyph_pixels(left, right)\n"
@@ -573,6 +592,8 @@ class TestShareStrips:
 
 
 class TestAnaglyphWorkers:
+    """`anaglyph_pixels` runs its strips on the calling thread, whatever the CPUs."""
+
     @settings(max_examples=6, deadline=None)
     @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1), cpus=st.integers(1, 8))
     @example(shape=(9, 13108), seed=4, cpus=2)
@@ -582,8 +603,9 @@ class TestAnaglyphWorkers:
     def test_several_cpus_match_oracle(self, shape, seed, cpus):
         left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
         out = np.full((*shape, 3), 0xAB, dtype=np.uint8)
-        with _affinity(cpus):
+        with _affinity(cpus), forked.forks() as started:
             assert _kernels.anaglyph_pixels(left, right, out) is out
+        assert started == []
         assert (out == anaglyph_oracle(left, right)).all()
 
     def test_failing_strip_reaches_the_caller(self):
@@ -592,10 +614,10 @@ class TestAnaglyphWorkers:
                 raise RuntimeError("store failed")
 
         left = _rand_pixels(26, 4, 65537)
-        before = threading.active_count()
-        with _affinity(2), pytest.raises(RuntimeError, match="store failed"):
+        with _affinity(2), forked.forks() as started, \
+                pytest.raises(RuntimeError, match="store failed"):
             _kernels.anaglyph_pixels(left, left, np.empty_like(left).view(Out))
-        assert threading.active_count() == before
+        assert started == []
 
 
 class TestLoadStream:
@@ -656,21 +678,18 @@ class TestLoadStream:
                 write_ppm(str(p), _rand_pixels(2 * i + (side == "right"), h, w))
                 refs.append(FrameRef(33.0 * i, str(p), w, h))
             pairs.append(FramePair(*refs, 0.0))
-        caller = threading.current_thread()
-        helper_took_a_pair = threading.Event()
-        made, taken = [], []
+        caller = os.getpid()
         real_buffers, real_writer = merge._strip_buffers, merge.raster_writer
 
         def strip_buffers(*args):
-            made.append((threading.current_thread(), args))
+            records.add("made", args)
             return real_buffers(*args)
 
         def raster_writer(path, *args):
-            thread = threading.current_thread()
-            taken.append((thread, int(path[-8:-4])))
-            if thread is not caller:
+            records.add("took", int(path[-8:-4]))
+            if os.getpid() != caller:
                 helper_took_a_pair.set()
-            elif cpus > 1 and len(taken) > 1:
+            elif cpus > 1 and not path.endswith("_0000.ppm"):
                 # past pair 0 the caller lets a helper take a pair first
                 assert helper_took_a_pair.wait(timeout=30), "no helper took a pair"
             return real_writer(path, *args)
@@ -678,18 +697,20 @@ class TestLoadStream:
         monkeypatch.setattr(merge, "_strip_buffers", strip_buffers)
         monkeypatch.setattr(merge, "raster_writer", raster_writer)
         for cpus in (1, 2):
-            made.clear()
-            taken.clear()
             out = tmp_path / f"out{cpus}"
-            with _affinity(cpus):
-                write_merged(pairs, mode, str(out))
-            workers = {thread for thread, _ in taken}
+            with forked.Records() as records, forked.Event() as helper_took_a_pair:
+                with _affinity(cpus):
+                    write_merged(pairs, mode, str(out))
+                log = records.read()
+            taken = [(pid, i) for pid, what, i in log if what == "took"]
+            made = [(pid, args) for pid, what, args in log if what == "made"]
+            workers = {pid for pid, _ in taken}
             assert len(workers) == cpus
             # each worker makes new buffers only where the size of the pairs it
             # takes changes; with one worker that is (4, 6), (3, 5), (4, 6)
             for worker in workers:
-                seq = [sizes[i] for thread, i in taken if thread is worker]
-                assert [args for thread, args in made if thread is worker] == [
+                seq = [sizes[i] for pid, i in taken if pid == worker]
+                assert [args for pid, args in made if pid == worker] == [
                     (mode, *size) for k, size in enumerate(seq) if not k or seq[k - 1] != size]
             for i, pair in enumerate(pairs):
                 composed = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(
