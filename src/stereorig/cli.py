@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 # Each _cmd_* imports the modules it uses, so a run compiles only those and
@@ -115,6 +114,8 @@ def _cmd_align_check(args) -> int:
 
 
 def _cmd_grid_overlay(args) -> int:
+    import json
+
     from . import alignment, guidance
 
     (spec,) = _devices(args, args.device)

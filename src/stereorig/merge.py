@@ -13,8 +13,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import check_range, strip_rows
 from .ppmio import (
@@ -29,30 +28,32 @@ from .ppmio import (
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported only by the ndarray APIs (Frame, the composers,
-# load_stream) and by an anaglyph merge; an sbs merge moves bytes only.
+# numpy is imported only by the ndarray APIs (the composers, load_stream)
+# and by an anaglyph merge; an sbs merge moves bytes only.  The records
+# below are plain classes, not dataclasses: `dataclasses` imports
+# `inspect`, which costs a merge's start about 12 ms.
 
 
 class MergeError(ValueError):
     """Raised for unsorted or non-finite timestamps, dimension mismatches, or bad frames."""
 
 
-@dataclass(eq=False)
 class Frame:
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width, 3) uint8
-    timestamp: float  # ms
-    source: str  # "left" | "right" for captures; composers mark their output
+    """A frame's pixels in memory, checked to be a (height, width, 3) uint8 array."""
 
-    def __post_init__(self):
-        if self.pixels.dtype != "uint8":
-            raise MergeError(f"pixels must be uint8, got {self.pixels.dtype}")
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise MergeError(
-                f"pixel buffer {self.pixels.shape} does not match "
-                f"{self.width}x{self.height}x3"
-            )
+    __slots__ = ("width", "height", "pixels", "timestamp", "source")
+
+    def __init__(self, width: int, height: int, pixels: np.ndarray, timestamp: float,
+                 source: str):
+        if pixels.dtype != "uint8":
+            raise MergeError(f"pixels must be uint8, got {pixels.dtype}")
+        if pixels.shape != (height, width, 3):
+            raise MergeError(f"pixel buffer {pixels.shape} does not match {width}x{height}x3")
+        self.width = width
+        self.height = height
+        self.pixels = pixels
+        self.timestamp = timestamp  # ms
+        self.source = source  # "left" | "right" for captures; composers mark their output
 
     @classmethod
     def from_pixels(cls, pixels: np.ndarray, timestamp: float, source: str) -> "Frame":
@@ -60,8 +61,7 @@ class Frame:
         return cls(width=w, height=h, pixels=pixels, timestamp=timestamp, source=source)
 
 
-@dataclass(frozen=True)
-class FrameRef:
+class FrameRef(NamedTuple):
     """A frame known by its manifest entry and PPM header; its pixels stay on disk."""
 
     timestamp: float  # ms
@@ -70,18 +70,21 @@ class FrameRef:
     height: int
 
 
-@dataclass(frozen=True)
-class FramePair:
+class FramePair(NamedTuple):
     left: Frame | FrameRef
     right: Frame | FrameRef
     timestamp_skew: float
 
 
-@dataclass
 class PairingResult:
-    pairs: list[FramePair] = field(default_factory=list)
-    dropped_left: list[Frame | FrameRef] = field(default_factory=list)
-    dropped_right: list[Frame | FrameRef] = field(default_factory=list)
+    __slots__ = ("pairs", "dropped_left", "dropped_right")
+
+    def __init__(self, pairs: list[FramePair] | None = None,
+                 dropped_left: list[Frame | FrameRef] | None = None,
+                 dropped_right: list[Frame | FrameRef] | None = None):
+        self.pairs = [] if pairs is None else pairs
+        self.dropped_left = [] if dropped_left is None else dropped_left
+        self.dropped_right = [] if dropped_right is None else dropped_right
 
 
 def _check_timestamps(frames: list[Frame | FrameRef], name: str) -> None:
@@ -106,7 +109,8 @@ def pair_frames(
 
     Walking the left stream in order, each frame takes the not-yet-matched
     right frame closest in time within the tolerance (earlier frame wins a
-    tie).  Unmatched frames on either side are reported, never silently
+    tie; of right frames with one timestamp, the first in the stream).
+    Unmatched frames on either side are reported, never silently
     discarded.  Only each frame's `timestamp` is read, so `FrameRef`s pair
     without their pixels being loaded.
     """
@@ -126,6 +130,10 @@ def pair_frames(
             if lf.timestamp - right_ts[j] > tolerance:
                 break
             if not taken[j]:
+                # of equal timestamps the first untaken, as the forward scan
+                # takes, so that pairs never cross
+                while j and right_ts[j - 1] == right_ts[j] and not taken[j - 1]:
+                    j -= 1
                 best = j
                 best_key = (lf.timestamp - right_ts[j], right_ts[j])
                 break

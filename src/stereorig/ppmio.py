@@ -136,7 +136,8 @@ def _write_at(fd: int, views: list, offset: int, path: str) -> None:
     """Write flat bytes-like `views` back to back at `offset` of `fd`.
 
     Each `os.pwritev` call takes at most `_IOV_MAX` buffers, with no copy
-    into one buffer; a short write resumes where it stopped.
+    into one buffer; a short write resumes where it stopped.  Only a short
+    write is accounted view by view.
     """
     views = list(views)
     while views:
@@ -145,8 +146,11 @@ def _write_at(fd: int, views: list, offset: int, path: str) -> None:
         if n == 0:
             raise OSError(f"{path}: write made no progress")
         offset += n
+        if n == sum(map(len, batch)):  # the whole batch, the usual case
+            del views[:_IOV_MAX]
+            continue
         k = 0
-        while k < len(batch) and n >= len(batch[k]):
+        while n >= len(batch[k]):  # n is short of the batch, so k stays in it
             n -= len(batch[k])
             k += 1
         del views[:k]

@@ -1328,12 +1328,13 @@ class TestNonFiniteFlags:
                 assert sorted(os.listdir(work)) == before
 
 
-# a child that imports the CLI, runs one command and prints sys.modules as JSON
+# a child that imports the CLI, runs one command and prints sys.modules; it
+# imports nothing else itself, so json shows up only if the command loaded it
 _MODULES_AT_EXIT = """\
-import json, sys
+import sys
 from stereorig.cli import main
 rc = main(sys.argv[1:])
-print("\\nMODULES " + json.dumps(sorted(sys.modules)))
+print("\\nMODULES " + " ".join(sorted(sys.modules)))
 sys.exit(rc)
 """
 
@@ -1351,7 +1352,7 @@ class TestImportFootprint:
                                  env=subprocess_env, cwd=tmp_path,
                                  capture_output=True, text=True)
             assert res.returncode == rc, res.stderr
-            return set(json.loads(res.stdout.rsplit("\nMODULES ", 1)[1]))
+            return set(res.stdout.rsplit("\nMODULES ", 1)[1].split())
         return run
 
     @staticmethod
@@ -1362,6 +1363,7 @@ class TestImportFootprint:
         loaded = modules_after("--help")  # import, then build the parser
         assert self._own(loaded) == {"stereorig.cli"}
         assert not loaded & (_ONLY_MERGE_NEEDS | _NOTHING_NEEDS)
+        assert "json" not in loaded
 
     def _merge(self, tmp_path, modules_after, mode: str) -> set[str]:
         left = _write_stream(tmp_path, "left", [0.0, 33.0], 255)
@@ -1377,6 +1379,8 @@ class TestImportFootprint:
         loaded = self._merge(tmp_path, modules_after, "sbs")
         assert self._own(loaded) == {"stereorig.cli", "stereorig.merge", "stereorig.ppmio"}
         assert not loaded & _ONLY_MERGE_NEEDS
+        # nor dataclasses (which imports inspect) or json, which a merge never runs
+        assert not loaded & {"dataclasses", "inspect", "json"}
 
     def test_anaglyph_merge_also_loads_the_kernels(self, tmp_path, modules_after):
         loaded = self._merge(tmp_path, modules_after, "anaglyph")

@@ -280,6 +280,58 @@ class TestFrameValidation:
             Frame(width=3, height=2, pixels=np.zeros((2, 2, 3), dtype=np.uint8),
                   timestamp=0.0, source="left")
 
+    def test_positional_and_keyword_construction_agree(self):
+        px = np.zeros((2, 3, 3), dtype=np.uint8)
+        frame = Frame(3, 2, px, 5.0, "left")
+        assert (frame.width, frame.height, frame.pixels, frame.timestamp, frame.source) == (
+            3, 2, px, 5.0, "left")
+        with pytest.raises(MergeError, match=r"^pixel buffer \(2, 3, 3\) does not match 2x3x3$"):
+            Frame(2, 3, px, 5.0, "left")
+        with pytest.raises(MergeError, match="^pixels must be uint8, got int16$"):
+            Frame(3, 2, px.astype(np.int16), 5.0, "left")
+
+
+class TestRecords:
+    """The pairing records: their fields in order, and which of them are frozen."""
+
+    def test_frame_ref_and_pair_are_immutable(self):
+        ref = FrameRef(1.0, "a.ppm", 4, 2)
+        pair = FramePair(ref, ref, 0.0)
+        for record, field in ((ref, "timestamp"), (ref, "path"), (pair, "left"),
+                              (pair, "timestamp_skew")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            ref.extra = 1
+        assert ref == FrameRef(timestamp=1.0, path="a.ppm", width=4, height=2)
+        assert pair == FramePair(left=ref, right=ref, timestamp_skew=0.0)
+
+    def test_field_order(self):
+        assert FrameRef._fields == ("timestamp", "path", "width", "height")
+        assert FramePair._fields == ("left", "right", "timestamp_skew")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 400), max_size=30), st.lists(st.integers(0, 400), max_size=30),
+           st.integers(0, 40))
+    @example([175, 176], [174, 174], 2)  # pairs (0, 1), (1, 0) would cross
+    def test_frame_ref_streams_pair_as_the_greedy_oracle(self, lts, rts, tol):
+        # whole milliseconds make ties common: equal right timestamps, and
+        # a left frame midway between two right ones
+        lts, rts = sorted(map(float, lts)), sorted(map(float, rts))
+        left = [FrameRef(t, f"l{i}.ppm", 4, 4) for i, t in enumerate(lts)]
+        right = [FrameRef(t, f"r{i}.ppm", 4, 4) for i, t in enumerate(rts)]
+        result = pair_frames(left, right, float(tol))
+        got = [(int(p.left.path[1:-4]), int(p.right.path[1:-4])) for p in result.pairs]
+        assert got == greedy_pairs_oracle(lts, rts, float(tol))
+        assert all(p.timestamp_skew == abs(p.left.timestamp - p.right.timestamp)
+                   for p in result.pairs)
+        paired_right = {j for _, j in got}
+        assert [r.path for r in result.dropped_right] == [
+            r.path for j, r in enumerate(right) if j not in paired_right]
+        paired_left = {i for i, _ in got}
+        assert [l.path for l in result.dropped_left] == [
+            l.path for i, l in enumerate(left) if i not in paired_left]
+
 
 @st.composite
 def _same_shape_frame_pairs(draw):
