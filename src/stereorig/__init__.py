@@ -36,6 +36,18 @@ def check_range(name: str, value: float, kind: str = "finite", error: type = Val
         raise error(f"{name} must be {words}, got {value}")
 
 
+def json_array(name: str, value, length: int | None = None) -> list:
+    """`value` if it is a JSON array, of `length` items when given; else a ValueError naming `name`.
+
+    Iterating a string or an object instead would read its characters or keys.
+    """
+    if not isinstance(value, list) or length not in (None, len(value)):
+        want = "an array" if length is None else f"an array of {length} items"
+        got = f"{len(value)} items" if isinstance(value, list) else type(value).__name__
+        raise ValueError(f"{name} must be {want}, got {got}")
+    return value
+
+
 def round_floats(obj, ndigits: int):
     """JSON data with every float rounded to `ndigits`; tuples become lists."""
     if isinstance(obj, float):

@@ -46,7 +46,7 @@ def anaglyph_composer(rows: int, width: int):
     strips, n <= rows, and writes red from `right` and blue from `left`
     into `out`; it leaves green as it is.  Both eyes go through each step
     in one buffer, the right eye's values first, so that every numpy call
-    does the work of two.  One composer serves one thread.
+    does the work of two.  One composer serves one caller at a time.
     """
     colours = np.empty((2 * rows * width, 3), dtype=np.float32)
     values, whole = np.empty((2, 2 * rows * width), dtype=np.float32)
@@ -79,31 +79,24 @@ def anaglyph_composer(rows: int, width: int):
     return compose
 
 
-def anaglyph_pixels(
-    left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Anaglyph of two (h, w, 3) uint8 frames, written into `out` (h, w, 3) uint8.
+def anaglyph_pixels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Anaglyph of two (h, w, 3) uint8 frames as a new (h, w, 3) uint8 array.
 
-    `out` is allocated when not given.  Red is the right frame's BT.601
-    luma, blue the left frame's, green is 0, each byte equal to the float64
-    formula's.  The strips run in row order through one composer on the
-    calling thread.
+    Red is the right frame's BT.601 luma, blue the left frame's, green is
+    0, each byte equal to the float64 formula's.  The strips run in row
+    order through one composer on the calling thread.
     """
-    h, w = left.shape[:2]
-    if out is None:
-        out = np.empty((h, w, 3), dtype=np.uint8)
-    if left.shape[2:] != (3,) or right.shape != left.shape or out.shape != left.shape:
+    if left.shape[2:] != (3,) or right.shape != left.shape:
         raise ValueError(
-            f"anaglyph needs (h, w, 3) frames of one shape: "
-            f"left {left.shape}, right {right.shape}, out {out.shape}"
+            f"anaglyph needs (h, w, 3) frames of one shape: left {left.shape}, right {right.shape}"
         )
-
+    h, w = left.shape[:2]
+    out = np.zeros((h, w, 3), dtype=np.uint8)
     rows = strip_rows(h, w)
     compose = anaglyph_composer(rows, w)
     for y in range(0, h, rows):
         strip = slice(y, y + rows)  # the last strip may have fewer
         compose(left[strip], right[strip], out[strip])
-        out[strip, :, 1] = 0
     return out
 
 

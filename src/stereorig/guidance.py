@@ -22,6 +22,7 @@ from . import (
     DEFAULT_GYRO_TOLERANCE_DPS,
     DEFAULT_MAG_TOLERANCE_UT,
     check_range,
+    json_array,
     round_floats,
 )
 from .alignment import BaseModel
@@ -200,8 +201,8 @@ def instructions(status: AlignmentStatus) -> list[str]:
 
 def _reading_from_dict(doc: dict) -> SensorReading:
     try:
-        mag = doc["magnetometer"]
-        gyro = doc["gyroscope"]
+        mag = json_array("magnetometer", doc["magnetometer"], 3)
+        gyro = json_array("gyroscope", doc["gyroscope"], 3)
         values = dict(
             magnetometer=(float(mag[0]), float(mag[1]), float(mag[2])),
             gyroscope=(float(gyro[0]), float(gyro[1]), float(gyro[2])),
@@ -217,6 +218,8 @@ def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise GuidanceError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise GuidanceError(f"malformed readings file: {exc}") from exc
         except RecursionError as exc:

@@ -76,15 +76,10 @@ class FramePair(NamedTuple):
     timestamp_skew: float
 
 
-class PairingResult:
-    __slots__ = ("pairs", "dropped_left", "dropped_right")
-
-    def __init__(self, pairs: list[FramePair] | None = None,
-                 dropped_left: list[Frame | FrameRef] | None = None,
-                 dropped_right: list[Frame | FrameRef] | None = None):
-        self.pairs = [] if pairs is None else pairs
-        self.dropped_left = [] if dropped_left is None else dropped_left
-        self.dropped_right = [] if dropped_right is None else dropped_right
+class PairingResult(NamedTuple):
+    pairs: list[FramePair]
+    dropped_left: list[Frame | FrameRef]
+    dropped_right: list[Frame | FrameRef]
 
 
 def _check_timestamps(frames: list[Frame | FrameRef], name: str) -> None:
@@ -120,7 +115,7 @@ def pair_frames(
 
     right_ts = [f.timestamp for f in right_stream]
     taken = [False] * len(right_stream)
-    result = PairingResult()
+    pairs, dropped_left = [], []
     for lf in left_stream:
         pos = bisect.bisect_left(right_ts, lf.timestamp)
         best = -1
@@ -147,13 +142,10 @@ def pair_frames(
                 break
         if best >= 0:
             taken[best] = True
-            result.pairs.append(
-                FramePair(lf, right_stream[best], abs(lf.timestamp - right_ts[best]))
-            )
+            pairs.append(FramePair(lf, right_stream[best], abs(lf.timestamp - right_ts[best])))
         else:
-            result.dropped_left.append(lf)
-    result.dropped_right = [f for f, t in zip(right_stream, taken) if not t]
-    return result
+            dropped_left.append(lf)
+    return PairingResult(pairs, dropped_left, [f for f, t in zip(right_stream, taken) if not t])
 
 
 def _check_dims(pair: FramePair) -> None:
@@ -245,7 +237,7 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
     paths = [os.path.join(out_dir, f"{mode}_{i:04d}.ppm") for i in range(len(pairs))]
     try:
         os.makedirs(out_dir, exist_ok=True)
-        share_items(len(pairs), lambda: _pair_merger(pairs, mode, paths))
+        share_items(len(pairs), _pair_merger(pairs, mode, paths))
         write_manifest(os.path.join(out_dir, "pairs.txt"),
                        [(pair.left.timestamp, path) for pair, path in zip(pairs, paths)])
     except BaseException:  # a failed or interrupted run leaves no partial output
@@ -265,16 +257,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def share_items(n: int, worker) -> None:
-    """Run items 0 .. n-1 on one worker per CPU, item 0 alone on the caller first.
+def share_items(n: int, run) -> None:
+    """Run `run(i)` for items 0 .. n-1 on one worker per CPU, item 0 alone on the caller first.
 
-    Each worker calls `worker()` once for its own `run`, which owns that
-    worker's buffers, then `run(i)` on each item it takes.  After item 0
-    the caller forks one helper process per further CPU this process may
-    run on, never more workers than items left: a helper started sooner
-    would slow item 0 down.  Forking copies the whole process but only the
-    calling thread, so this is meant for a single-threaded process such as
-    the CLI, and a helper's work reaches the caller only through files.
+    After item 0 the caller forks one helper process per further CPU this
+    process may run on, never more workers than items left: a helper
+    started sooner would slow item 0 down.  A helper is a copy of the
+    caller, so it calls its own copy of `run`, with whatever `run` holds
+    (its buffers, say) as item 0 left it.  Forking copies only the calling
+    thread, so this is meant for a single-threaded process such as the
+    CLI, and a helper's work reaches the caller only through files.
     Once a worker has failed, no worker takes a further item, and a helper
     whose parent is gone takes none either.  Every helper is reaped before
     this returns; then the first exception is raised, the caller's before
@@ -282,7 +274,6 @@ def share_items(n: int, worker) -> None:
     it.  With one CPU, one item, or no `os.fork`, every item runs on the
     caller and no process starts.
     """
-    run = worker()
     if n < 1:
         return
     run(0)
@@ -306,7 +297,7 @@ def share_items(n: int, worker) -> None:
         helpers, errors = [], []
         try:
             for _ in range(forks):
-                helpers.append(_fork_helper(worker, items, stop))
+                helpers.append(_fork_helper(run, items, stop))
             for i in items:
                 run(i)
         except BaseException as exc:  # raised once every helper is reaped
@@ -324,8 +315,8 @@ def share_items(n: int, worker) -> None:
         raise errors[0]
 
 
-def _fork_helper(worker, items, stop) -> tuple[int, int]:
-    """Fork a helper that runs `worker()` on `items`; its pid and the pipe it reports on.
+def _fork_helper(run, items, stop) -> tuple[int, int]:
+    """Fork a helper that runs `run` on `items`; its pid and the pipe it reports on.
 
     A failed helper sends its exception, pickled, and every helper leaves
     through `os._exit`, so it flushes none of the stdio buffers it
@@ -345,7 +336,6 @@ def _fork_helper(worker, items, stop) -> tuple[int, int]:
     status = 1
     try:
         os.close(read_end)
-        run = worker()
         while os.getppid() == parent and (i := next(items, None)) is not None:
             run(i)
         status = 0
@@ -380,16 +370,17 @@ def _reap(pid: int, pipe: int) -> BaseException | None:
 
 
 def _pair_merger(pairs: list[FramePair], mode: str, paths: list[str]):
-    """One worker's `merge(i)`, which merges pair i into the P6 file `paths[i]`.
+    """`merge(i)`, which merges pair i into the P6 file `paths[i]`.
 
     Both inputs are opened and their headers parsed again: a frame whose
     size has changed since `scan_stream` is a `PpmError`.  Then, strip by
     strip in row order, it reads the left and the right rows at their
     raster offsets, composes them and writes the result at its output
     offset, so no frame-sized buffer exists.  sbs writes the row views of
-    its input buffers; anaglyph writes the output of its worker's
-    `_kernels.anaglyph_composer`.  The worker keeps its strip buffers from
-    pair to pair and makes new ones only when the strip size changes.
+    its input buffers; anaglyph writes the output of its
+    `_kernels.anaglyph_composer`.  `merge` keeps its strip buffers from
+    pair to pair and makes new ones only when the strip size changes; a
+    forked helper starts from its own copy of the caller's.
     """
     buffers = None
 
@@ -418,7 +409,7 @@ def _pair_merger(pairs: list[FramePair], mode: str, paths: list[str]):
 
 
 def _strip_buffers(mode: str, rows: int, w: int):
-    """One worker's left and right strip buffers, and its `compose(n)`.
+    """Left and right strip buffers, and a `compose(n)` that merges them.
 
     `compose(n)` merges the first n rows of the buffers and returns the
     flat views to write, in order.

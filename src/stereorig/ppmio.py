@@ -51,16 +51,14 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     Returns (width, height) once the file size shows the whole raster is
     there; headers may hold `#` comments, so their length is not fixed.
     """
-    try:
-        magic = _next_token(fh, path)
-        if magic != b"P6":
-            raise PpmError(f"{path}: unsupported magic {magic!r}; only binary P6 is handled")
-        tokens = [_next_token(fh, path) for _ in range(3)]
-        w, h, maxval = (int(t) for t in tokens)
-    except PpmError:
-        raise
-    except ValueError as exc:
-        raise PpmError(f"malformed header in {path}: {exc}") from exc
+    magic = _next_token(fh, path)
+    if magic != b"P6":
+        raise PpmError(f"{path}: unsupported magic {magic!r}; only binary P6 is handled")
+    tokens = [_next_token(fh, path) for _ in range(3)]
+    for token in tokens:
+        if not token.isdigit():  # ASCII digits only: int() would take "+1" and "1_0"
+            raise PpmError(f"malformed header in {path}: {token!r} is not a decimal number")
+    w, h, maxval = map(int, tokens)
     if w <= 0 or h <= 0:
         raise PpmError(f"bad dimensions {w}x{h} in {path}")
     if maxval != 255:
@@ -97,8 +95,8 @@ def raster_reader(path: str, width: int, height: int):
 
     The header is parsed again and must still give `width` x `height`, or
     the file is refused with a `PpmError`.  Each read is one `os.preadv`
-    at `offset` bytes into the raster, so threads may read at once; a short
-    read is a `PpmError` naming the file.
+    at `offset` bytes into the raster, so reads need not come in order; a
+    short read is a `PpmError` naming the file.
     """
     with open(path, "rb") as fh:
         size = _read_header(fh, path)
@@ -121,7 +119,7 @@ def raster_writer(path: str, width: int, height: int):
     """Create the P6 file `path`, write its header and yield `write(views, offset)`.
 
     `write` puts flat bytes-like `views` back to back at `offset` bytes into
-    the raster, through `_write_at`, so threads may write at once.
+    the raster, through `_write_at`, so writes need not come in order.
     """
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
@@ -158,22 +156,6 @@ def _write_at(fd: int, views: list, offset: int, path: str) -> None:
             views[0] = memoryview(views[0])[n:]
 
 
-def write_raster(path: str, width: int, height: int, chunks: list) -> None:
-    """Write a P6 file whose raster is the concatenation of `chunks`.
-
-    Each chunk is a flat bytes-like object (bytes, bytearray or a one-byte
-    memoryview), so its len() is its size in bytes.  The chunks must hold
-    exactly width * height * 3 bytes, which is checked before the file is
-    opened.
-    """
-    need = width * height * 3
-    got = sum(map(len, chunks))
-    if got != need:
-        raise PpmError(f"{width}x{height} raster needs {need} bytes, got {got}")
-    with raster_writer(path, width, height) as write:
-        write(chunks, 0)
-
-
 def write_ppm(path: str, pixels: np.ndarray) -> None:
     """Write (h, w, 3) uint8 `pixels` as a P6 file."""
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != "uint8":
@@ -181,7 +163,8 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
     import numpy as np
 
     h, w = pixels.shape[:2]
-    write_raster(path, w, h, [memoryview(np.ascontiguousarray(pixels)).cast("B")])
+    with raster_writer(path, w, h) as write:
+        write([memoryview(np.ascontiguousarray(pixels)).cast("B")], 0)
 
 
 def read_manifest(path: str) -> list[tuple[float, str]]:
@@ -189,7 +172,11 @@ def read_manifest(path: str) -> list[tuple[float, str]]:
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise PpmError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

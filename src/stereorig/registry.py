@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
-from . import check_range
+from . import check_range, json_array
 
 
 class RegistryError(ValueError):
@@ -76,7 +76,9 @@ def _spec_from_dict(entry: dict) -> DeviceSpec:
     if missing:
         raise RegistryError(f"device entry missing required fields: {', '.join(missing)}")
     try:
-        cam = entry["camera_center"]
+        cam = json_array("camera_center", entry["camera_center"], 2)
+        arrays = {name: json_array(name, entry[name]) for name in _SET_FIELDS}
+        sizes = [json_array("each resolution", size, 2) for size in arrays["resolutions"]]
         values = dict(
             model_id=str(entry["model_id"]),
             body_width=float(entry["body_width"]),
@@ -86,10 +88,10 @@ def _spec_from_dict(entry: dict) -> DeviceSpec:
             screen_width_px=int(entry["screen_width_px"]),
             screen_height_px=int(entry["screen_height_px"]),
             pixel_density=float(entry["pixel_density"]),
-            resolutions=frozenset((int(w), int(h)) for w, h in entry["resolutions"]),
-            frame_rates=frozenset(float(f) for f in entry["frame_rates"]),
-            focus_modes=frozenset(str(m) for m in entry["focus_modes"]),
-            capture_modes=frozenset(str(m) for m in entry["capture_modes"]),
+            resolutions=frozenset((int(w), int(h)) for w, h in sizes),
+            frame_rates=frozenset(float(f) for f in arrays["frame_rates"]),
+            focus_modes=frozenset(str(m) for m in arrays["focus_modes"]),
+            capture_modes=frozenset(str(m) for m in arrays["capture_modes"]),
         )
     except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
         raise RegistryError(f"malformed device entry: {exc}") from exc
@@ -116,7 +118,11 @@ def parse_device_specs(text: str) -> list[DeviceSpec]:
 
 def load_registry(path: str) -> list[DeviceSpec]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_device_specs(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise RegistryError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_device_specs(text)
 
 
 def _spec_to_dict(spec: DeviceSpec) -> dict:

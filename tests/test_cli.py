@@ -1275,6 +1275,25 @@ class TestDeeplyNestedJson:
         assert captured.err.endswith(": nested too deeply\n")
 
 
+class TestNonUtf8Input:
+    """A text input that is not UTF-8 is a domain error naming the file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["base-model", "--a", "J7-fixture", "--b", "A5-fixture", "--specs", "{file}"],
+        ["align-check", "--readings", "{file}"],
+        ["merge", "--left", "{file}", "--right", "{file}", "--mode", "sbs", "-o", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_1_with_an_error_line(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"[0 a\xff.ppm]\n")
+        rc = main([a.format(file=bad, out=tmp_path / "out") for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode")
+        assert not (tmp_path / "out").exists()
+
+
 class TestNonFiniteFlags:
     """Every float option, set to a non-finite value, fails the run and writes nothing."""
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -324,6 +325,25 @@ class TestReadingFixtures:
         path = tmp_path / "pairs.json"
         path.write_text("[]")
         with pytest.raises(GuidanceError, match="non-empty"):
+            load_reading_pairs(str(path))
+
+    @pytest.mark.parametrize("field, value, got", [
+        ("magnetometer", "123", "str"),
+        ("magnetometer", [1, 2, 3, 4], "4 items"),
+        ("gyroscope", [0, 0], "2 items"),
+    ])
+    def test_vector_must_be_an_array_of_three(self, tmp_path, field, value, got):
+        # "123" was read as (1, 2, 3) and a fourth component dropped
+        reading = {"magnetometer": [1, 2, 3], "gyroscope": [0, 0, 0], field: value}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([{"a": reading, "b": reading}]))
+        with pytest.raises(GuidanceError, match=f"{field} must be an array of 3 items, got {got}"):
+            load_reading_pairs(str(path))
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_bytes(b'[{"a": "\xff"}]')
+        with pytest.raises(GuidanceError, match=f"{re.escape(str(path))}: not UTF-8 text"):
             load_reading_pairs(str(path))
 
     def test_missing_b_rejected(self, tmp_path):

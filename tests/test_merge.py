@@ -348,13 +348,8 @@ class TestKernelBuffers:
     @settings(max_examples=60, deadline=None)
     @given(_same_shape_frame_pairs())
     def test_anaglyph_matches_oracle_fresh_and_reused(self, pairs):
-        h, w = pairs[0][0].shape[:2]
-        out = np.full((h, w, 3), 0xAB, dtype=np.uint8)
         for left, right in pairs:
-            want = anaglyph_oracle(left, right)
-            assert (_kernels.anaglyph_pixels(left, right) == want).all()
-            assert _kernels.anaglyph_pixels(left, right, out) is out
-            assert (out == want).all()
+            assert (_kernels.anaglyph_pixels(left, right) == anaglyph_oracle(left, right)).all()
 
     @settings(max_examples=60, deadline=None)
     @given(_same_shape_frame_pairs())
@@ -365,13 +360,13 @@ class TestKernelBuffers:
     def test_anaglyph_rejects_mismatched_shapes(self):
         frame = np.zeros((4, 5, 3), dtype=np.uint8)
         four_channel = np.zeros((4, 5, 4), dtype=np.uint8)
-        for left, right, out in (
-            (frame, np.zeros((5, 5, 3), dtype=np.uint8), None),
-            (frame, frame, np.zeros((3, 5, 3), dtype=np.uint8)),
-            (four_channel, four_channel, None),
+        for left, right in (
+            (frame, np.zeros((5, 5, 3), dtype=np.uint8)),
+            (four_channel, four_channel),
+            (frame[0], frame[0]),
         ):
             with pytest.raises(ValueError, match="one shape"):
-                _kernels.anaglyph_pixels(left, right, out)
+                _kernels.anaglyph_pixels(left, right)
 
 
 def _rand_pixels(seed: int, h: int, w: int) -> np.ndarray:
@@ -412,21 +407,14 @@ class TestAnaglyphTiling:
     def test_strip_edges_match_oracle(self, shape, seed):
         left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
         want = anaglyph_oracle(left, right)
-        out = np.full(want.shape, 0xAB, dtype=np.uint8)
         assert (_kernels.anaglyph_pixels(left, right) == want).all()
-        assert _kernels.anaglyph_pixels(left, right, out) is out
-        assert (out == want).all()
         # the oracle works pixel by pixel, so reversing both inputs reverses it
-        out.fill(0xAB)
-        _kernels.anaglyph_pixels(left[:, ::-1], right[:, ::-1], out)
-        assert (out == want[:, ::-1]).all()
-        _kernels.anaglyph_pixels(left[::-1], right[::-1], out)
-        assert (out == want[::-1]).all()
+        assert (_kernels.anaglyph_pixels(left[:, ::-1], right[:, ::-1]) == want[:, ::-1]).all()
+        assert (_kernels.anaglyph_pixels(left[::-1], right[::-1]) == want[::-1]).all()
 
     def test_concurrent_calls_each_get_the_oracle_output(self):
-        # two strips a frame; each worker of each call has its own work
-        # space, so calls from more threads than CPUs must not see each
-        # other's strips
+        # two strips a frame; each call has its own composer and output, so
+        # calls from more threads than CPUs must not see each other's strips
         frames = [(_rand_pixels(2 * i, 2, 65537), _rand_pixels(2 * i + 1, 2, 65537))
                   for i in range(3)]
         wants = [anaglyph_oracle(left, right) for left, right in frames]
@@ -435,10 +423,9 @@ class TestAnaglyphTiling:
 
         def work(i):
             left, right = frames[i]
-            out = np.empty_like(left)
             start.wait(timeout=30)
             for _ in range(5):
-                _kernels.anaglyph_pixels(left, right, out)
+                out = _kernels.anaglyph_pixels(left, right)
                 matched[i].append(bool((out == wants[i]).all()))
 
         switch = sys.getswitchinterval()
@@ -482,10 +469,8 @@ def _recorded_strips(height: int, width: int) -> list:
     """Share a frame's strips with `share_items`, recording (pid, rows, y0, y1) per strip."""
     rows = stereorig.strip_rows(height, width)
     with forked.Records() as done:
-        def worker():
-            return lambda i: done.add(rows, i * rows, min(i * rows + rows, height))
-
-        share_items(-(-height // rows), worker)
+        share_items(-(-height // rows),
+                    lambda i: done.add(rows, i * rows, min(i * rows + rows, height)))
         return done.read()
 
 
@@ -523,10 +508,7 @@ class TestShareStrips:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_item_0_runs_alone_on_the_caller(self, cpus):
         with _affinity(cpus), forked.forks() as started, forked.Records() as records:
-            def worker():
-                return lambda i: records.add(i, len(started))
-
-            share_items(6, worker)
+            share_items(6, lambda i: records.add(i, len(started)))
             seen = records.read()
         assert len(started) == cpus - 1
         # no helper had started when item 0 ran
@@ -559,44 +541,30 @@ class TestShareStrips:
     def test_failing_strip_reaches_the_caller_and_leaves_no_thread(self, failing):
         caller = os.getpid()
         with forked.Event() as failed, forked.Records() as records:
-            def worker():
-                def strip(i):
-                    if i == 0:  # runs alone, before any helper starts
-                        return
-                    if (os.getpid() == caller) == (failing == "caller"):
-                        failed.set()
-                        raise RuntimeError(f"strip failed in the {failing}")
-                    # the other worker waits in its first strip, which leaves the
-                    # next strip to the failing one; on one CPU it may run first
-                    # once woken, so it waits a little longer for the failed
-                    # worker to stop the items
-                    if not failed.wait(timeout=30):
-                        raise AssertionError(f"the {failing} took no strip")
-                    time.sleep(0.1)
-                    records.add(i)
-                return strip
+            def strip(i):
+                if i == 0:  # runs alone, before any helper starts
+                    return
+                if (os.getpid() == caller) == (failing == "caller"):
+                    failed.set()
+                    raise RuntimeError(f"strip failed in the {failing}")
+                # the other worker waits in its first strip, which leaves the
+                # next strip to the failing one; on one CPU it may run first
+                # once woken, so it waits a little longer for the failed
+                # worker to stop the items
+                if not failed.wait(timeout=30):
+                    raise AssertionError(f"the {failing} took no strip")
+                time.sleep(0.1)
+                records.add(i)
 
             with _affinity(2), forked.forks() as started:
                 with pytest.raises(RuntimeError, match=f"strip failed in the {failing}"):
-                    share_items(8, worker)
+                    share_items(8, strip)
             done = records.read()
         assert len(started) == 1
         assert forked.no_child_left()
         # once a worker has failed, the other finishes the strip it holds, if
         # any, and takes no more
         assert len(done) <= 1
-
-    def test_failing_worker_setup_reaches_the_caller(self):
-        caller = os.getpid()
-
-        def worker():
-            if os.getpid() != caller:
-                raise MemoryError("no buffers")
-            return lambda i: None
-
-        with _affinity(2), pytest.raises(MemoryError, match="no buffers"):
-            share_items(4, worker)
-        assert forked.no_child_left()
 
     @pytest.mark.parametrize("end, message", [
         ("signal", "merge helper [0-9]+ was killed by SIGKILL"),
@@ -605,19 +573,17 @@ class TestShareStrips:
     def test_helper_that_ends_without_a_report_is_a_merge_error(self, end, message):
         caller = os.getpid()
         with forked.Event() as took:
-            def worker():
-                def run(i):
-                    if os.getpid() == caller:  # past item 0, wait for the helper
-                        assert i == 0 or took.wait(timeout=30), "no helper took an item"
-                        return
-                    took.set()
-                    if end == "signal":
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    os._exit(3)
-                return run
+            def run(i):
+                if os.getpid() == caller:  # past item 0, wait for the helper
+                    assert i == 0 or took.wait(timeout=30), "no helper took an item"
+                    return
+                took.set()
+                if end == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
 
             with _affinity(2), pytest.raises(MergeError, match=message):
-                share_items(4, worker)
+                share_items(4, run)
         assert forked.no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -654,21 +620,28 @@ class TestAnaglyphWorkers:
     @example(shape=(3, 21846), seed=7, cpus=1)
     def test_several_cpus_match_oracle(self, shape, seed, cpus):
         left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
-        out = np.full((*shape, 3), 0xAB, dtype=np.uint8)
         with _affinity(cpus), forked.forks() as started:
-            assert _kernels.anaglyph_pixels(left, right, out) is out
+            out = _kernels.anaglyph_pixels(left, right)
         assert started == []
         assert (out == anaglyph_oracle(left, right)).all()
 
-    def test_failing_strip_reaches_the_caller(self):
-        class Out(np.ndarray):
-            def __setitem__(self, key, value):
-                raise RuntimeError("store failed")
+    def test_failing_strip_reaches_the_caller(self, monkeypatch):
+        real = _kernels.anaglyph_composer
 
-        left = _rand_pixels(26, 4, 65537)
+        def composer(rows, width):
+            compose, strips = real(rows, width), iter(range(4))
+
+            def failing(*strip):
+                if next(strips) == 2:
+                    raise RuntimeError("strip 2 failed")
+                compose(*strip)
+            return failing
+
+        monkeypatch.setattr(_kernels, "anaglyph_composer", composer)
+        left = _rand_pixels(26, 4, 65537)  # one row a strip
         with _affinity(2), forked.forks() as started, \
-                pytest.raises(RuntimeError, match="store failed"):
-            _kernels.anaglyph_pixels(left, left, np.empty_like(left).view(Out))
+                pytest.raises(RuntimeError, match="strip 2 failed"):
+            _kernels.anaglyph_pixels(left, left)
         assert started == []
 
 
@@ -759,11 +732,13 @@ class TestLoadStream:
             workers = {pid for pid, _ in taken}
             assert len(workers) == cpus
             # each worker makes new buffers only where the size of the pairs it
-            # takes changes; with one worker that is (4, 6), (3, 5), (4, 6)
+            # takes changes; with one worker that is (4, 6), (3, 5), (4, 6).  A
+            # helper starts with a copy of the caller's, made for pair 0
             for worker in workers:
                 seq = [sizes[i] for pid, i in taken if pid == worker]
+                before = [None if worker == caller else sizes[0], *seq[:-1]]
                 assert [args for pid, args in made if pid == worker] == [
-                    (mode, *size) for k, size in enumerate(seq) if not k or seq[k - 1] != size]
+                    (mode, *size) for size, last in zip(seq, before) if size != last]
             for i, pair in enumerate(pairs):
                 composed = (anaglyph_oracle if mode == "anaglyph" else sbs_oracle)(
                     *(read_ppm(ref.path) for ref in (pair.left, pair.right)))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from stereorig import ppmio
 from stereorig.ppmio import (
@@ -14,7 +17,6 @@ from stereorig.ppmio import (
     read_ppm_header,
     write_manifest,
     write_ppm,
-    write_raster,
 )
 
 from oracles import sbs_oracle
@@ -98,9 +100,14 @@ class TestPpmHeaderParsing:
 
     def test_non_numeric_dimension_rejected(self, tmp_path):
         p = tmp_path / "n.ppm"
-        p.write_bytes(b"P6\nzz 2\n255\n" + b"\0" * 12)
-        with pytest.raises(PpmError, match="malformed header"):
-            read_ppm(str(p))
+        # int() reads "1_0" as 10 and "+1" as 1; a header number is ASCII digits only
+        for header in (b"P6\nzz 2\n255\n", b"P6\n1_0 1\n255\n", b"P6\n+1 1\n255\n",
+                       b"P6\n1 -1\n255\n", b"P6\n1 1\n+255\n", b"P6\n\xd9\xa1 1\n255\n"):
+            p.write_bytes(header + b"\0" * 30)
+            with pytest.raises(PpmError, match="malformed header"):
+                read_ppm(str(p))
+            with pytest.raises(PpmError, match="malformed header"):
+                read_ppm_header(str(p))
 
     def test_zero_dimension_rejected(self, tmp_path):
         p = tmp_path / "z.ppm"
@@ -169,7 +176,8 @@ class TestWriteRaster:
     def test_row_chunks_write_the_sbs_oracle(self, tmp_path):
         left, right = _random_pixels(1, w=5, h=7), _random_pixels(2, w=5, h=7)
         p = tmp_path / "sbs.ppm"
-        write_raster(str(p), 10, 7, _sbs_rows(left, right))
+        with ppmio.raster_writer(str(p), 10, 7) as write:
+            write(_sbs_rows(left, right), 0)
         assert p.read_bytes() == b"P6\n10 7\n255\n" + sbs_oracle(left, right).tobytes()
 
     def test_short_writes_resume(self, tmp_path, monkeypatch):
@@ -193,7 +201,8 @@ class TestWriteRaster:
         monkeypatch.setattr(ppmio, "_IOV_MAX", 5)
         left, right = _random_pixels(3, w=37, h=23), _random_pixels(4, w=37, h=23)
         p = tmp_path / "sbs.ppm"
-        write_raster(str(p), 74, 23, _sbs_rows(left, right))
+        with ppmio.raster_writer(str(p), 74, 23) as write:
+            write(_sbs_rows(left, right), 0)
         assert p.read_bytes() == b"P6\n74 23\n255\n" + sbs_oracle(left, right).tobytes()
         assert max(calls) == 5 and len(calls) > 2 * 23 * 37 * 3 / 1000
 
@@ -202,18 +211,12 @@ class TestWriteRaster:
         assert q.read_bytes() == b"P6\n37 23\n255\n" + left.tobytes()
 
     def test_more_chunks_than_one_pwritev_takes(self, tmp_path):
-        h = ppmio._IOV_MAX  # 2h row chunks plus the header
+        h = ppmio._IOV_MAX  # 2h row chunks, two pwritev calls' worth
         left, right = _random_pixels(5, w=2, h=h), _random_pixels(6, w=2, h=h)
         p = tmp_path / "tall.ppm"
-        write_raster(str(p), 4, h, _sbs_rows(left, right))
+        with ppmio.raster_writer(str(p), 4, h) as write:
+            write(_sbs_rows(left, right), 0)
         assert p.read_bytes() == f"P6\n4 {h}\n255\n".encode() + sbs_oracle(left, right).tobytes()
-
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_wrong_raster_size_rejected_before_opening(self, tmp_path, extra):
-        p = tmp_path / "x.ppm"
-        with pytest.raises(PpmError, match="2x2 raster needs 12 bytes"):
-            write_raster(str(p), 2, 2, [bytes(6), bytes(6 + extra)])
-        assert not p.exists()
 
 
 class TestWriteValidation:
@@ -293,6 +296,12 @@ class TestManifest:
         with pytest.raises(PpmError, match="m.txt:1"):
             read_manifest(str(manifest))
 
+    def test_non_utf8_manifest_names_the_file(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"0 a.ppm\n1 b\xff.ppm\n")
+        with pytest.raises(PpmError, match=f"{re.escape(str(manifest))}: not UTF-8 text"):
+            read_manifest(str(manifest))
+
     def test_bad_timestamp_rejected(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("soon a.ppm\n")
@@ -321,3 +330,56 @@ class TestManifest:
         (_, p), = read_manifest(str(manifest))
         assert p == str(target)
         assert read_ppm(p).shape == (1, 1, 3)
+
+
+@st.composite
+def _mangled(draw, valid: bytes) -> bytes:
+    """Random bytes, or `valid` after one to three byte flips, cuts, insertions or duplications."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["flip", "cut", "insert", "duplicate"]))
+        if kind == "flip" and i < len(data):
+            data[i] ^= draw(st.integers(1, 255))
+        elif kind == "cut":
+            del data[i:]
+        elif kind == "insert":
+            data[i:i] = draw(st.binary(min_size=1, max_size=8))
+        elif kind == "duplicate":
+            j = draw(st.integers(i, len(data)))
+            data[j:j] = data[i:j]
+    return bytes(data)
+
+
+_FUZZ = settings(max_examples=250, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReadersUnderMangledInput:
+    """A mangled file either parses or is a `PpmError`, never another exception."""
+
+    @_FUZZ
+    @given(data=_mangled(b"P6 # size\n3 2\n255\n" + bytes(range(18))))
+    @example(data=b"P6\n1_0 1\n255\n" + bytes(30))
+    def test_read_ppm_header(self, tmp_path, data):
+        p = tmp_path / "f.ppm"
+        p.write_bytes(data)
+        try:
+            w, h = read_ppm_header(str(p))
+        except PpmError:
+            return
+        assert w > 0 and h > 0 and len(data) >= 3 * w * h
+
+    @_FUZZ
+    @given(data=_mangled(b"0 a.ppm\n33.3 frames/b.ppm\n\n  66.7 c d.ppm\n"))
+    @example(data=b"0 a\xff.ppm\n")
+    def test_read_manifest(self, tmp_path, data):
+        p = tmp_path / "m.txt"
+        p.write_bytes(data)
+        try:
+            entries = read_manifest(str(p))
+        except PpmError:
+            return
+        assert all(math.isfinite(ts) and os.path.isabs(path) for ts, path in entries)

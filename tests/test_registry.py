@@ -15,6 +15,7 @@ from stereorig.registry import (
     CapabilityProfile,
     DeviceSpec,
     RegistryError,
+    load_registry,
     lookup,
     negotiate,
     parse_device_specs,
@@ -100,6 +101,26 @@ class TestParse:
         # int(inf) raises OverflowError, which used to escape as a traceback
         with pytest.raises(RegistryError, match="malformed device entry"):
             parse_device_specs(_one_device(**entry))
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"focus_modes": "auto"}, "focus_modes must be an array, got str"),
+        ({"capture_modes": {"video": 1}}, "capture_modes must be an array, got dict"),
+        ({"frame_rates": "35"}, "frame_rates must be an array, got str"),
+        ({"camera_center": "12"}, "camera_center must be an array of 2 items, got str"),
+        ({"camera_center": [1, 2, 3]}, "camera_center must be an array of 2 items, got 3 items"),
+        ({"resolutions": ["12"]}, "each resolution must be an array of 2 items, got str"),
+        ({"resolutions": [[1280, 720, 3]]}, "each resolution must be an array of 2 items, got 3"),
+    ])
+    def test_array_field_must_be_an_array_of_its_length(self, entry, message):
+        # a string was read character by character, a long list cut short
+        with pytest.raises(RegistryError, match=f"malformed device entry: {message}"):
+            parse_device_specs(_one_device(**entry))
+
+    def test_non_utf8_catalog_names_the_file(self, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_bytes(b'[{"model_id": "\xff"}]')
+        with pytest.raises(RegistryError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+            load_registry(str(path))
 
     def test_empty_frame_rates_errors(self):
         with pytest.raises(RegistryError, match="non-empty"):
