@@ -48,6 +48,25 @@ def json_array(name: str, value, length: int | None = None) -> list:
     return value
 
 
+# the Python types a JSON value of each kind parses to, and the type it is read as
+_JSON_KINDS = {
+    "string": (str, str), "integer": ((int, float), int), "number": ((int, float), float)}
+
+
+def json_value(name: str, value, kind: str):
+    """`value` read as a JSON string, integer or number by `kind`; else a ValueError naming `name`.
+
+    A bool is no number, and an integer may be written 720.0 but not 720.9: `str()`,
+    `int()` and `float()` would read a null as 'None', a true as 1 and 720.9 as 720.
+    """
+    types, read = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types) or (
+            read is int and isinstance(value, float) and not value.is_integer()):
+        got = value if isinstance(value, float) else type(value).__name__
+        raise ValueError(f"{name} must be a JSON {kind}, got {got}")
+    return read(value)
+
+
 def round_floats(obj, ndigits: int):
     """JSON data with every float rounded to `ndigits`; tuples become lists."""
     if isinstance(obj, float):

@@ -23,6 +23,7 @@ from . import (
     DEFAULT_MAG_TOLERANCE_UT,
     check_range,
     json_array,
+    json_value,
     round_floats,
 )
 from .alignment import BaseModel
@@ -204,11 +205,11 @@ def _reading_from_dict(doc: dict) -> SensorReading:
         mag = json_array("magnetometer", doc["magnetometer"], 3)
         gyro = json_array("gyroscope", doc["gyroscope"], 3)
         values = dict(
-            magnetometer=(float(mag[0]), float(mag[1]), float(mag[2])),
-            gyroscope=(float(gyro[0]), float(gyro[1]), float(gyro[2])),
-            timestamp_ms=float(doc.get("timestamp_ms", 0.0)),
+            magnetometer=tuple(json_value("magnetometer", v, "number") for v in mag),
+            gyroscope=tuple(json_value("gyroscope", v, "number") for v in gyro),
+            timestamp_ms=json_value("timestamp_ms", doc.get("timestamp_ms", 0.0), "number"),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise GuidanceError(f"malformed sensor reading: {exc}") from exc
     return SensorReading(**values)  # checks itself; its GuidanceError is not rewrapped
 

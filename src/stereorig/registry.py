@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
-from . import check_range, json_array
+from . import check_range, json_array, json_value
 
 
 class RegistryError(ValueError):
@@ -67,6 +67,11 @@ class CapabilityProfile:
 
 _REQUIRED_FIELDS = tuple(f.name for f in fields(DeviceSpec))
 _SET_FIELDS = ("resolutions", "frame_rates", "focus_modes", "capture_modes")
+# the JSON kind of each scalar field, and of each item of three of the set fields
+_SCALAR_KINDS = {"model_id": "string", "body_width": "number", "body_length": "number",
+                 "body_thickness": "number", "screen_width_px": "integer",
+                 "screen_height_px": "integer", "pixel_density": "number"}
+_ITEM_KINDS = {"frame_rates": "number", "focus_modes": "string", "capture_modes": "string"}
 
 
 def _spec_from_dict(entry: dict) -> DeviceSpec:
@@ -79,20 +84,12 @@ def _spec_from_dict(entry: dict) -> DeviceSpec:
         cam = json_array("camera_center", entry["camera_center"], 2)
         arrays = {name: json_array(name, entry[name]) for name in _SET_FIELDS}
         sizes = [json_array("each resolution", size, 2) for size in arrays["resolutions"]]
-        values = dict(
-            model_id=str(entry["model_id"]),
-            body_width=float(entry["body_width"]),
-            body_length=float(entry["body_length"]),
-            body_thickness=float(entry["body_thickness"]),
-            camera_center=(float(cam[0]), float(cam[1])),
-            screen_width_px=int(entry["screen_width_px"]),
-            screen_height_px=int(entry["screen_height_px"]),
-            pixel_density=float(entry["pixel_density"]),
-            resolutions=frozenset((int(w), int(h)) for w, h in sizes),
-            frame_rates=frozenset(float(f) for f in arrays["frame_rates"]),
-            focus_modes=frozenset(str(m) for m in arrays["focus_modes"]),
-            capture_modes=frozenset(str(m) for m in arrays["capture_modes"]),
-        )
+        values = {name: json_value(name, entry[name], kind) for name, kind in _SCALAR_KINDS.items()}
+        for name, kind in _ITEM_KINDS.items():
+            values[name] = frozenset(json_value(f"each of {name}", v, kind) for v in arrays[name])
+        values["camera_center"] = tuple(json_value("camera_center", c, "number") for c in cam)
+        values["resolutions"] = frozenset(
+            tuple(json_value("each resolution", n, "integer") for n in size) for size in sizes)
     except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
         raise RegistryError(f"malformed device entry: {exc}") from exc
     return DeviceSpec(**values)  # checks itself; its RegistryError is not rewrapped

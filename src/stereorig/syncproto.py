@@ -353,14 +353,6 @@ class SimulatedTransport:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    time: float
-    who: str  # endpoint id, or "A->B" for wire events
-    kind: str  # send | drop | deliver | timer | phase | apply
-    detail: str
-
-
 # the transcript's fields for each message kind's payload; other kinds show {}
 _PAYLOAD_FIELDS: dict[MsgKind, Callable[[Any], dict]] = {
     MsgKind.CAPABILITY_OFFER: lambda spec: {"model": spec.model_id},
@@ -383,6 +375,33 @@ _PAYLOAD_FIELDS: dict[MsgKind, Callable[[Any], dict]] = {
 def _payload_json(msg: Message) -> str:
     fields = _PAYLOAD_FIELDS[msg.kind](msg.payload) if msg.kind in _PAYLOAD_FIELDS else {}
     return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+class TranscriptEntry(NamedTuple):
+    """What happened, as data; `detail` renders its transcript text only when asked.
+
+    `what` is the Message sent, dropped or delivered, the Timer that fired, the
+    (old, new) Phase pair, or the focus or capture setting applied, whose
+    `effective_seq` holds the end's next tick seq.
+    """
+
+    time: float
+    who: str  # endpoint id, or "A->B" for wire events
+    kind: str  # send | drop | deliver | timer | phase | apply
+    what: Message | Timer | tuple[Phase, Phase] | FocusDirective | ModeDirective
+
+    @property
+    def detail(self) -> str:
+        what = self.what
+        if isinstance(what, Message):
+            return f"{what.kind.value} {_payload_json(what)}"
+        if isinstance(what, Timer):  # a retransmit timer's payload counts its attempts
+            return f"retransmit attempt {what.payload}" if what.kind == "retransmit" else what.kind
+        if isinstance(what, FocusDirective):
+            return f"focus mode={what.mode} depth={what.depth} next_seq={what.effective_seq}"
+        if isinstance(what, ModeDirective):
+            return f"capture mode={what.mode} next_seq={what.effective_seq}"
+        return f"{what[0].value}->{what[1].value}"
 
 
 def transcript_text(entries: list[TranscriptEntry]) -> str:
@@ -420,7 +439,6 @@ class Simulator:
         self.retry_delay0 = RETRY_FACTOR * (transport.base_latency or 1.0)
         self.transcript: list[TranscriptEntry] = []
         self.capture_begin_global: dict[str, float] = {}
-        self.sent_ticks: dict[str, list[TickStamp]] = {e: [] for e in ids}
         self._heap: list = []
         self._counter = itertools.count()
         # the armed retransmit timer per endpoint; its payload counts resends
@@ -429,17 +447,16 @@ class Simulator:
     def schedule(self, t_global: float, endpoint: str, event: Message | Timer) -> None:
         heapq.heappush(self._heap, (t_global, next(self._counter), endpoint, event))
 
-    def _log(self, t: float, who: str, kind: str, detail: str) -> None:
-        self.transcript.append(TranscriptEntry(round(t, 9), who, kind, detail))
+    def _log(self, t: float, who: str, kind: str, what: Any) -> None:
+        self.transcript.append(TranscriptEntry(round(t, 9), who, kind, what))
 
     def _send(self, msg: Message, t_global: float) -> None:
         src = msg.sender
         dst = self.peer[src]
         wire = f"{src}->{dst}"
-        detail = f"{msg.kind.value} {_payload_json(msg)}"
-        self._log(t_global, wire, "send", detail)
+        self._log(t_global, wire, "send", msg)
         if self.rng.random() < self.transport.loss_rate:
-            self._log(t_global, wire, "drop", detail)
+            self._log(t_global, wire, "drop", msg)
             return
         delay = self.transport.base_latency
         if self.transport.jitter > 0:
@@ -462,39 +479,33 @@ class Simulator:
                 return  # stale timer
             if event.payload < RETRY_BUDGET:
                 n = event.payload + 1
-                self._log(t_global, endpoint, "timer", f"retransmit attempt {n}")
                 self._armed[endpoint] = timer = Timer("retransmit", n)
+                self._log(t_global, endpoint, "timer", timer)
                 self.schedule(t_global + self.retry_delay0 * 2**n, endpoint, timer)
                 for msg in old.unacked:
                     self._send(msg, t_global)
                 return
             event = Timer("give_up")
-        if isinstance(event, Timer):
-            self._log(t_global, endpoint, "timer", event.kind)
-        else:
-            self._log(t_global, endpoint, "deliver", f"{event.kind.value} {_payload_json(event)}")
+        self._log(t_global, endpoint, "timer" if isinstance(event, Timer) else "deliver", event)
 
         new, outbound = step(old, event, t_global + self.offsets[endpoint])
         self.states[endpoint] = new
 
         if new.phase is not old.phase:
-            self._log(t_global, endpoint, "phase", f"{old.phase.value}->{new.phase.value}")
+            self._log(t_global, endpoint, "phase", (old.phase, new.phase))
             if new.phase is Phase.CAPTURING:
                 self.capture_begin_global[endpoint] = t_global
         seq = new.next_tick_seq
         if (new.focus_mode, new.focus_depth) != (old.focus_mode, old.focus_depth):
-            detail = f"focus mode={new.focus_mode} depth={new.focus_depth} next_seq={seq}"
-            self._log(t_global, endpoint, "apply", detail)
+            focus = FocusDirective(new.focus_mode, new.focus_depth, seq)
+            self._log(t_global, endpoint, "apply", focus)
         if new.capture_mode != old.capture_mode:
-            detail = f"capture mode={new.capture_mode} next_seq={seq}"
-            self._log(t_global, endpoint, "apply", detail)
+            self._log(t_global, endpoint, "apply", ModeDirective(new.capture_mode, seq))
         if new.capture_start is not None and old.capture_start is None:
             begin_global = new.capture_start - self.offsets[endpoint]
             self.schedule(begin_global, endpoint, Timer("capture_begin"))
 
         for msg in outbound:
-            if msg.kind is MsgKind.FRAME_TICK:
-                self.sent_ticks[endpoint].append(msg.payload)
             self._send(msg, t_global)
         self._update_arming(endpoint, t_global)
 
@@ -546,8 +557,10 @@ def _simulate(
     a, b = sorted(sim.states)
     ga, gb = sim.capture_begin_global.get(a), sim.capture_begin_global.get(b)
     skew = abs(ga - gb) if ga is not None and gb is not None else None
-    return StageRun(sim.states[a], sim.states[b], sim.transcript, ga, gb, skew,
-                    sim.sent_ticks[a], sim.sent_ticks[b])
+    ticks = [e.what for e in sim.transcript
+             if e.kind == "send" and e.what.kind is MsgKind.FRAME_TICK]  # none is resent
+    ta, tb = ([m.payload for m in ticks if m.sender == end] for end in (a, b))
+    return StageRun(sim.states[a], sim.states[b], sim.transcript, ga, gb, skew, ta, tb)
 
 
 def run_pairing(

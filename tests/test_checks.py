@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from stereorig import check_range
+from stereorig import check_range, json_value
 from stereorig.guidance import GuidanceError
 from stereorig.merge import MergeError
 from stereorig.registry import RegistryError
@@ -34,3 +34,32 @@ def test_check_range_admits_its_range_and_names_the_rest(kind, value, error):
         check_range("width", value, kind, error)
     assert type(err.value) is error
     assert str(err.value) == f"width must be {words}, got {value}"
+
+
+@pytest.mark.parametrize("kind, value, read", [
+    ("string", "auto", "auto"),
+    ("integer", 720, 720),
+    ("integer", 720.0, 720),
+    ("number", 30, 30.0),
+    ("number", 2.5, 2.5),
+])
+def test_json_value_admits_its_kind(kind, value, read):
+    got = json_value("field", value, kind)
+    assert got == read and type(got) is type(read)
+
+
+@pytest.mark.parametrize("kind, value, got", [
+    ("string", None, "NoneType"),
+    ("string", 1, "int"),
+    ("integer", 720.9, "720.9"),
+    ("integer", math.inf, "inf"),
+    ("string", 1.5, "1.5"),
+    ("integer", True, "bool"),
+    ("integer", "720", "str"),
+    ("number", True, "bool"),
+    ("number", None, "NoneType"),
+    ("number", "1.5", "str"),
+])
+def test_json_value_names_the_field_and_the_type_it_got(kind, value, got):
+    with pytest.raises(ValueError, match=f"^field must be a JSON {kind}, got {got}$"):
+        json_value("field", value, kind)

@@ -340,6 +340,22 @@ class TestReadingFixtures:
         with pytest.raises(GuidanceError, match=f"{field} must be an array of 3 items, got {got}"):
             load_reading_pairs(str(path))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("magnetometer", [True, 0, 0], "magnetometer must be a JSON number, got bool"),
+        ("gyroscope", [0, None, 0], "gyroscope must be a JSON number, got NoneType"),
+        ("timestamp_ms", False, "timestamp_ms must be a JSON number, got bool"),
+        ("timestamp_ms", "12", "timestamp_ms must be a JSON number, got str"),
+        ("magnetometer", [10**400, 0, 0], "int too large to convert to float"),
+    ])
+    def test_reading_value_of_the_wrong_json_type_is_refused(self, tmp_path, field, value,
+                                                             message):
+        # float() read a true as 1.0, and a huge integer escaped as an OverflowError
+        reading = {"magnetometer": [1, 2, 3], "gyroscope": [0, 0, 0], field: value}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([{"a": reading, "b": reading}]))
+        with pytest.raises(GuidanceError, match=f"malformed sensor reading: {message}$"):
+            load_reading_pairs(str(path))
+
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_bytes(b'[{"a": "\xff"}]')

@@ -116,6 +116,30 @@ class TestParse:
         with pytest.raises(RegistryError, match=f"malformed device entry: {message}"):
             parse_device_specs(_one_device(**entry))
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"model_id": None}, "model_id must be a JSON string, got NoneType"),
+        ({"screen_width_px": 720.9}, "screen_width_px must be a JSON integer, got 720.9"),
+        ({"screen_height_px": True}, "screen_height_px must be a JSON integer, got bool"),
+        ({"focus_modes": [1, None]}, "each of focus_modes must be a JSON string, got int"),
+        ({"capture_modes": ["video", None]},
+         "each of capture_modes must be a JSON string, got NoneType"),
+        ({"frame_rates": [True]}, "each of frame_rates must be a JSON number, got bool"),
+        ({"camera_center": [39.0, "10"]}, "camera_center must be a JSON number, got str"),
+        ({"resolutions": [[1280.5, 720]]}, "each resolution must be a JSON integer, got 1280.5"),
+        ({"body_width": "78"}, "body_width must be a JSON number, got str"),
+    ])
+    def test_scalar_of_the_wrong_json_type_is_refused(self, entry, message):
+        # str(), int() and float() read these as 'None', 720, 1, {'1', 'None'}
+        with pytest.raises(RegistryError, match=f"malformed device entry: {message}$"):
+            parse_device_specs(_one_device(**entry))
+
+    def test_shipped_catalog_reads_its_numbers_as_before(self, registry):
+        j7 = lookup(registry, "J7-fixture")
+        assert (j7.screen_width_px, j7.screen_height_px) == (720, 1480)
+        assert type(j7.screen_width_px) is int
+        assert j7.frame_rates == {24.0, 30.0} and j7.resolutions == {(1280, 720), (1920, 1080)}
+        assert all(type(v) is float for v in (*j7.frame_rates, *j7.camera_center, j7.body_width))
+
     def test_non_utf8_catalog_names_the_file(self, tmp_path):
         path = tmp_path / "specs.json"
         path.write_bytes(b'[{"model_id": "\xff"}]')

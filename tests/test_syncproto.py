@@ -384,15 +384,16 @@ class TestUnacked:
                 assert all(m.sender == "S" for m in s.unacked)
 
     def test_each_retransmit_resends_exactly_the_unacked_set(self, j7, a5):
-        expected = {"A": ["pair_request"], "B": ["pair_accept", "capability_offer"]}
+        expected = {"A": [MsgKind.PAIR_REQUEST],
+                    "B": [MsgKind.PAIR_ACCEPT, MsgKind.CAPABILITY_OFFER]}
         resent = {"A": 0, "B": 0}
         for seed in range(20):
             run = run_pairing(j7, a5, SimulatedTransport(10.0, 2.0, 0.5), seed=seed)
             entries = run.transcript
             for i, e in enumerate(entries):
-                if e.kind == "timer" and e.detail.startswith("retransmit attempt"):
+                if e.kind == "timer" and e.what.kind == "retransmit":
                     sends = [
-                        f.detail.split()[0]
+                        f.what.kind
                         for f in entries[i + 1:]
                         if f.time == e.time and f.kind == "send" and f.who.startswith(e.who)
                     ]
@@ -658,21 +659,19 @@ class TestRunFrameSync:
         assert frames.state_a.focus_mode == "auto"
         assert frames.state_b.focus_mode == "auto"
         applied_by = {e.who for e in frames.transcript
-                      if e.kind == "apply" and e.detail.startswith("focus")}
+                      if e.kind == "apply" and isinstance(e.what, FocusDirective)}
         assert applied_by == {"A", "B"}
         # transcript-order oracle: each endpoint applies before sending seq >= 10
         entries = frames.transcript
         for endpoint in ("A", "B"):
             apply_idx = next(
                 i for i, e in enumerate(entries)
-                if e.who == endpoint and e.kind == "apply" and "focus" in e.detail
+                if e.who == endpoint and e.kind == "apply" and isinstance(e.what, FocusDirective)
             )
             for i, e in enumerate(entries):
-                if e.kind == "send" and e.who.startswith(endpoint) \
-                        and "frame_tick" in e.detail:
-                    seq = int(e.detail.split('"seq":')[1].split(",")[0].rstrip("}"))
-                    if seq >= 10:
-                        assert i > apply_idx
+                if e.kind == "send" and e.what.sender == endpoint \
+                        and e.what.kind is MsgKind.FRAME_TICK and e.what.payload.seq >= 10:
+                    assert i > apply_idx
 
     def test_mode_directive_round_trip(self, j7, a5):
         directive = ModeDirective(mode="video", effective_seq=5)
@@ -795,6 +794,66 @@ class TestTransport:
         for line in lines:
             assert len(line) >= 26
             float(line[:10])  # fixed-width time column parses
+
+
+class TestTranscriptEntries:
+    """An entry holds the event itself; its text is rendered only when asked for."""
+
+    def test_entries_hold_messages_timers_and_phase_pairs(self, j7, a5):
+        run = run_pairing(j7, a5, LOSSLESS, seed=0)
+        first = run.transcript[:4]
+        assert [(e.time, e.who, e.kind) for e in first] == [
+            (0.0, "A", "timer"), (0.0, "A", "phase"), (0.0, "A->B", "send"), (0.0, "B", "timer")]
+        assert first[0].what == Timer("start")
+        assert first[1].what == (Phase.IDLE, Phase.PAIRING)
+        assert first[2].what == Message(MsgKind.PAIR_REQUEST, "A")
+        offer = next(e for e in run.transcript if e.kind == "deliver"
+                     and e.what.kind is MsgKind.CAPABILITY_OFFER)
+        assert offer.what.payload == a5
+        assert offer.detail == 'capability_offer {"model":"A5-fixture"}'
+
+    def test_retransmit_entry_holds_its_attempt(self, j7, a5):
+        run = run_pairing(j7, a5, SimulatedTransport(10.0, 0.0, 1.0), seed=0)
+        timers = [e.what for e in run.transcript if e.kind == "timer" and e.who == "A"]
+        assert timers[1:] == [Timer("retransmit", n) for n in (1, 2, 3)] + [Timer("give_up")]
+        lines = transcript_text(run.transcript).splitlines()
+        assert [line for line in lines if " A      timer" in line][1:] == [
+            "    40.000 A      timer   retransmit attempt 1",
+            "   120.000 A      timer   retransmit attempt 2",
+            "   280.000 A      timer   retransmit attempt 3",
+            "   600.000 A      timer   give_up",
+        ]
+
+    def test_apply_entries_hold_the_setting_and_next_seq(self, j7, a5):
+        directives = ((100.0, FocusDirective("auto", 1.25, 10)), (150.0, ModeDirective("video", 8)))
+        _, _, frames = _chain(j7, a5, LOSSLESS, duration=500.0, directives=directives)
+        applied = [e for e in frames.transcript if e.kind == "apply" and e.who == "A"]
+        # each is applied as its effective tick is sent, so the next seq is one past it
+        assert [e.what for e in applied] == [
+            ModeDirective("video", 9), FocusDirective("auto", 1.25, 11)]
+        assert [e.detail for e in applied] == [
+            "capture mode=video next_seq=9", "focus mode=auto depth=1.25 next_seq=11"]
+
+    def test_running_formats_nothing(self, j7, a5, monkeypatch):
+        calls = []
+        real = syncproto._payload_json
+        monkeypatch.setattr(syncproto, "_payload_json", lambda msg: calls.append(msg) or real(msg))
+        directives = ((100.0, FocusDirective("auto", 1.25, 10)),)
+        run = run_session(j7, a5, SimulatedTransport(10.0, 5.0, 0.3), seed=2,
+                          capture_delay=50.0, duration=500.0, directives=directives)
+        assert calls == []
+        transcript_text(run.transcript)
+        assert len(calls) == sum(isinstance(e.what, Message) for e in run.transcript) > 0
+
+    def test_stage_ticks_are_the_frame_ticks_each_end_sent(self, j7, a5):
+        _, capture, _ = _chain(j7, a5, LOSSLESS, duration=0.0)
+        ends = (capture.state_a, capture.state_b)
+        frames = run_frame_sync(ends, SimulatedTransport(10.0, 5.0, 0.5), 500.0, seed=4)
+        for end, ticks in (("A", frames.ticks_a), ("B", frames.ticks_b)):
+            sent = [e.what.payload for e in frames.transcript
+                    if e.kind == "send" and e.what.sender == end]
+            assert ticks == sent and [t.seq for t in ticks] == list(range(len(ticks)))
+            assert any(e.kind == "drop" and e.what.sender == end for e in frames.transcript)
 
 
 def _sweep_digest(j7, a5) -> str:
