@@ -22,12 +22,10 @@ from . import (
     DEFAULT_GYRO_TOLERANCE_DPS,
     DEFAULT_MAG_TOLERANCE_UT,
     check_range,
-    json_array,
-    json_value,
     round_floats,
 )
 from .alignment import BaseModel
-from .registry import DeviceSpec
+from .registry import DeviceSpec, json_record
 
 _AXES = ("x", "y", "z")
 
@@ -200,18 +198,8 @@ def instructions(status: AlignmentStatus) -> list[str]:
     return out
 
 
-def _reading_from_dict(doc: dict) -> SensorReading:
-    try:
-        mag = json_array("magnetometer", doc["magnetometer"], 3)
-        gyro = json_array("gyroscope", doc["gyroscope"], 3)
-        values = dict(
-            magnetometer=tuple(json_value("magnetometer", v, "number") for v in mag),
-            gyroscope=tuple(json_value("gyroscope", v, "number") for v in gyro),
-            timestamp_ms=json_value("timestamp_ms", doc.get("timestamp_ms", 0.0), "number"),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise GuidanceError(f"malformed sensor reading: {exc}") from exc
-    return SensorReading(**values)  # checks itself; its GuidanceError is not rewrapped
+def _reading_from_dict(doc) -> SensorReading:
+    return json_record(SensorReading, doc, "sensor reading", GuidanceError)
 
 
 def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:
@@ -221,7 +209,7 @@ def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:
             raise GuidanceError(f"{path}: not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
             raise GuidanceError(f"malformed readings file: {exc}") from exc
         except RecursionError as exc:
             raise GuidanceError("malformed readings file: nested too deeply") from exc

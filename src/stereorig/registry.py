@@ -4,16 +4,18 @@ A catalog document is a JSON array of device objects.  All lengths are in
 millimetres, the camera center is measured from the top-left corner of the
 back face in portrait orientation, and capability fields are unordered sets.
 Unknown keys inside an optional ``metadata`` object are accepted and ignored
-so vendors can annotate entries without breaking older readers.
+so vendors can annotate entries without breaking older readers; any other key
+that is not a field is refused. `json_record`, which reads each entry by the
+annotations of `DeviceSpec`, reads `guidance`'s sensor readings too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Iterable, Sequence, get_type_hints
 
-from . import check_range, json_array, json_value
+from . import check_range
 
 
 class RegistryError(ValueError):
@@ -65,40 +67,70 @@ class CapabilityProfile:
     capture_modes: frozenset[str] = field(default_factory=frozenset)
 
 
-_REQUIRED_FIELDS = tuple(f.name for f in fields(DeviceSpec))
-_SET_FIELDS = ("resolutions", "frame_rates", "focus_modes", "capture_modes")
-# the JSON kind of each scalar field, and of each item of three of the set fields
-_SCALAR_KINDS = {"model_id": "string", "body_width": "number", "body_length": "number",
-                 "body_thickness": "number", "screen_width_px": "integer",
-                 "screen_height_px": "integer", "pixel_density": "number"}
-_ITEM_KINDS = {"frame_rates": "number", "focus_modes": "string", "capture_modes": "string"}
+def json_field(name: str, value, hint):
+    """JSON `value` read as the annotated type `hint`; else a ValueError naming `name`.
+
+    `hint` is str, int, float, a fixed-length tuple of them or a frozenset, whose items
+    are named 'each of <name>'. No bool is a number, 720.0 is an integer but 720.9 is
+    not, and no string or object is an array.
+    """
+    kind = getattr(hint, "__origin__", hint)
+    if kind in (tuple, frozenset):
+        length = len(hint.__args__) if kind is tuple else None
+        if not isinstance(value, list) or length not in (None, len(value)):
+            want = "an array" if length is None else f"an array of {length} items"
+            got = f"{len(value)} items" if isinstance(value, list) else type(value).__name__
+            raise ValueError(f"{name} must be {want}, got {got}")
+        if kind is tuple:
+            return tuple(json_field(name, v, t) for v, t in zip(value, hint.__args__))
+        return frozenset(json_field(f"each of {name}", v, hint.__args__[0]) for v in value)
+    if isinstance(value, bool) or not isinstance(value, str if kind is str else (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        got = value if isinstance(value, float) else type(value).__name__
+        word = {str: "string", int: "integer", float: "number"}[kind]
+        raise ValueError(f"{name} must be a JSON {word}, got {got}")
+    return kind(value)
 
 
-def _spec_from_dict(entry: dict) -> DeviceSpec:
-    if not isinstance(entry, dict):
-        raise RegistryError(f"device entry must be an object, got {type(entry).__name__}")
-    missing = [name for name in _REQUIRED_FIELDS if name not in entry]
+# each dataclass json_record has read: its field annotations and its fields without a default
+_RECORDS: dict[type, tuple[dict, list[str]]] = {}
+
+
+def json_record(cls, doc, what: str, error: type, ignore: tuple[str, ...] = ()):
+    """A `cls` dataclass read from the JSON object `doc`, each field by its annotation.
+
+    A field with a default may be absent, and a key that is neither a field nor in
+    `ignore` is refused. Raises `error` naming `what`; the errors of `cls`'s own
+    checks are not rewrapped.
+    """
+    if cls not in _RECORDS:
+        _RECORDS[cls] = get_type_hints(cls), [
+            f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
+    hints, required = _RECORDS[cls]
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be an object, got {type(doc).__name__}")
+    missing = [name for name in required if name not in doc]
     if missing:
-        raise RegistryError(f"device entry missing required fields: {', '.join(missing)}")
+        raise error(f"{what} missing required fields: {', '.join(missing)}")
+    unknown = sorted(doc.keys() - hints.keys() - set(ignore))
+    if unknown:
+        raise error(f"{what} has unknown fields: {', '.join(unknown)}")
     try:
-        cam = json_array("camera_center", entry["camera_center"], 2)
-        arrays = {name: json_array(name, entry[name]) for name in _SET_FIELDS}
-        sizes = [json_array("each resolution", size, 2) for size in arrays["resolutions"]]
-        values = {name: json_value(name, entry[name], kind) for name, kind in _SCALAR_KINDS.items()}
-        for name, kind in _ITEM_KINDS.items():
-            values[name] = frozenset(json_value(f"each of {name}", v, kind) for v in arrays[name])
-        values["camera_center"] = tuple(json_value("camera_center", c, "number") for c in cam)
-        values["resolutions"] = frozenset(
-            tuple(json_value("each resolution", n, "integer") for n in size) for size in sizes)
-    except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
-        raise RegistryError(f"malformed device entry: {exc}") from exc
-    return DeviceSpec(**values)  # checks itself; its RegistryError is not rewrapped
+        values = {name: json_field(name, doc[name], hint)
+                  for name, hint in hints.items() if name in doc}
+    except (ValueError, OverflowError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+    return cls(**values)
+
+
+def _spec_from_dict(entry) -> DeviceSpec:
+    return json_record(DeviceSpec, entry, "device entry", RegistryError, ignore=("metadata",))
 
 
 def parse_device_specs(text: str) -> list[DeviceSpec]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise RegistryError(f"malformed catalog document: {exc}") from exc
     except RecursionError as exc:
         raise RegistryError("malformed catalog document: nested too deeply") from exc
@@ -124,7 +156,7 @@ def load_registry(path: str) -> list[DeviceSpec]:
 
 def _spec_to_dict(spec: DeviceSpec) -> dict:
     doc = asdict(spec)
-    return doc | {name: sorted(doc[name]) for name in _SET_FIELDS}
+    return doc | {name: sorted(v) for name, v in doc.items() if isinstance(v, frozenset)}
 
 
 def serialize_device_specs(specs: Iterable[DeviceSpec]) -> str:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
-from stereorig import check_range, json_value
+from stereorig import check_range
 from stereorig.guidance import GuidanceError
 from stereorig.merge import MergeError
-from stereorig.registry import RegistryError
+from stereorig.registry import RegistryError, json_field
 from stereorig.templates import TemplateError
 
 _TINY = 5e-324  # the smallest positive float
@@ -36,6 +37,19 @@ def test_check_range_admits_its_range_and_names_the_rest(kind, value, error):
     assert str(err.value) == f"width must be {words}, got {value}"
 
 
+@pytest.mark.parametrize("kind", list(_RANGES))
+@pytest.mark.parametrize("value", [10**400, -10**400])
+def test_check_range_refuses_an_integer_too_big_for_a_float(kind, value):
+    # `0 < 10**400 < inf` holds, but float(10**400) raises OverflowError
+    words, _ = _RANGES[kind]
+    with pytest.raises(ValueError, match=f"^width must be {words}, got {value}$"):
+        check_range("width", value, kind)
+
+
+# the JSON kinds in json_field's messages, and the annotations that read them
+_HINTS = {"string": str, "integer": int, "number": float}
+
+
 @pytest.mark.parametrize("kind, value, read", [
     ("string", "auto", "auto"),
     ("integer", 720, 720),
@@ -44,7 +58,7 @@ def test_check_range_admits_its_range_and_names_the_rest(kind, value, error):
     ("number", 2.5, 2.5),
 ])
 def test_json_value_admits_its_kind(kind, value, read):
-    got = json_value("field", value, kind)
+    got = json_field("field", value, _HINTS[kind])
     assert got == read and type(got) is type(read)
 
 
@@ -62,4 +76,28 @@ def test_json_value_admits_its_kind(kind, value, read):
 ])
 def test_json_value_names_the_field_and_the_type_it_got(kind, value, got):
     with pytest.raises(ValueError, match=f"^field must be a JSON {kind}, got {got}$"):
-        json_value("field", value, kind)
+        json_field("field", value, _HINTS[kind])
+
+
+@pytest.mark.parametrize("hint, value, read", [
+    (tuple[float, float], [1, 2.5], (1.0, 2.5)),
+    (frozenset[str], ["auto", "auto"], frozenset({"auto"})),
+    (frozenset[tuple[int, int]], [[1280, 720.0]], frozenset({(1280, 720)})),
+])
+def test_json_field_reads_arrays_by_their_annotation(hint, value, read):
+    assert json_field("field", value, hint) == read
+
+
+@pytest.mark.parametrize("hint, value, message", [
+    (tuple[float, float], "12", "field must be an array of 2 items, got str"),
+    (tuple[float, float], [1, 2, 3], "field must be an array of 2 items, got 3 items"),
+    (tuple[float, float], [1, None], "field must be a JSON number, got NoneType"),
+    (frozenset[str], {"auto": 1}, "field must be an array, got dict"),
+    (frozenset[str], ["auto", 1], "each of field must be a JSON string, got int"),
+    (frozenset[tuple[int, int]], [[1280]],
+     "each of field must be an array of 2 items, got 1 items"),
+    (frozenset[tuple[int, int]], [[1280, 7.5]], "each of field must be a JSON integer, got 7.5"),
+])
+def test_json_field_names_each_item_of_a_set(hint, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        json_field("field", value, hint)

@@ -27,6 +27,7 @@ from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
 import forked
+from jsonfuzz import CATALOG, READINGS, mangled
 from oracles import anaglyph_oracle, merge_outcome_oracle, sbs_oracle
 
 
@@ -382,6 +383,19 @@ class TestGridOverlay:
         assert captured.out == ""
         assert captured.err.startswith("error: J7-fixture: pixel_density 1e+308 ")
         assert "Traceback" not in captured.err
+
+    def test_screen_width_too_big_for_a_float_exits_1(self, capsys, tmp_path, j7):
+        from stereorig.registry import serialize_device_specs
+        doc = json.loads(serialize_device_specs([j7]))
+        doc[0]["screen_width_px"] = 10**400  # 401 digits: an int, but no float
+        specs = tmp_path / "devices.json"
+        specs.write_text(json.dumps(doc))
+        rc = main(["grid-overlay", "--specs", str(specs), "--device", "J7-fixture"])
+        captured = capsys.readouterr()
+        assert rc == 1  # an OverflowError traceback from float(screen[0]) before
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: J7-fixture: screen_width_px must be positive and finite, got 1000")
 
     def test_pitch_under_one_pixel_exits_1(self, capsys, tmp_path):
         # 0.001 mm on 10 px/mm printed 2.6 MB of grid lines; 1e-9 would ask for 1e11
@@ -1294,6 +1308,36 @@ class TestNonUtf8Input:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode")
         assert not (tmp_path / "out").exists()
+
+
+class TestMangledJsonInput:
+    """A mangled catalog or readings file exits 0, or 1 with an error line; nothing else escapes."""
+
+    @staticmethod
+    def _run(argv: list[str]) -> tuple[int, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        return rc, err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=mangled(CATALOG))
+    def test_base_model_specs(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mangled_specs.json"
+        path.write_text(text)
+        rc, err = self._run(["base-model", "--a", "J7-fixture", "--b", "A5-fixture",
+                             "--specs", str(path)])
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=mangled(READINGS))
+    def test_align_check_readings(self, tmp_path_factory, text):
+        # tolerances under which every finite pair is aligned: exit 1 means an error
+        path = tmp_path_factory.getbasetemp() / "mangled_readings.json"
+        path.write_text(text)
+        rc, err = self._run(["align-check", "--readings", str(path),
+                             "--mag-tol", "1e300", "--gyro-tol", "1e300"])
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
 
 
 class TestNonFiniteFlags:

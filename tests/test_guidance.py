@@ -7,8 +7,10 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from stereorig.alignment import LayoutConfig, compute_base_model
 from stereorig.guidance import (
@@ -22,6 +24,8 @@ from stereorig.guidance import (
     overlay_to_dict,
     overlay_to_svg,
 )
+
+from jsonfuzz import READINGS, assert_read_as_written, mangled
 
 DEPTH = LayoutConfig(axis="vertical", stacking="depth-stacked")
 
@@ -355,6 +359,50 @@ class TestReadingFixtures:
         path.write_text(json.dumps([{"a": reading, "b": reading}]))
         with pytest.raises(GuidanceError, match=f"malformed sensor reading: {message}$"):
             load_reading_pairs(str(path))
+
+    @pytest.mark.parametrize("reading, message", [
+        ({"magnetometer": [1, 2, 3], "gyroscope": [0, 0, 0], "timestamp": 5},
+         "sensor reading has unknown fields: timestamp"),
+        ({"magnetometer": [1, 2, 3], "gyroscope": [0, 0, 0], "gyro": [], "Mag": 1},
+         "sensor reading has unknown fields: Mag, gyro"),
+        ([1, 2, 3], "sensor reading must be an object, got list"),
+        ({"magnetometer": [1, 2, 3]}, "sensor reading missing required fields: gyroscope"),
+    ])
+    def test_reading_that_is_no_record_of_its_fields_is_refused(self, tmp_path, reading, message):
+        # "timestamp" was dropped without a word and timestamp_ms read as 0.0
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([{"a": reading, "b": reading}]))
+        with pytest.raises(GuidanceError, match=f"^{message}$"):
+            load_reading_pairs(str(path))
+
+    def test_integer_beyond_the_parser_limit_is_a_guidance_error(self, tmp_path):
+        # json.load raises a plain ValueError for an integer of over 4,300 digits
+        path = tmp_path / "pairs.json"
+        path.write_text('[{"a": {"magnetometer": [' + "7" * 5000 + ', 0, 0]}}]')
+        with pytest.raises(GuidanceError, match="^malformed readings file: Exceeds the limit"):
+            load_reading_pairs(str(path))
+
+    def test_readme_example_loads(self, tmp_path):
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = text.split("### align-check", 1)[1]
+        path = tmp_path / "readings.json"
+        path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        pairs = load_reading_pairs(str(path))
+        assert [check_alignment(a, b).aligned for a, b in pairs] == [True, False]
+        assert pairs[0][1].timestamp_ms == 1003.0 and pairs[1][0].timestamp_ms == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mangled(READINGS))
+    def test_mangled_readings_load_typed_or_raise_guidance_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "mangled_readings.json"
+        path.write_text(text)
+        try:
+            pairs = load_reading_pairs(str(path))
+        except GuidanceError:
+            return
+        for (a, b), entry in zip(pairs, json.loads(text), strict=True):
+            assert_read_as_written(a, entry["a"])
+            assert_read_as_written(b, entry["b"])
 
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "pairs.json"

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from stereorig.registry import (
     serialize_device_specs,
 )
 
+from jsonfuzz import CATALOG, assert_read_as_written, mangled
 from oracles import (
     negotiate_oracle,
     random_spec,
@@ -108,8 +110,9 @@ class TestParse:
         ({"frame_rates": "35"}, "frame_rates must be an array, got str"),
         ({"camera_center": "12"}, "camera_center must be an array of 2 items, got str"),
         ({"camera_center": [1, 2, 3]}, "camera_center must be an array of 2 items, got 3 items"),
-        ({"resolutions": ["12"]}, "each resolution must be an array of 2 items, got str"),
-        ({"resolutions": [[1280, 720, 3]]}, "each resolution must be an array of 2 items, got 3"),
+        ({"resolutions": ["12"]}, "each of resolutions must be an array of 2 items, got str"),
+        ({"resolutions": [[1280, 720, 3]]},
+         "each of resolutions must be an array of 2 items, got 3"),
     ])
     def test_array_field_must_be_an_array_of_its_length(self, entry, message):
         # a string was read character by character, a long list cut short
@@ -125,13 +128,58 @@ class TestParse:
          "each of capture_modes must be a JSON string, got NoneType"),
         ({"frame_rates": [True]}, "each of frame_rates must be a JSON number, got bool"),
         ({"camera_center": [39.0, "10"]}, "camera_center must be a JSON number, got str"),
-        ({"resolutions": [[1280.5, 720]]}, "each resolution must be a JSON integer, got 1280.5"),
+        ({"resolutions": [[1280.5, 720]]},
+         "each of resolutions must be a JSON integer, got 1280.5"),
         ({"body_width": "78"}, "body_width must be a JSON number, got str"),
     ])
     def test_scalar_of_the_wrong_json_type_is_refused(self, entry, message):
         # str(), int() and float() read these as 'None', 720, 1, {'1', 'None'}
         with pytest.raises(RegistryError, match=f"malformed device entry: {message}$"):
             parse_device_specs(_one_device(**entry))
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"colour": "red"}, "device entry has unknown fields: colour"),
+        ({"zoom": 2, "Colour": None, "cam": [1, 2]},
+         "device entry has unknown fields: Colour, cam, zoom"),
+    ])
+    def test_unknown_key_is_refused_in_sorted_order(self, extra, message):
+        # a misspelt field was dropped without a word
+        with pytest.raises(RegistryError, match=f"^{message}$"):
+            parse_device_specs(_one_device(**extra))
+
+    def test_entry_that_is_no_object_is_refused(self):
+        with pytest.raises(RegistryError, match="^device entry must be an object, got list$"):
+            parse_device_specs("[[1, 2]]")
+
+    def test_missing_fields_are_named_in_field_order(self):
+        entry = json.loads(_one_device())[0]
+        del entry["pixel_density"], entry["model_id"]
+        with pytest.raises(RegistryError,
+                           match="^device entry missing required fields: model_id, pixel_density$"):
+            parse_device_specs(json.dumps([entry]))
+
+    def test_integer_beyond_the_parser_limit_is_a_registry_error(self):
+        # json.loads raises a plain ValueError for an integer of over 4,300 digits
+        text = _one_device().replace('"screen_width_px": 720', '"screen_width_px": ' + "7" * 5000)
+        with pytest.raises(RegistryError, match="^malformed catalog document: Exceeds the limit"):
+            parse_device_specs(text)
+
+    def test_readme_schema_example_loads(self):
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Device spec schema", 1)[1]
+        (spec,) = parse_device_specs(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert spec.model_id == "J7-fixture" and spec.resolutions == {(1280, 720), (1920, 1080)}
+        assert spec.capture_modes == {"video", "mono"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mangled(CATALOG))
+    def test_mangled_catalog_loads_typed_or_raises_registry_error(self, text):
+        try:
+            specs = parse_device_specs(text)
+        except RegistryError:
+            return
+        for spec, entry in zip(specs, json.loads(text), strict=True):
+            assert_read_as_written(spec, entry)
 
     def test_shipped_catalog_reads_its_numbers_as_before(self, registry):
         j7 = lookup(registry, "J7-fixture")
@@ -234,11 +282,20 @@ class TestSpecSelfCheck:
         with pytest.raises(RegistryError, match=f"^J7-fixture: {field} must be positive"):
             dataclasses.replace(j7, **{field: bad})
 
+    @pytest.mark.parametrize("field", ["body_width", "screen_width_px", "screen_height_px",
+                                       "pixel_density", "resolutions", "frame_rates"])
+    def test_integer_too_big_for_a_float_rejected(self, j7, field):
+        # 0 < 10**400 < inf holds, but float() of it raises OverflowError, which
+        # escaped later from grid_overlay as a traceback
+        bad = _with_number(getattr(j7, field), 10**400, 0)
+        with pytest.raises(RegistryError, match=f"^J7-fixture: {field} must be positive and fin"):
+            dataclasses.replace(j7, **{field: bad})
+
     @settings(max_examples=300, deadline=None)
     @given(
         field=st.sampled_from(_NUMERIC_FIELDS),
         slot=st.integers(0, 1),
-        value=st.sampled_from([math.nan, math.inf, -math.inf])
+        value=st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
         | st.floats(max_value=-_TINY),
     )
     def test_bad_number_names_model_and_field(self, j7, field, slot, value):
