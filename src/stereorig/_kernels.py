@@ -1,9 +1,8 @@
-"""Pixel kernels: the anaglyph and side-by-side composers, in numpy.
+"""The anaglyph kernel, which composes strips in its own float32 work space.
 
-The anaglyph works a strip at a time in one composer's own float32 work
-space (`anaglyph_composer`): the CLI's merge workers each keep one, and
-`anaglyph_pixels` runs a frame's strips through one on the calling
-thread.  It is exact:
+`merge._strip_buffers` makes one composer per mode (sbs needs no kernel)
+for the CLI and the in-memory API alike.  `anaglyph_pixels` and
+`sbs_pixels` exist only for the benchmark's traced run.  It is exact:
 
 - A luma in thousandths, `v = 299 R + 587 G + 114 B`, is an integer of at
   most 255,000.  Every product and partial sum is an integer below 2^24,
@@ -22,14 +21,14 @@ thread.  It is exact:
 - At a tie `y` is exactly a whole number, so each strip finds its ties
   where `trunc(y) == y` (about 140 of the 2 x 65,536 values of a strip of
   noise) and recomputes just those with the float64 formula, term by term.
-  The output is bit-identical to the oracle whichever composer made a strip.
+  The output is bit-identical to the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import strip_rows
+from . import merge
 
 # BT.601 luma weights in thousandths, and the float64 weights of the formula itself
 _WEIGHTS = np.array([299, 587, 114], dtype=np.float32)
@@ -80,26 +79,8 @@ def anaglyph_composer(rows: int, width: int):
 
 
 def anaglyph_pixels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Anaglyph of two (h, w, 3) uint8 frames as a new (h, w, 3) uint8 array.
-
-    Red is the right frame's BT.601 luma, blue the left frame's, green is
-    0, each byte equal to the float64 formula's.  The strips run in row
-    order through one composer on the calling thread.
-    """
-    if left.shape[2:] != (3,) or right.shape != left.shape:
-        raise ValueError(
-            f"anaglyph needs (h, w, 3) frames of one shape: left {left.shape}, right {right.shape}"
-        )
-    h, w = left.shape[:2]
-    out = np.zeros((h, w, 3), dtype=np.uint8)
-    rows = strip_rows(h, w)
-    compose = anaglyph_composer(rows, w)
-    for y in range(0, h, rows):
-        strip = slice(y, y + rows)  # the last strip may have fewer
-        compose(left[strip], right[strip], out[strip])
-    return out
+    return merge._merge_pixels("anaglyph", left, right)
 
 
 def sbs_pixels(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Left and right (h, w, 3) frames side by side in a new (h, 2w, 3) array."""
-    return np.concatenate([left, right], axis=1)
+    return merge._merge_pixels("sbs", left, right)

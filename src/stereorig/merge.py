@@ -158,33 +158,51 @@ def _check_dims(pair: FramePair) -> None:
 
 def side_by_side(pair: FramePair) -> Frame:
     """Double-width frame: left view in columns [0, w), right in [w, 2w)."""
-    from . import _kernels
-
-    _check_dims(pair)
-    px = _kernels.sbs_pixels(pair.left.pixels, pair.right.pixels)
-    return Frame.from_pixels(px, pair.left.timestamp, "sbs")
+    return merge_pairs([pair], "sbs")[0]
 
 
 def anaglyph(pair: FramePair) -> Frame:
     """Blue = left luminance, red = right luminance, green = 0 (BT.601)."""
-    from . import _kernels
-
-    _check_dims(pair)
-    px = _kernels.anaglyph_pixels(pair.left.pixels, pair.right.pixels)
-    return Frame.from_pixels(px, pair.left.timestamp, "anaglyph")
+    return merge_pairs([pair], "anaglyph")[0]
 
 
-def _composer(mode: str):
-    if mode == "sbs":
-        return side_by_side
-    if mode == "anaglyph":
-        return anaglyph
-    raise MergeError(f"merge mode must be 'sbs' or 'anaglyph', got {mode!r}")
+def _check_mode(mode: str) -> None:
+    if mode not in ("sbs", "anaglyph"):
+        raise MergeError(f"merge mode must be 'sbs' or 'anaglyph', got {mode!r}")
 
 
 def merge_pairs(pairs: list[FramePair], mode: str) -> list[Frame]:
-    compose = _composer(mode)
-    return [compose(p) for p in pairs]
+    _check_mode(mode)
+    frames = []
+    for pair in pairs:
+        _check_dims(pair)
+        px = _merge_pixels(mode, pair.left.pixels, pair.right.pixels)
+        frames.append(Frame.from_pixels(px, pair.left.timestamp, mode))
+    return frames
+
+
+def _merge_pixels(mode: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Two uint8 (h, w, 3) frames merged into a new array, strip by strip, by `_strip_buffers`."""
+    import numpy as np
+
+    _check_mode(mode)
+    if not (left.dtype == right.dtype == np.uint8 and left.ndim == 3 and left.shape[2] == 3
+            and right.shape == left.shape):
+        raise MergeError(f"{mode} needs uint8 (h, w, 3) frames of one shape: "
+                         f"left {left.dtype} {left.shape}, right {right.dtype} {right.shape}")
+    h, w = left.shape[:2]
+    rows = strip_rows(h, w)
+    *buffers, compose = _strip_buffers(mode, rows, w)
+    left_px, right_px = (np.frombuffer(b, dtype=np.uint8).reshape(rows, w, 3) for b in buffers)
+    out = np.empty((h, 2 * w if mode == "sbs" else w, 3), dtype=np.uint8)
+    flat, at = memoryview(out.reshape(-1)), 0
+    for y0 in range(0, h, rows):
+        n = min(rows, h - y0)
+        left_px[:n], right_px[:n] = left[y0 : y0 + n], right[y0 : y0 + n]
+        for view in compose(n):  # the rows y0 .. y0 + n of the output, in order
+            flat[at : at + len(view)] = view
+            at += len(view)
+    return out
 
 
 def load_stream(manifest_path: str, source: str) -> list[Frame]:
@@ -222,7 +240,7 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
     files) is removed, after every helper has been reaped, before the
     exception is re-raised.
     """
-    _composer(mode)  # rejects an unknown mode
+    _check_mode(mode)
     for pair in pairs:
         _check_dims(pair)
     names = os.listdir(out_dir) if os.path.exists(out_dir) else []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from . import round_floats
+from . import check_range, round_floats
 from .templates import PIECE_KINDS, Piece, TemplateLayout, TemplateError
 
 _STYLE = """\
@@ -111,13 +111,27 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _number(value: str | None, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):  # TypeError: the attribute is missing
+        raise TemplateError(f"{what} must be a number, got {value!r}") from None
+    check_range(what, number, "finite", TemplateError)
+    return number
+
+
 def parse_svg(text: str) -> TemplateLayout:
-    """Inverse of render_svg for documents this module emitted."""
+    """Inverse of render_svg for documents this module emitted.
+
+    A document it cannot read back, such as one with a missing, malformed
+    or non-finite number or metadata that is no JSON object, is a
+    `TemplateError`.
+    """
     import xml.etree.ElementTree as ET  # only parsing needs it
 
     try:
         root = ET.fromstring(text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter: a lone surrogate
         raise TemplateError(f"not parseable as SVG: {exc}") from exc
     if _local_name(root.tag) != "svg":
         raise TemplateError(f"root element is {root.tag!r}, expected svg")
@@ -125,7 +139,9 @@ def parse_svg(text: str) -> TemplateLayout:
     view = root.get("viewBox")
     if not view:
         raise TemplateError("missing viewBox")
-    sx, sy, sw, sh = (float(v) for v in view.split())
+    if len(view.split()) != 4:
+        raise TemplateError(f"viewBox must hold 4 numbers, got {view!r}")
+    sx, sy, sw, sh = (_number(v, "each viewBox value") for v in view.split())
 
     metadata: dict = {}
     pieces: list[Piece] = []
@@ -133,7 +149,14 @@ def parse_svg(text: str) -> TemplateLayout:
         name = _local_name(el.tag)
         if name == "metadata" and el.text:
             # ElementTree has already undone the XML escaping in .text
-            metadata = json.loads(el.text)
+            try:
+                metadata = json.loads(el.text)
+            except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
+                raise TemplateError(f"malformed metadata: {exc}") from exc
+            except RecursionError as exc:
+                raise TemplateError("malformed metadata: nested too deeply") from exc
+            if not isinstance(metadata, dict):
+                raise TemplateError(f"metadata must be a JSON object, got {el.text!r}")
             continue
         cls = el.get("class", "")
         if cls not in PIECE_KINDS:
@@ -146,13 +169,11 @@ def parse_svg(text: str) -> TemplateLayout:
                     piece_id,
                     cls,
                     "rect",
-                    rect=(
-                        float(el.get("x")),
-                        float(el.get("y")),
-                        float(el.get("width")),
-                        float(el.get("height")),
+                    rect=tuple(
+                        _number(el.get(a), f"rect {piece_id!r} {a}")
+                        for a in ("x", "y", "width", "height")
                     ),
-                    corner_radius=float(el.get("rx", "0")),
+                    corner_radius=_number(el.get("rx", "0"), f"rect {piece_id!r} rx"),
                     panel=panel,
                 )
             )
@@ -162,8 +183,10 @@ def parse_svg(text: str) -> TemplateLayout:
                     piece_id,
                     cls,
                     "circle",
-                    center=(float(el.get("cx")), float(el.get("cy"))),
-                    radius=float(el.get("r")),
+                    center=tuple(
+                        _number(el.get(a), f"circle {piece_id!r} {a}") for a in ("cx", "cy")
+                    ),
+                    radius=_number(el.get("r"), f"circle {piece_id!r} r"),
                     panel=panel,
                 )
             )

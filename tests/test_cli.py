@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stereorig
@@ -27,6 +28,7 @@ from stereorig.merge import load_stream, merge_pairs, pair_frames
 from stereorig.ppmio import read_ppm, write_manifest, write_ppm
 
 import forked
+from bytefuzz import mangled_bytes
 from jsonfuzz import CATALOG, READINGS, mangled
 from oracles import anaglyph_oracle, merge_outcome_oracle, sbs_oracle
 
@@ -59,6 +61,24 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "base-model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, rc, err", [
+        (["gen-template", "--mode", "two", "--device", "J7-fixture", "-o", "-1.5"], 0,
+         "wrote -1.5\n"),
+        # argparse alone reads `-inf` as an option, not as the file name
+        (["gen-template", "--mode", "two", "--device", "J7-fixture", "-o", "-inf"], 0,
+         "wrote -inf\n"),
+        (["base-model", "--a", "J7-fixture", "--b", "A5-fixture", "--specs", "-nan"], 1,
+         "error: [Errno 2] No such file or directory: '-nan'\n"),
+    ], ids=["-o -1.5", "-o -inf", "--specs -nan"])
+    def test_string_option_takes_a_value_that_reads_as_a_number(
+            self, capsys, tmp_path, monkeypatch, argv, rc, err):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == rc
+        assert capsys.readouterr().err == err
+        assert sorted(os.listdir(tmp_path)) == ([argv[-1]] if rc == 0 else [])
+        if rc == 0:
+            assert (tmp_path / argv[-1]).read_text().startswith("<svg")
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -1338,6 +1358,51 @@ class TestMangledJsonInput:
         rc, err = self._run(["align-check", "--readings", str(path),
                              "--mag-tol", "1e300", "--gyro-tol", "1e300"])
         assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
+
+
+def _ppm(seed: int) -> bytes:
+    """A 3x2 P6 file of random pixels."""
+    return b"P6\n3 2\n255\n" + np.random.default_rng(seed).bytes(18)
+
+
+# a 2-pair stream: each manifest, and each PPM it names, by file name
+_MERGE_INPUTS = {
+    "left.txt": b"0 l0.ppm\n33.3 l1.ppm\n",
+    "right.txt": b"1.5 r0.ppm\n34 r1.ppm\n",
+    **{f"{side}{i}.ppm": _ppm(2 * i + (side == "r")) for side in "lr" for i in range(2)},
+}
+
+
+class TestMangledMergeInput:
+    """A mangled manifest or PPM exits 0, or 1 with an error line and no output directory."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mangled=st.sampled_from(sorted(_MERGE_INPUTS)).flatmap(
+               lambda name: st.tuples(st.just(name), mangled_bytes(_MERGE_INPUTS[name]))),
+           mode=st.sampled_from(["sbs", "anaglyph"]))
+    # a smaller frame that still holds its whole raster: a dimension mismatch
+    @example(mangled=("l1.ppm", b"P6\n1 2\n255\n" + bytes(18)), mode="sbs")
+    # a manifest line duplicated: three left frames, so on two CPUs a helper merges one
+    @example(mangled=("left.txt", b"0 l0.ppm\n33.3 l1.ppm\n33.3 l1.ppm\n"), mode="anaglyph")
+    def test_merge(self, tmp_path_factory, mangled, mode):
+        work = tmp_path_factory.getbasetemp() / "mangled_merge"
+        out = work / "out"
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        for file, valid in _MERGE_INPUTS.items():
+            (work / file).write_bytes(valid)
+        name, data = mangled
+        (work / name).write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["merge", "--left", str(work / "left.txt"), "--right",
+                       str(work / "right.txt"), "--mode", mode, "-o", str(out)])
+        err = stderr.getvalue()
+        if rc == 0:
+            assert (out / "pairs.txt").exists()
+        else:
+            assert rc == 1 and err.startswith("error: "), (rc, err)
+            assert not out.exists()
 
 
 class TestNonFiniteFlags:

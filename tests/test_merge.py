@@ -23,6 +23,7 @@ from stereorig.merge import (
     FramePair,
     FrameRef,
     MergeError,
+    _merge_pixels,
     anaglyph,
     load_stream,
     merge_pairs,
@@ -265,6 +266,9 @@ class TestMergePairs:
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(MergeError, match="mode"):
             merge_pairs([], "cross-eye")
+        frame = np.zeros((2, 2, 3), dtype=np.uint8)
+        with pytest.raises(MergeError, match="^merge mode must be 'sbs' or 'anaglyph', got 'x'$"):
+            _merge_pixels("x", frame, frame)
         with pytest.raises(MergeError, match="mode"):
             write_merged([], "cross-eye", str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
@@ -345,17 +349,26 @@ def _same_shape_frame_pairs(draw):
 
 
 class TestKernelBuffers:
+    """The in-memory driver, `_merge_pixels`, which runs the CLI's strip composers."""
+
     @settings(max_examples=60, deadline=None)
     @given(_same_shape_frame_pairs())
     def test_anaglyph_matches_oracle_fresh_and_reused(self, pairs):
         for left, right in pairs:
-            assert (_kernels.anaglyph_pixels(left, right) == anaglyph_oracle(left, right)).all()
+            assert (_merge_pixels("anaglyph", left, right) == anaglyph_oracle(left, right)).all()
 
     @settings(max_examples=60, deadline=None)
     @given(_same_shape_frame_pairs())
     def test_sbs_matches_oracle_fresh_and_reused(self, pairs):
         for left, right in pairs:
-            assert (_kernels.sbs_pixels(left, right) == sbs_oracle(left, right)).all()
+            assert (_merge_pixels("sbs", left, right) == sbs_oracle(left, right)).all()
+
+    def test_kernels_names_return_the_drivers_bytes(self):
+        left, right = _rand_pixels(30, 5, 21846), _rand_pixels(31, 5, 21846)
+        for mode, kernel in (("anaglyph", _kernels.anaglyph_pixels), ("sbs", _kernels.sbs_pixels)):
+            out = kernel(left, right)
+            assert out.dtype == np.uint8
+            assert out.tobytes() == _merge_pixels(mode, left, right).tobytes()
 
     def test_anaglyph_rejects_mismatched_shapes(self):
         frame = np.zeros((4, 5, 3), dtype=np.uint8)
@@ -365,8 +378,23 @@ class TestKernelBuffers:
             (four_channel, four_channel),
             (frame[0], frame[0]),
         ):
-            with pytest.raises(ValueError, match="one shape"):
-                _kernels.anaglyph_pixels(left, right)
+            with pytest.raises(MergeError, match="one shape"):
+                _merge_pixels("anaglyph", left, right)
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_rejects_non_uint8_2d_and_mismatched_inputs(self, mode):
+        frame = np.zeros((4, 5, 3), dtype=np.uint8)
+        for left, right in (
+            (frame.astype(np.uint16), frame.astype(np.uint16)),
+            (frame.astype(np.float32), frame),
+            (frame, frame.astype(np.int8)),
+            (frame[..., 0], frame[..., 0]),
+            (frame[None], frame[None]),
+            (frame, np.zeros((4, 6, 3), dtype=np.uint8)),
+            (frame, frame[:3]),
+        ):
+            with pytest.raises(MergeError, match=f"^{mode} needs uint8 .* of one shape"):
+                _merge_pixels(mode, left, right)
 
 
 def _rand_pixels(seed: int, h: int, w: int) -> np.ndarray:
@@ -389,7 +417,9 @@ class TestAnaglyphTiling:
         words = np.arange(1 << 24, dtype=">u4").reshape(4096, 4096, 1)
         colours = words.view(np.uint8)[..., 1:]
         flipped = colours[::-1, ::-1]
-        out = _kernels.anaglyph_pixels(colours, flipped)
+        # through the public API, and so through the CLI's strip composer
+        out = anaglyph(FramePair(Frame.from_pixels(colours, 0.0, "left"),
+                                 Frame.from_pixels(flipped, 0.0, "right"), 0.0)).pixels
         for src, channel in ((flipped, 0), (colours, 2)):
             for y in range(0, 4096, 512):
                 rgb = src[y : y + 512]
@@ -407,10 +437,10 @@ class TestAnaglyphTiling:
     def test_strip_edges_match_oracle(self, shape, seed):
         left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
         want = anaglyph_oracle(left, right)
-        assert (_kernels.anaglyph_pixels(left, right) == want).all()
+        assert (_merge_pixels("anaglyph", left, right) == want).all()
         # the oracle works pixel by pixel, so reversing both inputs reverses it
-        assert (_kernels.anaglyph_pixels(left[:, ::-1], right[:, ::-1]) == want[:, ::-1]).all()
-        assert (_kernels.anaglyph_pixels(left[::-1], right[::-1]) == want[::-1]).all()
+        assert (_merge_pixels("anaglyph", left[:, ::-1], right[:, ::-1]) == want[:, ::-1]).all()
+        assert (_merge_pixels("anaglyph", left[::-1], right[::-1]) == want[::-1]).all()
 
     def test_concurrent_calls_each_get_the_oracle_output(self):
         # two strips a frame; each call has its own composer and output, so
@@ -425,7 +455,7 @@ class TestAnaglyphTiling:
             left, right = frames[i]
             start.wait(timeout=30)
             for _ in range(5):
-                out = _kernels.anaglyph_pixels(left, right)
+                out = _merge_pixels("anaglyph", left, right)
                 matched[i].append(bool((out == wants[i]).all()))
 
         switch = sys.getswitchinterval()
@@ -593,14 +623,14 @@ class TestShareStrips:
         script = (
             "import os, signal, sys\n"
             "import numpy as np\n"
-            "from stereorig import _kernels\n"
+            "from stereorig.merge import _merge_pixels\n"
             "rng = np.random.default_rng(0)\n"
             "left, right = rng.integers(0, 256, (2, 4, 65537, 3), dtype=np.uint8)\n"
-            "want = _kernels.anaglyph_pixels(left, right)\n"
+            "want = _merge_pixels('anaglyph', left, right)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(30)\n"
-            "    same = (_kernels.anaglyph_pixels(left, right) == want).all()\n"
+            "    same = (_merge_pixels('anaglyph', left, right) == want).all()\n"
             "    os._exit(0 if same else 3)\n"
             "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
@@ -610,7 +640,7 @@ class TestShareStrips:
 
 
 class TestAnaglyphWorkers:
-    """`anaglyph_pixels` runs its strips on the calling thread, whatever the CPUs."""
+    """The in-memory driver runs its strips on the calling thread, whatever the CPUs."""
 
     @settings(max_examples=6, deadline=None)
     @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1), cpus=st.integers(1, 8))
@@ -621,7 +651,7 @@ class TestAnaglyphWorkers:
     def test_several_cpus_match_oracle(self, shape, seed, cpus):
         left, right = _rand_pixels(seed, *shape), _rand_pixels(seed + 1, *shape)
         with _affinity(cpus), forked.forks() as started:
-            out = _kernels.anaglyph_pixels(left, right)
+            out = _merge_pixels("anaglyph", left, right)
         assert started == []
         assert (out == anaglyph_oracle(left, right)).all()
 
@@ -641,7 +671,7 @@ class TestAnaglyphWorkers:
         left = _rand_pixels(26, 4, 65537)  # one row a strip
         with _affinity(2), forked.forks() as started, \
                 pytest.raises(RuntimeError, match="strip 2 failed"):
-            _kernels.anaglyph_pixels(left, left)
+            _merge_pixels("anaglyph", left, left)
         assert started == []
 
 

@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from stereorig import ppmio
 from stereorig.ppmio import (
@@ -19,6 +18,7 @@ from stereorig.ppmio import (
     write_ppm,
 )
 
+from bytefuzz import mangled_bytes
 from oracles import sbs_oracle
 
 
@@ -332,27 +332,6 @@ class TestManifest:
         assert read_ppm(p).shape == (1, 1, 3)
 
 
-@st.composite
-def _mangled(draw, valid: bytes) -> bytes:
-    """Random bytes, or `valid` after one to three byte flips, cuts, insertions or duplications."""
-    if draw(st.booleans()):
-        return draw(st.binary(max_size=64))
-    data = bytearray(valid)
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(data)))
-        kind = draw(st.sampled_from(["flip", "cut", "insert", "duplicate"]))
-        if kind == "flip" and i < len(data):
-            data[i] ^= draw(st.integers(1, 255))
-        elif kind == "cut":
-            del data[i:]
-        elif kind == "insert":
-            data[i:i] = draw(st.binary(min_size=1, max_size=8))
-        elif kind == "duplicate":
-            j = draw(st.integers(i, len(data)))
-            data[j:j] = data[i:j]
-    return bytes(data)
-
-
 _FUZZ = settings(max_examples=250, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -361,7 +340,7 @@ class TestReadersUnderMangledInput:
     """A mangled file either parses or is a `PpmError`, never another exception."""
 
     @_FUZZ
-    @given(data=_mangled(b"P6 # size\n3 2\n255\n" + bytes(range(18))))
+    @given(data=mangled_bytes(b"P6 # size\n3 2\n255\n" + bytes(range(18))))
     @example(data=b"P6\n1_0 1\n255\n" + bytes(30))
     def test_read_ppm_header(self, tmp_path, data):
         p = tmp_path / "f.ppm"
@@ -373,7 +352,7 @@ class TestReadersUnderMangledInput:
         assert w > 0 and h > 0 and len(data) >= 3 * w * h
 
     @_FUZZ
-    @given(data=_mangled(b"0 a.ppm\n33.3 frames/b.ppm\n\n  66.7 c d.ppm\n"))
+    @given(data=mangled_bytes(b"0 a.ppm\n33.3 frames/b.ppm\n\n  66.7 c d.ppm\n"))
     @example(data=b"0 a\xff.ppm\n")
     def test_read_manifest(self, tmp_path, data):
         p = tmp_path / "m.txt"

@@ -5,9 +5,10 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bytefuzz import mangled_bytes
 from oracles import xml_escape_oracle
 from stereorig.alignment import LayoutConfig, compute_base_model
 from stereorig.svgio import _escape, parse_svg, render_svg
@@ -175,3 +176,51 @@ def test_circle_geometry_preserved(j7):
     rec = next(p for p in back.pieces if p.shape == "circle")
     assert rec.radius == pytest.approx(orig.radius, abs=0.001)
     assert math.dist(rec.center, orig.center) <= 0.0015
+
+
+_SVG_GOLDENS = sorted(GOLDEN.parent.glob("j7_*.svg"))
+
+
+class TestMangledSvg:
+    """A document `parse_svg` cannot read back is a `TemplateError`, never another exception."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("j7_two_phone.svg", ('x="10.000" ', ""), "rect 'panel' x must be a number, got None"),
+        ("j7_two_phone.svg", ("0.000 0.000 136.000 517.000", "0 0 136"),
+         "viewBox must hold 4 numbers"),
+        ("j7_two_phone.svg", ("0.000 0.000 136.000 517.000", "0 0 10 x"),
+         "each viewBox value must be a number"),
+        ("j7_two_phone.svg", ('width="98.000"', 'width="9 8"'),
+         "rect 'panel' width must be a number, got '9 8'"),
+        ("j7_mirror.svg", (' r="8.000"', ""), "circle 'aperture' r must be a number, got None"),
+        ("j7_mirror.svg", ('cx="49.000"', 'cx="nan"'), "circle 'aperture' cx must be finite, got nan"),
+        ("j7_two_phone.svg", ('width="98.000"', 'width="1e999"'),
+         "rect 'panel' width must be finite, got inf"),
+        ("j7_two_phone.svg", ("0.000 0.000 136.000", "0 -inf 136"),
+         "each viewBox value must be finite, got -inf"),
+        ("j7_two_phone.svg", ("<metadata>{", "<metadata>{{"),
+         "malformed metadata: Expecting property name"),
+        ("j7_two_phone.svg", ("<metadata>{", "<metadata>" + "[" * 100_000),
+         "malformed metadata: nested too deeply"),
+        ("j7_two_phone.svg", ("<metadata>{", "<metadata>\ud800{"),
+         "not parseable as SVG: 'utf-8' codec can't encode"),
+    ])
+    def test_malformed_golden(self, name, edit, message):
+        text = (GOLDEN.parent / name).read_text(encoding="utf-8")
+        assert edit[0] in text
+        with pytest.raises(TemplateError, match=f"^{re.escape(message)}"):
+            parse_svg(text.replace(edit[0], edit[1], 1))
+
+    def test_metadata_that_is_no_object(self):
+        with pytest.raises(TemplateError, match=r"^metadata must be a JSON object, got '\[1\]'$"):
+            parse_svg('<svg viewBox="0 0 1 1"><metadata>[1]</metadata></svg>')
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.sampled_from(_SVG_GOLDENS).flatmap(
+        lambda path: mangled_bytes(path.read_bytes(), noise=False)))
+    def test_mangled_golden_parses_or_raises_template_error(self, data):
+        try:
+            layout = parse_svg(data.decode("utf-8", "replace"))
+        except TemplateError:
+            return
+        assert len(layout.sheet_bounds) == 4
