@@ -1,8 +1,7 @@
 """The anaglyph kernel, which composes strips in its own float32 work space.
 
-`merge._strip_buffers` makes one composer per mode (sbs needs no kernel)
-for the CLI and the in-memory API alike.  `anaglyph_pixels` and
-`sbs_pixels` exist only for the benchmark's traced run.  It is exact:
+`merge._strip_buffers` makes its anaglyph composer, and `anaglyph_pixels`
+and `sbs_pixels` exist only for the benchmark's traced run.  It is exact:
 
 - A luma in thousandths, `v = 299 R + 587 G + 114 B`, is an integer of at
   most 255,000.  Every product and partial sum is an integer below 2^24,

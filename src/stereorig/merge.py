@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import math
 import os
 import re
@@ -166,42 +167,42 @@ def anaglyph(pair: FramePair) -> Frame:
     return merge_pairs([pair], "anaglyph")[0]
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("sbs", "anaglyph"):
-        raise MergeError(f"merge mode must be 'sbs' or 'anaglyph', got {mode!r}")
-
-
 def merge_pairs(pairs: list[FramePair], mode: str) -> list[Frame]:
-    _check_mode(mode)
+    merge = _frame_merger(mode)
     frames = []
     for pair in pairs:
         _check_dims(pair)
-        px = _merge_pixels(mode, pair.left.pixels, pair.right.pixels)
+        px = _merge_pixels(mode, pair.left.pixels, pair.right.pixels, merge)
         frames.append(Frame.from_pixels(px, pair.left.timestamp, mode))
     return frames
 
 
-def _merge_pixels(mode: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Two uint8 (h, w, 3) frames merged into a new array, strip by strip, by `_strip_buffers`."""
+def _merge_pixels(mode: str, left: np.ndarray, right: np.ndarray, merge=None) -> np.ndarray:
+    """Two uint8 (h, w, 3) frames merged into a new array by `merge`, a `_frame_merger(mode)`."""
     import numpy as np
 
-    _check_mode(mode)
+    merge = merge or _frame_merger(mode)
     if not (left.dtype == right.dtype == np.uint8 and left.ndim == 3 and left.shape[2] == 3
             and right.shape == left.shape):
         raise MergeError(f"{mode} needs uint8 (h, w, 3) frames of one shape: "
                          f"left {left.dtype} {left.shape}, right {right.dtype} {right.shape}")
     h, w = left.shape[:2]
-    rows = strip_rows(h, w)
-    *buffers, compose = _strip_buffers(mode, rows, w)
-    left_px, right_px = (np.frombuffer(b, dtype=np.uint8).reshape(rows, w, 3) for b in buffers)
     out = np.empty((h, 2 * w if mode == "sbs" else w, 3), dtype=np.uint8)
-    flat, at = memoryview(out.reshape(-1)), 0
-    for y0 in range(0, h, rows):
-        n = min(rows, h - y0)
-        left_px[:n], right_px[:n] = left[y0 : y0 + n], right[y0 : y0 + n]
-        for view in compose(n):  # the rows y0 .. y0 + n of the output, in order
-            flat[at : at + len(view)] = view
-            at += len(view)
+    flat_out = memoryview(out.reshape(-1))
+
+    def reader(pixels):
+        flat = memoryview(np.ascontiguousarray(pixels).reshape(-1))  # copied only if strided
+
+        def read(buf, offset: int) -> None:
+            buf[:] = flat[offset : offset + len(buf)]
+        return read
+
+    def write(views, offset: int) -> None:
+        for view in views:
+            flat_out[offset : offset + len(view)] = view
+            offset += len(view)
+
+    merge(w, h, reader(left), reader(right), write)
     return out
 
 
@@ -233,14 +234,16 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
     among one worker per CPU, pair 0 alone on the caller first, the others
     forked helper processes (`share_items`, so meant for a
     single-threaded process such as the CLI), and a worker merges each
-    pair it takes into `<mode>_NNNN.ppm` by itself (`_pair_merger`).  So a
-    one-pair stream merges on one CPU, a trade made for video streams of
-    many pairs.  On any exception, `KeyboardInterrupt` included, every
-    frame written or begun and every directory made (unless it holds other
+    pair it takes into `<mode>_NNNN.ppm` by itself, through `raster_reader`
+    (a frame whose size has changed since `scan_stream` is a `PpmError`),
+    `raster_writer` and the one `_frame_merger` made first.  So a one-pair
+    stream merges on one CPU, a trade made for video streams of many
+    pairs.  On any exception, `KeyboardInterrupt` included, every frame
+    written or begun and every directory made (unless it holds other
     files) is removed, after every helper has been reaped, before the
     exception is re-raised.
     """
-    _check_mode(mode)
+    merge = _frame_merger(mode)
     for pair in pairs:
         _check_dims(pair)
     names = os.listdir(out_dir) if os.path.exists(out_dir) else []
@@ -253,9 +256,20 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
         missing = os.path.dirname(missing)
     # named before any pair starts, so that cleanup reaches every worker's frames
     paths = [os.path.join(out_dir, f"{mode}_{i:04d}.ppm") for i in range(len(pairs))]
+
+    def merge_pair(i: int) -> None:
+        left, right = pairs[i].left, pairs[i].right
+        w, h = left.width, left.height
+        with (
+            raster_reader(left.path, w, h) as read_left,
+            raster_reader(right.path, w, h) as read_right,
+            raster_writer(paths[i], 2 * w if mode == "sbs" else w, h) as write,
+        ):
+            merge(w, h, read_left, read_right, write)
+
     try:
         os.makedirs(out_dir, exist_ok=True)
-        share_items(len(pairs), _pair_merger(pairs, mode, paths))
+        share_items(len(pairs), merge_pair)
         write_manifest(os.path.join(out_dir, "pairs.txt"),
                        [(pair.left.timestamp, path) for pair, path in zip(pairs, paths)])
     except BaseException:  # a failed or interrupted run leaves no partial output
@@ -387,50 +401,39 @@ def _reap(pid: int, pipe: int) -> BaseException | None:
     return MergeError(f"merge helper {pid} exited with status {code} and no report")
 
 
-def _pair_merger(pairs: list[FramePair], mode: str, paths: list[str]):
-    """`merge(i)`, which merges pair i into the P6 file `paths[i]`.
+def _frame_merger(mode: str):
+    """`merge(w, h, read_left, read_right, write)`, which merges one w x h frame pair.
 
-    Both inputs are opened and their headers parsed again: a frame whose
-    size has changed since `scan_stream` is a `PpmError`.  Then, strip by
-    strip in row order, it reads the left and the right rows at their
-    raster offsets, composes them and writes the result at its output
-    offset, so no frame-sized buffer exists.  sbs writes the row views of
-    its input buffers; anaglyph writes the output of its
-    `_kernels.anaglyph_composer`.  `merge` keeps its strip buffers from
-    pair to pair and makes new ones only when the strip size changes; a
-    forked helper starts from its own copy of the caller's.
+    Strip by strip in row order, `merge` fills its strip buffers through
+    `read_left(buf, offset)` and `read_right`, composes them and hands the
+    views to `write(views, offset)`; offsets count raster bytes, as for
+    `ppmio.raster_reader` and `raster_writer`.  It keeps its buffers until
+    the strip size changes.  An unknown mode is a `MergeError` at once.
     """
-    buffers = None
+    if mode not in ("sbs", "anaglyph"):
+        raise MergeError(f"merge mode must be 'sbs' or 'anaglyph', got {mode!r}")
+    buffers = functools.lru_cache(maxsize=1)(_strip_buffers)
 
-    def merge(i: int) -> None:
-        nonlocal buffers
-        left, right = pairs[i].left, pairs[i].right
-        w, h = left.width, left.height
+    def merge(w: int, h: int, read_left, read_right, write) -> None:
         rows = strip_rows(h, w)
-        if buffers is None or buffers[0] != (rows, w):
-            buffers = (rows, w), *_strip_buffers(mode, rows, w)
-        _, left_buf, right_buf, compose = buffers
+        left_buf, right_buf, compose = buffers(mode, rows, w)
         row = 3 * w
         out_row = 2 * row if mode == "sbs" else row
-        with (
-            raster_reader(left.path, w, h) as read_left,
-            raster_reader(right.path, w, h) as read_right,
-            raster_writer(paths[i], out_row // 3, h) as write,
-        ):
-            for y0 in range(0, h, rows):
-                n = min(rows, h - y0)
-                read_left(left_buf[: n * row], y0 * row)
-                read_right(right_buf[: n * row], y0 * row)
-                write(compose(n), y0 * out_row)
+        for y0 in range(0, h, rows):
+            n = min(rows, h - y0)
+            read_left(left_buf[: n * row], y0 * row)
+            read_right(right_buf[: n * row], y0 * row)
+            write(compose(n), y0 * out_row)
 
     return merge
 
 
 def _strip_buffers(mode: str, rows: int, w: int):
-    """Left and right strip buffers, and a `compose(n)` that merges them.
+    """Left and right strip buffers of `rows` rows of `w` pixels, and a `compose(n)`.
 
     `compose(n)` merges the first n rows of the buffers and returns the
-    flat views to write, in order.
+    flat views to write, in order: sbs the row views of its input buffers,
+    anaglyph the output of its `_kernels.anaglyph_composer`.
     """
     row = 3 * w
     left, right = memoryview(bytearray(rows * row)), memoryview(bytearray(rows * row))

@@ -77,15 +77,13 @@ def read_ppm_header(path: str) -> tuple[int, int]:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Pixels of a P6 file as (height, width, 3) uint8."""
+    """Pixels of a P6 file as (height, width, 3) uint8, read through `raster_reader`."""
     import numpy as np
 
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, path)
-        out = np.empty((h, w, 3), dtype=np.uint8)
-        got = fh.readinto(out)
-    if got != w * h * 3:
-        raise PpmError(f"{path}: expected {w * h * 3} raster bytes, got {got}")
+    w, h = read_ppm_header(path)
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    with raster_reader(path, w, h) as read:
+        read(out.reshape(-1), 0)
     return out
 
 

@@ -40,7 +40,21 @@ def _fmt(v: float) -> str:
 
 
 def _canonical_metadata(metadata: dict) -> str:
-    return json.dumps(round_floats(metadata, 6), sort_keys=True, separators=(",", ":"))
+    try:  # allow_nan=False: NaN and Infinity are no JSON
+        return json.dumps(round_floats(metadata, 6), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as exc:
+        raise TemplateError(f"metadata cannot be written as JSON: {exc}") from exc
+
+
+def _check_finite(piece: Piece) -> None:
+    """Refuse a piece whose bbox, corner radius or any point is not finite, naming the piece."""
+    names = ("bbox x", "bbox y", "bbox width", "bbox height", "corner_radius")
+    numbers = [*zip(names, (*piece.bbox(), piece.corner_radius))]
+    # a NaN point can hide from the bbox: min() and max() skip it when it comes later
+    numbers += [(f"point {i}", c) for i, point in enumerate(piece.points) for c in point]
+    for name, value in numbers:
+        check_range(f"piece {piece.piece_id!r} {name}", value, "finite", TemplateError)
 
 
 def _check_bounds(piece: Piece, sheet: tuple[float, float, float, float]) -> None:
@@ -78,12 +92,22 @@ def _piece_to_svg(piece: Piece) -> str:
 
 
 def render_svg(layout: TemplateLayout) -> str:
+    """The layout as SVG text.
+
+    An unknown piece kind, a non-finite number (in the sheet bounds, a
+    piece's bbox, corner radius or points, or the metadata) or a piece
+    outside the sheet is a `TemplateError`, raised before any text is made.
+    """
     sx, sy, sw, sh = layout.sheet_bounds
     for piece in layout.pieces:
         if piece.kind not in PIECE_KINDS:
             raise TemplateError(
                 f"piece {piece.piece_id!r} has unknown kind {piece.kind!r}"
             )
+        _check_finite(piece)
+    for name, value in zip(("x", "y", "width", "height"), layout.sheet_bounds):
+        check_range(f"sheet {name}", value, "finite", TemplateError)
+    for piece in layout.pieces:
         _check_bounds(piece, layout.sheet_bounds)
 
     lines = [

@@ -607,6 +607,7 @@ def run_frame_sync(
     Sessions must already be Capturing with a capture start recorded (the
     normal path is run_capture_sync first).  `directives` are
     (global_send_time, directive) pairs sent by the initiator mid-capture.
+    A duration whose count of ticks is no finite float is a `ValueError`.
     """
     check_range("duration", duration)
     sa, sb = sessions
@@ -617,7 +618,10 @@ def run_frame_sync(
     for s, offset in zip(sessions, clock_offsets):
         fps = s.negotiated.frame_rate
         period = 1000.0 / fps
-        count = math.floor(duration * fps / 1000.0 + 1e-9)
+        ticks = duration * fps / 1000.0 + 1e-9
+        if not math.isfinite(ticks):
+            raise ValueError(f"duration {duration} ms holds too many frame ticks to count")
+        count = math.floor(ticks)
         for k in range(s.next_tick_seq, count):
             local_due = s.capture_start + k * period
             events.append((local_due - offset, s.endpoint_id, Timer("tick_due")))

@@ -276,6 +276,17 @@ class TestGenTemplate:
         assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_ipd_too_big_for_the_layout_exits_1_without_output(self, capsys, tmp_path):
+        # a finite ipd whose panel width overflows: exit 0 with x="inf" and x="nan" before
+        out = tmp_path / "t.svg"
+        rc = main(["gen-template", "--mode", "three", "--device", "J7-fixture",
+                   "--ipd", "1e308", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: piece 'strip' bbox width must be finite, got inf\n"
+        assert not out.exists()
+
     def test_infeasible_layout_exits_1(self, capsys, tmp_path):
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", "two", "--device", "J7-fixture",
@@ -501,6 +512,16 @@ class TestSimulateSync:
         assert rc == 1
         assert captured.out == ""
         assert f"error: {message}" in captured.err
+
+    def test_duration_too_long_to_count_its_ticks_exits_1(self, capsys):
+        # finite, but duration * fps overflows: an OverflowError traceback before.  Only
+        # 1e308: a large finite duration would schedule that many tick events
+        rc = main(["simulate-sync", "--capture", "50", "--duration", "1e308"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: duration 1e+308 ms holds too many frame ticks to count\n")
 
     def test_ipd_is_a_usage_error(self, capsys):
         assert main(["simulate-sync", "--ipd", "60"]) == 2

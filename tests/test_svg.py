@@ -75,6 +75,43 @@ class TestRender:
         with pytest.raises(TemplateError, match="outside sheet bounds"):
             render_svg(layout)
 
+    @pytest.mark.parametrize("piece, message", [
+        (Piece("p", "cut", "rect", rect=(math.inf, 0.0, 1.0, 1.0)),
+         "piece 'p' bbox x must be finite, got inf"),
+        (Piece("p", "cut", "rect", rect=(0.0, 0.0, math.nan, 1.0)),
+         "piece 'p' bbox width must be finite, got nan"),
+        (Piece("p", "cut", "rect", rect=(0.0, 0.0, 1.0, 1.0), corner_radius=math.inf),
+         "piece 'p' corner_radius must be finite, got inf"),
+        (Piece("c", "aperture", "circle", center=(5.0, math.nan), radius=1.0),
+         "piece 'c' bbox y must be finite, got nan"),
+        (Piece("c", "aperture", "circle", center=(5.0, 5.0), radius=math.inf),
+         "piece 'c' bbox x must be finite, got -inf"),
+        # min() and max() of [1.0, nan] are 1.0, so the bbox alone misses this one
+        (Piece("f", "fold", "segments", points=((1.0, 1.0), (math.nan, 2.0))),
+         "piece 'f' point 1 must be finite, got nan"),
+    ])
+    def test_non_finite_number_in_a_piece_rejected(self, piece, message):
+        layout = TemplateLayout((piece,), (0.0, 0.0, 10.0, 10.0), {"rig": "test"})
+        with pytest.raises(TemplateError, match=f"^{re.escape(message)}$"):
+            render_svg(layout)
+
+    @pytest.mark.parametrize("sheet, metadata, message", [
+        ((0.0, 0.0, math.inf, 10.0), {}, "sheet width must be finite, got inf"),
+        ((math.nan, 0.0, 10.0, 10.0), {}, "sheet x must be finite, got nan"),
+        ((0.0, 0.0, 10.0, 10.0), {"ipd": math.inf}, "metadata cannot be written as JSON"),
+        ((0.0, 0.0, 10.0, 10.0), {"folds": [{"x": math.nan}]},
+         "metadata cannot be written as JSON"),
+    ])
+    def test_non_finite_sheet_or_metadata_rejected(self, sheet, metadata, message):
+        piece = Piece("p", "cut", "rect", rect=(0.0, 0.0, 1.0, 1.0))
+        with pytest.raises(TemplateError, match=f"^{re.escape(message)}"):
+            render_svg(TemplateLayout((piece,), sheet, metadata))
+
+    def test_ipd_too_big_for_the_layout_rejected(self, j7):
+        # a finite ipd whose panel width overflows: the SVG held x="inf", x="nan" and Infinity
+        with pytest.raises(TemplateError, match="^piece 'strip' bbox width must be finite"):
+            render_svg(three_phone_layout(j7, ipd=1e308))
+
     def test_unknown_layer_kind_rejected(self):
         layout = TemplateLayout(
             pieces=(Piece("p", "glue", "rect", rect=(0.0, 0.0, 1.0, 1.0)),),

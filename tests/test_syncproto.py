@@ -777,6 +777,14 @@ class TestTransport:
         with pytest.raises(ValueError, match="duration must be finite"):
             run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, value)
 
+    def test_frame_sync_rejects_a_duration_too_long_to_count(self, j7, a5):
+        # only 1e308, whose tick count overflows: a large finite duration would
+        # schedule that many tick events
+        pairing = run_pairing(j7, a5, LOSSLESS)
+        capture = run_capture_sync((pairing.state_a, pairing.state_b), LOSSLESS, 50.0)
+        with pytest.raises(ValueError, match=r"^duration 1e\+308 ms holds too many frame ticks"):
+            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, 1e308)
+
     def test_simulator_needs_two_sessions(self, j7):
         with pytest.raises(ValueError, match="two sessions"):
             Simulator((new_session("A", "initiator", j7),), LOSSLESS, 0, (0.0,))
