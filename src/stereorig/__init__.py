@@ -40,6 +40,27 @@ def check_range(name: str, value: float, kind: str = "finite", error: type = Val
         raise error(f"{name} must be {words}, got {value}")
 
 
+def read_text(path: str, error: type) -> str:
+    """The UTF-8 text of the file at `path`, newlines as `\\n`; other text is an `error`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def parse_json(text: str, what: str, error: type):
+    """The JSON document `text`; malformed or too deeply nested, it is an `error` naming `what`."""
+    import json  # here, so that importing the CLI loads no json
+
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
+        raise error(f"malformed {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"malformed {what}: nested too deeply") from exc
+
+
 def round_floats(obj, ndigits: int):
     """JSON data with every float rounded to `ndigits`; tuples become lists."""
     if isinstance(obj, float):

@@ -13,7 +13,6 @@ same field.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -22,6 +21,8 @@ from . import (
     DEFAULT_GYRO_TOLERANCE_DPS,
     DEFAULT_MAG_TOLERANCE_UT,
     check_range,
+    parse_json,
+    read_text,
     round_floats,
 )
 from .alignment import BaseModel
@@ -204,15 +205,7 @@ def _reading_from_dict(doc) -> SensorReading:
 
 def load_reading_pairs(path: str) -> list[tuple[SensorReading, SensorReading]]:
     """Read a fixture file: JSON array of {"a": reading, "b": reading} pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise GuidanceError(f"{path}: not UTF-8 text: {exc}") from exc
-        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-            raise GuidanceError(f"malformed readings file: {exc}") from exc
-        except RecursionError as exc:
-            raise GuidanceError("malformed readings file: nested too deeply") from exc
+    doc = parse_json(read_text(path, GuidanceError), "readings file", GuidanceError)
     if not isinstance(doc, list) or not doc:
         raise GuidanceError("readings file must be a non-empty JSON array")
     pairs = []

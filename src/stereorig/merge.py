@@ -310,10 +310,6 @@ def share_items(n: int, run) -> None:
         return
     run(0)
     forks = min(_cpus(), n - 1) - 1 if hasattr(os, "fork") else 0
-    if forks < 1:
-        for i in range(1, n):
-            run(i)
-        return
     # items 1 .. n-1 as 8-byte records in a file whose one open description,
     # and so whose offset, every worker shares: each read takes the next
     # record whole, and a failed worker stops the rest by seeking to the end

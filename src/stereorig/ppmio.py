@@ -11,6 +11,8 @@ import math
 import os
 from typing import TYPE_CHECKING
 
+from . import read_text
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -166,31 +168,28 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
 
 
 def read_manifest(path: str) -> list[tuple[float, str]]:
-    """(timestamp_ms, absolute ppm path) per line, in file order."""
+    """(timestamp_ms, absolute ppm path) per line, in file order; a line ends only at a newline."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    for lineno, line in enumerate(read_text(path, PpmError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            raise PpmError(f"{path}:{lineno}: expected '<timestamp_ms> <ppm_path>'")
         try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise PpmError(f"{path}: not UTF-8 text: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(maxsplit=1)
-            if len(parts) != 2:
-                raise PpmError(f"{path}:{lineno}: expected '<timestamp_ms> <ppm_path>'")
-            try:
-                ts = float(parts[0])
-            except ValueError as exc:
-                raise PpmError(f"{path}:{lineno}: bad timestamp {parts[0]!r}") from exc
-            if not math.isfinite(ts):
-                raise PpmError(f"{path}:{lineno}: timestamp {parts[0]!r} is not finite")
-            p = parts[1]
-            if not os.path.isabs(p):
-                p = os.path.join(base, p)
-            entries.append((ts, p))
+            ts = float(parts[0])
+        except ValueError as exc:
+            raise PpmError(f"{path}:{lineno}: bad timestamp {parts[0]!r}") from exc
+        if not math.isfinite(ts):
+            raise PpmError(f"{path}:{lineno}: timestamp {parts[0]!r} is not finite")
+        p = parts[1]
+        if "\0" in p:
+            raise PpmError(f"{path}:{lineno}: ppm path {p!r} holds a NUL byte")
+        if not os.path.isabs(p):
+            p = os.path.join(base, p)
+        entries.append((ts, p))
     return entries
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterable, Sequence, get_type_hints
 
-from . import check_range
+from . import check_range, parse_json, read_text
 
 
 class RegistryError(ValueError):
@@ -128,12 +128,7 @@ def _spec_from_dict(entry) -> DeviceSpec:
 
 
 def parse_device_specs(text: str) -> list[DeviceSpec]:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-        raise RegistryError(f"malformed catalog document: {exc}") from exc
-    except RecursionError as exc:
-        raise RegistryError("malformed catalog document: nested too deeply") from exc
+    doc = parse_json(text, "catalog document", RegistryError)
     if not isinstance(doc, list):
         raise RegistryError("catalog document must be a JSON array of device objects")
     specs = [_spec_from_dict(entry) for entry in doc]
@@ -146,12 +141,7 @@ def parse_device_specs(text: str) -> list[DeviceSpec]:
 
 
 def load_registry(path: str) -> list[DeviceSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise RegistryError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_device_specs(text)
+    return parse_device_specs(read_text(path, RegistryError))
 
 
 def _spec_to_dict(spec: DeviceSpec) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from . import check_range, round_floats
+from . import check_range, parse_json, round_floats
 from .templates import PIECE_KINDS, Piece, TemplateLayout, TemplateError
 
 _STYLE = """\
@@ -173,12 +173,7 @@ def parse_svg(text: str) -> TemplateLayout:
         name = _local_name(el.tag)
         if name == "metadata" and el.text:
             # ElementTree has already undone the XML escaping in .text
-            try:
-                metadata = json.loads(el.text)
-            except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
-                raise TemplateError(f"malformed metadata: {exc}") from exc
-            except RecursionError as exc:
-                raise TemplateError("malformed metadata: nested too deeply") from exc
+            metadata = parse_json(el.text, "metadata", TemplateError)
             if not isinstance(metadata, dict):
                 raise TemplateError(f"metadata must be a JSON object, got {el.text!r}")
             continue

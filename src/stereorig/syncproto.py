@@ -221,11 +221,16 @@ def _begin_capture(s: SessionState, timer: Timer, now: float) -> Step:
     return (s if s.capture_start is None else replace(s, phase=Phase.CAPTURING)), []
 
 
+def _tick_due(s: SessionState, seq: int) -> float:
+    """local time of frame tick `seq`: the capture start plus `seq` frame periods"""
+    return s.capture_start + seq * (1000.0 / s.negotiated.frame_rate)
+
+
 def _tick(s: SessionState, timer: Timer, now: float) -> Step:
     """apply due directives, send FrameTick(seq, ts)"""
     s = _apply_due_directives(s)
     seq = s.next_tick_seq
-    ts = s.capture_start + seq * (1000.0 / s.negotiated.frame_rate)
+    ts = _tick_due(s, seq)
     tick = Message(MsgKind.FRAME_TICK, s.endpoint_id, TickStamp(seq, ts))
     return replace(s, next_tick_seq=seq + 1), [tick]
 
@@ -233,7 +238,7 @@ def _tick(s: SessionState, timer: Timer, now: float) -> Step:
 def _check_cadence(s: SessionState, msg: Message, now: float) -> Step:
     """failed + Error on cadence mismatch"""
     tick: TickStamp = msg.payload
-    expected = s.capture_start + tick.seq * (1000.0 / s.negotiated.frame_rate)
+    expected = _tick_due(s, tick.seq)
     if abs(tick.timestamp - expected) <= _CADENCE_TOL_MS:
         return s, []
     got = f"got {tick.timestamp:.6f}, expected {expected:.6f}"
@@ -616,15 +621,11 @@ def run_frame_sync(
             raise ValueError(f"session {s.endpoint_id} is not mid-capture")
     events = []
     for s, offset in zip(sessions, clock_offsets):
-        fps = s.negotiated.frame_rate
-        period = 1000.0 / fps
-        ticks = duration * fps / 1000.0 + 1e-9
+        ticks = duration * s.negotiated.frame_rate / 1000.0 + 1e-9
         if not math.isfinite(ticks):
             raise ValueError(f"duration {duration} ms holds too many frame ticks to count")
-        count = math.floor(ticks)
-        for k in range(s.next_tick_seq, count):
-            local_due = s.capture_start + k * period
-            events.append((local_due - offset, s.endpoint_id, Timer("tick_due")))
+        for k in range(s.next_tick_seq, math.floor(ticks)):
+            events.append((_tick_due(s, k) - offset, s.endpoint_id, Timer("tick_due")))
         events.append((s.capture_start + duration - offset, s.endpoint_id, Timer("capture_end")))
     initiator = sa if sa.role == "initiator" else sb
     events += [(when, initiator.endpoint_id, Timer("send_directive", d)) for when, d in directives]

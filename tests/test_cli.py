@@ -1295,6 +1295,17 @@ class TestManifestFaults:
         else:
             assert names == want_names
 
+    def test_nul_byte_in_a_path_exits_1(self, capsys, tmp_path):
+        manifest = tmp_path / "l.txt"
+        manifest.write_bytes(b"0 a\x00b.ppm\n")
+        rc = main(["merge", "--left", str(manifest), "--right", str(manifest),
+                   "--mode", "sbs", "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}:1: ppm path 'a\\x00b.ppm' holds a NUL byte\n"
+        assert not (tmp_path / "out").exists()
+
 
 def _float_options() -> list[tuple[str, str]]:
     """(subcommand, option) for every float-typed option of the parser."""

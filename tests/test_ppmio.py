@@ -302,6 +302,27 @@ class TestManifest:
         with pytest.raises(PpmError, match=f"{re.escape(str(manifest))}: not UTF-8 text"):
             read_manifest(str(manifest))
 
+    def test_nul_byte_in_a_path_rejected(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"0 a.ppm\n1 a\x00b.ppm\n")
+        with pytest.raises(PpmError, match=r"m.txt:2: ppm path 'a\\x00b.ppm' holds a NUL byte$"):
+            read_manifest(str(manifest))
+
+    @pytest.mark.parametrize("name", ["a\x0cb.ppm", "a\x1cb.ppm", "a\u2028b.ppm"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_lines_end_only_at_newlines(self, tmp_path, name, newline):
+        """A form feed, `\\x1c` or `\\u2028` stays inside its path; CRLF reads as LF."""
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(newline.join(["0 a.ppm", f"1 {name}", "2 c.ppm", ""]).encode())
+        assert read_manifest(str(manifest)) == [
+            (0.0, str(tmp_path / "a.ppm")),
+            (1.0, str(tmp_path / name)),
+            (2.0, str(tmp_path / "c.ppm")),
+        ]
+        manifest.write_bytes(newline.join([f"0 {name}", "42", ""]).encode())
+        with pytest.raises(PpmError, match="m.txt:2: expected"):
+            read_manifest(str(manifest))
+
     def test_bad_timestamp_rejected(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("soon a.ppm\n")
