@@ -429,25 +429,14 @@ def _strip_buffers(mode: str, rows: int, w: int):
 
     `compose(n)` merges the first n rows of the buffers and returns the
     flat views to write, in order: sbs the row views of its input buffers,
-    anaglyph the output of its `_kernels.anaglyph_composer`.
+    anaglyph its output strip.  The anaglyph kernel owns all three of its
+    strips: they come from `_kernels.anaglyph_strips`.
     """
+    if mode == "anaglyph":
+        from . import _kernels
+
+        return _kernels.anaglyph_strips(rows, w)
     row = 3 * w
     left, right = memoryview(bytearray(rows * row)), memoryview(bytearray(rows * row))
-    if mode == "sbs":
-        views = [side[y * row : (y + 1) * row] for y in range(rows) for side in (left, right)]
-        return left, right, lambda n: views[: 2 * n]
-    import numpy as np
-
-    from . import _kernels
-
-    out = bytearray(rows * row)  # green stays 0
-    left_px, right_px, out_px = (
-        np.frombuffer(buf, dtype=np.uint8).reshape(rows, w, 3) for buf in (left, right, out)
-    )
-    anaglyph = _kernels.anaglyph_composer(rows, w)
-
-    def compose(n: int) -> list:
-        anaglyph(left_px[:n], right_px[:n], out_px[:n])
-        return [memoryview(out)[: n * row]]
-
-    return left, right, compose
+    views = [side[y * row : (y + 1) * row] for y in range(rows) for side in (left, right)]
+    return left, right, lambda n: views[: 2 * n]

@@ -196,16 +196,24 @@ def read_manifest(path: str) -> list[tuple[float, str]]:
 def write_manifest(path: str, entries: list[tuple[float, str]]) -> None:
     """Write `entries` as a manifest at `path`, which appears only once complete.
 
-    The lines go to `<path>.tmp` in the same directory, which then replaces
-    `path`; on any exception the temporary file is removed.
+    Every path is checked first: one that `read_manifest` would read back
+    as another file (its relative form begins or ends with whitespace, or
+    holds a line break or a NUL byte) is a `PpmError`, and nothing is
+    written.  The lines go to `<path>.tmp` in the same directory, which
+    then replaces `path`; on any exception the temporary file is removed.
     """
     base = os.path.dirname(os.path.abspath(path))
+    lines = []
+    for ts, p in entries:
+        rel = os.path.relpath(p, base)
+        if rel != rel.strip() or any(c in rel for c in "\n\r\0"):
+            raise PpmError(f"{path}: ppm path {p!r} would not read back as written")
+        lines.append(f"{_format_timestamp(ts)} {rel}\n")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for ts, p in entries:
-                rel = os.path.relpath(p, base)
-                fh.write(f"{_format_timestamp(ts)} {rel}\n")
+            for line in lines:
+                fh.write(line)
         os.replace(tmp, path)
     except BaseException:
         try:

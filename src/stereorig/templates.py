@@ -259,19 +259,22 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     Folding the strip by the 120 degree exterior angle places the cameras
     on an equilateral triangle; the side length equals the ipd when the
     panel width p solves p^2 - 3*p*c + 3*c^2 = ipd^2, i.e.
-    p = (3c + sqrt(4*ipd^2 - 3c^2)) / 2.
+    p = (3c + ipd * sqrt(4 - 3*(c/ipd)^2)) / 2.
     """
     check_range("ipd", ipd, "positive")
     c = spec.camera_center[0]
     w = spec.body_width
     l = spec.body_length
-    disc = 4.0 * ipd * ipd - 3.0 * c * c
+    # scaled by the ipd, whose square overflows above about 6.7e153 mm; a
+    # huge r makes r * r inf (where r ** 2 would raise), and so disc < 0
+    r = c / ipd
+    disc = 4.0 - 3.0 * r * r
     if disc < 0:
         raise TemplateError(
             f"camera offset {c:.1f} mm is too large for a {ipd:.1f} mm "
             f"camera triangle; no panel width exists"
         )
-    p = (3.0 * c + math.sqrt(disc)) / 2.0
+    p = (3.0 * c + ipd * math.sqrt(disc)) / 2.0
     if p < w:
         raise TemplateError(
             f"derived panel width {p:.1f} mm is smaller than the device "

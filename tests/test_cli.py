@@ -287,6 +287,30 @@ class TestGenTemplate:
         assert captured.err == "error: piece 'strip' bbox width must be finite, got inf\n"
         assert not out.exists()
 
+    def test_huge_ipd_three_phone_layout_is_finite(self, capsys, tmp_path):
+        # 4 * ipd * ipd is inf here, so the panel width is solved without squaring the ipd
+        from stereorig.templates import aperture_separations
+
+        out = tmp_path / "t.svg"
+        rc = main(["gen-template", "--mode", "three", "--device", "J7-fixture",
+                   "--ipd", "1e154", "-o", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        layout = svgio.parse_svg(text)
+        assert svgio.render_svg(layout) == text
+        assert aperture_separations(layout) == pytest.approx([1e154] * 3, rel=1e-9)
+
+    def test_tiny_ipd_three_phone_layout_names_the_camera_offset(self, capsys, tmp_path):
+        # (c / ipd) ** 2 would raise OverflowError; (c / ipd) * (c / ipd) is inf
+        out = tmp_path / "t.svg"
+        rc = main(["gen-template", "--mode", "three", "--device", "J7-fixture",
+                   "--ipd", "1e-160", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: camera offset 39.0 mm is too large")
+        assert not out.exists()
+
     def test_infeasible_layout_exits_1(self, capsys, tmp_path):
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", "two", "--device", "J7-fixture",

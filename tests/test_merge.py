@@ -704,18 +704,19 @@ class TestAnaglyphWorkers:
         assert (out == anaglyph_oracle(left, right)).all()
 
     def test_failing_strip_reaches_the_caller(self, monkeypatch):
-        real = _kernels.anaglyph_composer
+        real = _kernels.anaglyph_strips
 
-        def composer(rows, width):
-            compose, strips = real(rows, width), iter(range(4))
+        def anaglyph_strips(rows, width):
+            left, right, compose = real(rows, width)
+            strips = iter(range(4))
 
-            def failing(*strip):
+            def failing(n):
                 if next(strips) == 2:
                     raise RuntimeError("strip 2 failed")
-                compose(*strip)
-            return failing
+                return compose(n)
+            return left, right, failing
 
-        monkeypatch.setattr(_kernels, "anaglyph_composer", composer)
+        monkeypatch.setattr(_kernels, "anaglyph_strips", anaglyph_strips)
         left = _rand_pixels(26, 4, 65537)  # one row a strip
         with _affinity(2), forked.forks() as started, \
                 pytest.raises(RuntimeError, match="strip 2 failed"):

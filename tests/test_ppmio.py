@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from stereorig import ppmio
 from stereorig.ppmio import (
@@ -351,6 +352,32 @@ class TestManifest:
         (_, p), = read_manifest(str(manifest))
         assert p == str(target)
         assert read_ppm(p).shape == (1, 1, 3)
+
+    @pytest.mark.parametrize("name", [
+        "f.ppm ", " f.ppm", "f.ppm\x0c", "a\nb.ppm", "f.ppm\n", "a\rb.ppm", "a\x00b.ppm",
+    ])
+    def test_path_that_would_read_back_differently_is_refused(self, tmp_path, name):
+        manifest = tmp_path / "m.txt"
+        entries = [(0.0, str(tmp_path / "a.ppm")), (33.0, str(tmp_path / name))]
+        with pytest.raises(PpmError, match=f"ppm path {re.escape(repr(entries[1][1]))}"):
+            write_manifest(str(manifest), entries)
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.text(st.one_of(st.sampled_from(" \t\n\r\x00\x0b\x0c\x1c\x85\u2028./"),
+                                  st.characters()), min_size=1, max_size=8))
+    def test_written_path_reads_back_or_is_refused(self, tmp_path, name):
+        manifest = tmp_path / "m.txt"
+        frame = os.path.join(str(tmp_path), name)
+        try:
+            write_manifest(str(manifest), [(0.0, frame)])
+        except PpmError:
+            assert not manifest.exists()
+            return
+        (_, back), = read_manifest(str(manifest))
+        manifest.unlink()
+        assert os.path.normpath(back) == os.path.abspath(frame)
 
 
 _FUZZ = settings(max_examples=250, deadline=None,
