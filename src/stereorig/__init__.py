@@ -61,6 +61,13 @@ def parse_json(text: str, what: str, error: type):
         raise error(f"malformed {what}: nested too deeply") from exc
 
 
+def dump_json(doc) -> str:
+    """`doc` as a JSON document: indented by 2, keys sorted, no NaN or Infinity, a final newline."""
+    import json  # here, so that importing the CLI loads no json
+
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def round_floats(obj, ndigits: int):
     """JSON data with every float rounded to `ndigits`; tuples become lists."""
     if isinstance(obj, float):

@@ -12,11 +12,10 @@ infeasible unrotated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
-from . import DEFAULT_IPD_MM, check_range, round_floats
+from . import DEFAULT_IPD_MM, check_range, dump_json, round_floats
 from .registry import DeviceSpec
 
 AXES = ("horizontal", "vertical")
@@ -62,6 +61,11 @@ class Rect:
         # strict interior; points on the boundary are outside
         return self.x < x < self.right and self.y < y < self.bottom
 
+    def union(self, other: "Rect") -> "Rect":
+        """The smallest rectangle holding both."""
+        x, y = min(self.x, other.x), min(self.y, other.y)
+        return Rect(x, y, max(self.right, other.right) - x, max(self.bottom, other.bottom) - y)
+
 
 @dataclass(frozen=True)
 class LayoutConfig:
@@ -71,16 +75,12 @@ class LayoutConfig:
     rotation_b: int = 0
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if self.stacking not in STACKINGS:
-            raise ValueError(f"stacking must be one of {STACKINGS}, got {self.stacking!r}")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(
-                f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
-            )
-        if self.rotation_b not in ROTATIONS:
-            raise ValueError(f"rotation_b must be one of {ROTATIONS}, got {self.rotation_b!r}")
+        choices = (("axis", AXES), ("stacking", STACKINGS), ("orientation", ORIENTATIONS),
+                   ("rotation_b", ROTATIONS))
+        for name, allowed in choices:
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,6 @@ def _interval_gap(a0: float, a1: float, b0: float, b1: float) -> float:
     return max(b0 - a1, a0 - b1)
 
 
-def _union_bbox_area(a: Rect, b: Rect) -> float:
-    w = max(a.right, b.right) - min(a.x, b.x)
-    h = max(a.bottom, b.bottom) - min(a.y, b.y)
-    return w * h
-
-
 def compute_base_model(
     a: DeviceSpec,
     b: DeviceSpec,
@@ -188,8 +182,8 @@ def compute_base_model(
                 gap = _interval_gap(0.0, wa, tx, tx + wb)
             else:
                 gap = _interval_gap(0.0, la, ty, ty + lb)
-            area = _union_bbox_area(body_a, box)
-            rank = (area, gap, 0 if side == 1 else 1)
+            rig = body_a.union(box)
+            rank = (rig.width * rig.height, gap, 0 if side == 1 else 1)
             candidates.append((rank, box, (tx + cbx, ty + cby), gap))
         if candidates:
             _, box, cam_b, gap = min(candidates, key=lambda c: c[0])
@@ -285,4 +279,4 @@ def model_to_dict(model: BaseModel) -> dict:
 
 
 def model_to_json(model: BaseModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return dump_json(model_to_dict(model))

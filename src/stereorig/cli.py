@@ -114,18 +114,19 @@ def _cmd_align_check(args) -> int:
 
 
 def _cmd_grid_overlay(args) -> int:
-    import json
-
-    from . import alignment, guidance
+    from . import alignment, dump_json, guidance
 
     (spec,) = _devices(args, args.device)
     base = alignment.compute_base_model(spec, spec, _layout_from_args(args), ipd=args.ipd)
     overlay = guidance.grid_overlay(base, spec, pitch_mm=args.pitch)
-    print(json.dumps(guidance.overlay_to_dict(overlay), indent=2, sort_keys=True, allow_nan=False))
+    # both texts first, and the file before stdout, so that a failure prints nothing
+    text = dump_json(guidance.overlay_to_dict(overlay))
     if args.svg:
+        svg = guidance.overlay_to_svg(overlay)
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(guidance.overlay_to_svg(overlay))
+            fh.write(svg)
         sys.stderr.write(f"wrote {args.svg}\n")
+    sys.stdout.write(text)
     return 0
 
 

@@ -11,11 +11,10 @@ annotations of `DeviceSpec`, reads `guidance`'s sensor readings too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterable, Sequence, get_type_hints
 
-from . import check_range, parse_json, read_text
+from . import check_range, dump_json, parse_json, read_text
 
 
 class RegistryError(ValueError):
@@ -150,7 +149,7 @@ def _spec_to_dict(spec: DeviceSpec) -> dict:
 
 
 def serialize_device_specs(specs: Iterable[DeviceSpec]) -> str:
-    return json.dumps([_spec_to_dict(s) for s in specs], indent=2, sort_keys=True) + "\n"
+    return dump_json([_spec_to_dict(s) for s in specs])
 
 
 def lookup(specs: Sequence[DeviceSpec], model_id: str) -> DeviceSpec:
@@ -166,6 +165,14 @@ def _resolution_rank(res: tuple[int, int]) -> tuple[int, int]:
     return (w * h, w)
 
 
+def _best_shared(a: frozenset, b: frozenset, key=None):
+    """The best value of both sets by `key`; when they share none, the lower of their bests."""
+    common = a & b
+    if common:
+        return max(common, key=key)
+    return min(max(a, key=key), max(b, key=key), key=key)
+
+
 def negotiate(a: DeviceSpec, b: DeviceSpec) -> CapabilityProfile:
     """Pick the best capture settings both devices support.
 
@@ -174,25 +181,9 @@ def negotiate(a: DeviceSpec, b: DeviceSpec) -> CapabilityProfile:
     ranked by pixel count (width breaks ties) under the same rule.  Mode
     sets simply intersect and may come out empty.
     """
-    common_fps = a.frame_rates & b.frame_rates
-    if common_fps:
-        fps = max(common_fps)
-    else:
-        fps = min(max(a.frame_rates), max(b.frame_rates))
-
-    common_res = a.resolutions & b.resolutions
-    if common_res:
-        res = max(common_res, key=_resolution_rank)
-    else:
-        res = min(
-            max(a.resolutions, key=_resolution_rank),
-            max(b.resolutions, key=_resolution_rank),
-            key=_resolution_rank,
-        )
-
     return CapabilityProfile(
-        resolution=res,
-        frame_rate=fps,
+        resolution=_best_shared(a.resolutions, b.resolutions, key=_resolution_rank),
+        frame_rate=_best_shared(a.frame_rates, b.frame_rates),
         focus_modes=a.focus_modes & b.focus_modes,
         capture_modes=a.capture_modes & b.capture_modes,
     )

@@ -68,27 +68,34 @@ def _check_bounds(piece: Piece, sheet: tuple[float, float, float, float]) -> Non
         )
 
 
+# each piece shape: its SVG element and, per Piece field, the attributes that hold it
+# (several for a tuple); `points` is written as path data
+_SHAPES = {
+    "rect": ("rect", {"rect": ("x", "y", "width", "height"), "corner_radius": ("rx",)}),
+    "circle": ("circle", {"center": ("cx", "cy"), "radius": ("r",)}),
+    "segments": ("path", {"points": ("d",)}),
+}
+_SHAPE_OF = {element: shape for shape, (element, _) in _SHAPES.items()}
+_OPTIONAL = ("rx",)  # written only when it rounds above 0, and read as 0 when absent
+
+
 def _piece_to_svg(piece: Piece) -> str:
-    cls = piece.kind
+    if piece.shape not in _SHAPES:
+        raise TemplateError(f"piece {piece.piece_id!r} has unknown shape {piece.shape!r}")
+    element, fields = _SHAPES[piece.shape]
     panel = f' data-panel="{_escape(piece.panel)}"' if piece.panel else ""
-    ident = f'id="{_escape(piece.piece_id)}" class="{cls}"{panel}'
-    if piece.shape == "rect":
-        x, y, w, h = piece.rect
-        rx = f' rx="{_fmt(piece.corner_radius)}"' if piece.corner_radius > 0 else ""
-        return (
-            f'    <rect {ident} x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'width="{_fmt(w)}" height="{_fmt(h)}"{rx}/>'
-        )
-    if piece.shape == "circle":
-        cx, cy = piece.center
-        return (
-            f'    <circle {ident} cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(piece.radius)}"/>'
-        )
-    if piece.shape == "segments":
-        parts = [f"M {_fmt(piece.points[0][0])},{_fmt(piece.points[0][1])}"]
-        parts.extend(f"L {_fmt(px)},{_fmt(py)}" for px, py in piece.points[1:])
-        return f'    <path {ident} d="{" ".join(parts)}"/>'
-    raise TemplateError(f"piece {piece.piece_id!r} has unknown shape {piece.shape!r}")
+    text = f'    <{element} id="{_escape(piece.piece_id)}" class="{piece.kind}"{panel}'
+    for field, names in fields.items():
+        value = getattr(piece, field)
+        if field == "points":
+            values = [" ".join(f"{'L' if i else 'M'} {_fmt(x)},{_fmt(y)}"
+                               for i, (x, y) in enumerate(value))]
+        elif names[0] in _OPTIONAL and not round(value, 3) > 0:
+            continue
+        else:
+            values = [_fmt(v) for v in (value if len(names) > 1 else (value,))]
+        text += "".join(f' {name}="{v}"' for name, v in zip(names, values))
+    return text + "/>"
 
 
 def render_svg(layout: TemplateLayout) -> str:
@@ -178,42 +185,20 @@ def parse_svg(text: str) -> TemplateLayout:
                 raise TemplateError(f"metadata must be a JSON object, got {el.text!r}")
             continue
         cls = el.get("class", "")
-        if cls not in PIECE_KINDS:
+        if cls not in PIECE_KINDS or name not in _SHAPE_OF:
             continue
         piece_id = el.get("id", "")
-        panel = el.get("data-panel", "")
-        if name == "rect":
-            pieces.append(
-                Piece(
-                    piece_id,
-                    cls,
-                    "rect",
-                    rect=tuple(
-                        _number(el.get(a), f"rect {piece_id!r} {a}")
-                        for a in ("x", "y", "width", "height")
-                    ),
-                    corner_radius=_number(el.get("rx", "0"), f"rect {piece_id!r} rx"),
-                    panel=panel,
-                )
-            )
-        elif name == "circle":
-            pieces.append(
-                Piece(
-                    piece_id,
-                    cls,
-                    "circle",
-                    center=tuple(
-                        _number(el.get(a), f"circle {piece_id!r} {a}") for a in ("cx", "cy")
-                    ),
-                    radius=_number(el.get("r"), f"circle {piece_id!r} r"),
-                    panel=panel,
-                )
-            )
-        elif name == "path":
-            pts = tuple(
-                (float(mx), float(my)) for mx, my in _PATH_RE.findall(el.get("d", ""))
-            )
-            if len(pts) < 2:
-                raise TemplateError(f"path {piece_id!r} has fewer than 2 points")
-            pieces.append(Piece(piece_id, cls, "segments", points=pts, panel=panel))
+        shape = _SHAPE_OF[name]
+        values = {}
+        for field, attrs in _SHAPES[shape][1].items():
+            if field == "points":
+                values[field] = tuple((float(mx), float(my))
+                                      for mx, my in _PATH_RE.findall(el.get(attrs[0], "")))
+                if len(values[field]) < 2:
+                    raise TemplateError(f"path {piece_id!r} has fewer than 2 points")
+                continue
+            numbers = tuple(_number(el.get(a, "0" if a in _OPTIONAL else None),
+                                    f"{name} {piece_id!r} {a}") for a in attrs)
+            values[field] = numbers if len(attrs) > 1 else numbers[0]
+        pieces.append(Piece(piece_id, cls, shape, panel=el.get("data-panel", ""), **values))
     return TemplateLayout(tuple(pieces), (sx, sy, sw, sh), metadata)

@@ -157,15 +157,12 @@ def two_phone_layout(
     straps = strap_lengths(spec, velcro_mm, cardboard_mm)
     w = spec.body_width
 
-    bx = min(base.body_a.x, base.box_b.x)
-    by = min(base.body_a.y, base.box_b.y)
-    bw = max(base.body_a.right, base.box_b.right) - bx
-    bh = max(base.body_a.bottom, base.box_b.bottom) - by
+    rig = base.body_a.union(base.box_b)
     border = _PANEL_BORDER_MM
-    panel_w = bw + 2 * border
-    panel_h = bh + 2 * border
-    sx = _MARGIN_MM + border - bx
-    sy = _MARGIN_MM + border - by
+    panel_w = rig.width + 2 * border
+    panel_h = rig.height + 2 * border
+    sx = _MARGIN_MM + border - rig.x
+    sy = _MARGIN_MM + border - rig.y
 
     pieces: list[Piece] = [
         Piece(

@@ -414,6 +414,15 @@ class TestGridOverlay:
         assert message in captured.err
         assert not svg.exists()
 
+    def test_unwritable_svg_leaves_no_output(self, capsys, tmp_path):
+        svg = tmp_path / "missing" / "grid.svg"
+        rc = main(["grid-overlay", "--device", "J7-fixture", "--svg", str(svg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""  # the whole JSON document was printed first
+        assert captured.err.startswith("error: [Errno 2] ")
+        assert not svg.exists()
+
     def test_infinite_pixel_density_in_registry_exits_1(self, capsys, tmp_path, j7):
         from stereorig.registry import serialize_device_specs
         doc = json.loads(serialize_device_specs([j7]))
@@ -536,6 +545,27 @@ class TestSimulateSync:
         assert rc == 1
         assert captured.out == ""
         assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        # the transcript reached inf before, and the run failed only after printing it
+        (["--latency", "1e308"], "latency must be at most 1e+10 ms, got 1e+308"),
+        # every tick was stamped 1e+308, and the skew was printed as inf with exit 0
+        (["--offset-a", "1e308", "--offset-b", "-1e308"],
+         "clock offsets must be at most 1e+10 ms, got 1e+308"),
+    ], ids=["latency", "offsets"])
+    def test_time_beyond_the_bound_exits_1_with_empty_stdout(self, capsys, flags, message):
+        rc = main(["simulate-sync", *flags, "--capture", "50", "--duration", "100"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_every_time_at_the_bound_gives_a_finite_skew(self, capsys):
+        rc = main(["simulate-sync", "--offset-a", "1e10", "--offset-b", "-1e10", "--capture",
+                   "1e10", "--latency", "1e10", "--jitter", "1e10", "--duration", "100"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.endswith("final: A=done B=done\ncapture start skew: 20000000000.000 ms\n")
 
     def test_duration_too_long_to_count_its_ticks_exits_1(self, capsys):
         # finite, but duration * fps overflows: an OverflowError traceback before.  Only

@@ -13,6 +13,7 @@ from oracles import xml_escape_oracle
 from stereorig.alignment import LayoutConfig, compute_base_model
 from stereorig.svgio import _escape, parse_svg, render_svg
 from stereorig.templates import (
+    Materials,
     Piece,
     TemplateError,
     TemplateLayout,
@@ -128,6 +129,14 @@ class TestRoundTrip:
         first = render_svg(all_layouts[name])
         second = render_svg(parse_svg(first))
         assert second == first
+
+    @pytest.mark.parametrize("fillet", [1e-4, 5e-324])
+    def test_fillet_that_prints_as_zero_is_left_out(self, j7, fillet):
+        # rx="0.000" was written, which read back as no fillet and then rendered without rx
+        layout = mirror_rig_layout(j7, materials=Materials(fillet=fillet))
+        first = render_svg(layout)
+        assert " rx=" not in first
+        assert render_svg(parse_svg(first)) == first
 
     @pytest.mark.parametrize("name", ["two", "three", "mirror"])
     def test_parse_recovers_geometry_to_a_micron(self, all_layouts, name):

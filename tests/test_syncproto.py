@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -776,6 +777,23 @@ class TestTransport:
         capture = run_capture_sync(configured, LOSSLESS, 50.0)
         with pytest.raises(ValueError, match="duration must be finite"):
             run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, value)
+
+    def test_latency_bound_is_inclusive(self, j7, a5):
+        # MAX_TIME_MS keeps every simulated time far inside the finite floats
+        SimulatedTransport(base_latency=syncproto.MAX_TIME_MS, jitter=syncproto.MAX_TIME_MS)
+        above = math.nextafter(syncproto.MAX_TIME_MS, math.inf)
+        for field in ("base_latency", "jitter"):
+            with pytest.raises(ValueError, match=r"must be at most 1e\+10 ms, got 1000000000\d\.\d+$"):
+                SimulatedTransport(**{field: above})
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_runners_reject_offsets_and_delays_beyond_the_bound(self, j7, a5, value):
+        limit = re.escape("at most 1e+10" if value > 0 else "at least -1e+10")
+        with pytest.raises(ValueError, match=rf"^clock offsets must be {limit} ms, got"):
+            run_pairing(j7, a5, LOSSLESS, clock_offsets=(0.0, value))
+        pairing = run_pairing(j7, a5, LOSSLESS)
+        with pytest.raises(ValueError, match=rf"^capture delay must be {limit} ms, got"):
+            run_capture_sync((pairing.state_a, pairing.state_b), LOSSLESS, value)
 
     def test_frame_sync_rejects_a_duration_too_long_to_count(self, j7, a5):
         # only 1e308, whose tick count overflows: a large finite duration would

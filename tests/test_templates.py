@@ -5,9 +5,19 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stereorig.alignment import LayoutConfig, Rect, compute_base_model
-from stereorig.svgio import render_svg
+from stereorig.alignment import (
+    AXES,
+    ORIENTATIONS,
+    ROTATIONS,
+    InfeasibleLayoutError,
+    LayoutConfig,
+    Rect,
+    compute_base_model,
+)
+from stereorig.svgio import parse_svg, render_svg
 from stereorig.templates import (
     Materials,
     TemplateError,
@@ -50,8 +60,8 @@ def _inside_sheet(layout) -> bool:
     sx, sy, sw, sh = layout.sheet_bounds
     eps = 1e-6
     for piece in layout.pieces:
-        x0, y0, x1, y1 = piece.bbox()
-        if x0 < sx - eps or y0 < sy - eps or x1 > sx + sw + eps or y1 > sy + sh + eps:
+        x, y, w, h = piece.bbox()
+        if x < sx - eps or y < sy - eps or x + w > sx + sw + eps or y + h > sy + sh + eps:
             return False
     return True
 
@@ -372,3 +382,60 @@ def test_fold_point_between_folds_is_linear():
     assert fold_point(10.0, folds) == pytest.approx((10.0, 0.0))
     x, y = fold_point(14.0, folds)
     assert (x, y) == pytest.approx((10.0, 4.0), abs=1e-12)
+
+
+# IPDs log-uniform over [1e-3, 1e300] mm, and every material within its range
+_IPDS = st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_MATERIALS = st.builds(Materials, _POSITIVE, _POSITIVE, _POSITIVE,
+                       st.floats(min_value=0.0, allow_infinity=False))
+_SPECS = st.randoms(use_true_random=False).map(lambda rng: random_spec(rng, "drawn"))
+
+
+def _holds_or_refuses(make, separations) -> None:
+    """`make()` is a TemplateError or InfeasibleLayoutError, or a layout that renders,
+    lies on its sheet, reads back byte-identically, and whose `separations(layout)` are
+    each one IPD within a relative 1e-9."""
+    try:
+        layout, ipd = make()
+        svg = render_svg(layout)
+    except (TemplateError, InfeasibleLayoutError):
+        return
+    assert _inside_sheet(layout)
+    assert render_svg(parse_svg(svg)) == svg
+    seps = separations(layout)
+    assert seps and all(math.isclose(sep, ipd, rel_tol=1e-9) for sep in seps), (seps, ipd)
+
+
+class TestLayoutProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, ipd=_IPDS, axis=st.sampled_from(AXES),
+           orientation=st.sampled_from(ORIENTATIONS), rotation=st.sampled_from(ROTATIONS),
+           materials=_MATERIALS)
+    # at this scale a float's step swallows the 10 mm panel border, so aperture_b
+    # leaves the sheet when the straps below the panel are thin
+    @example(spec=random_spec(random.Random(24), "drawn"), ipd=2.2227101183392326e17,
+             axis="vertical", orientation="landscape", rotation=90,
+             materials=Materials(strap_width=0.001))
+    def test_two_phone(self, spec, ipd, axis, orientation, rotation, materials):
+        def make():
+            config = LayoutConfig(axis, "coplanar", orientation, rotation)
+            base = compute_base_model(spec, spec, config, ipd)
+            return two_phone_layout(spec, base, materials), ipd
+
+        _holds_or_refuses(make, aperture_separations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, ipd=_IPDS)
+    def test_three_phone(self, spec, ipd):
+        # the three sides of the assembled prism
+        _holds_or_refuses(lambda: (three_phone_layout(spec, ipd), ipd), aperture_separations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, ipd=_IPDS, materials=_MATERIALS)
+    def test_mirror_rig(self, spec, ipd, materials):
+        def separation(layout):
+            mirror = layout.metadata["mirror"]
+            return [math.dist(mirror["mirror_a_center"], mirror["mirror_b_center"])]
+
+        _holds_or_refuses(lambda: (mirror_rig_layout(spec, ipd, materials), ipd), separation)
