@@ -23,6 +23,15 @@ STACKINGS = ("coplanar", "depth-stacked")
 ORIENTATIONS = ("portrait", "landscape")
 ROTATIONS = (0, 90, 180, 270)
 _PLACEMENT_TOL_MM = 0.01
+# a float's step at this IPD, 1.2e-7 mm, is far below the 0.001 mm an SVG prints
+MAX_IPD_MM = 1e9
+
+
+def check_ipd(ipd: float) -> None:
+    """Raise ValueError naming the IPD unless it is positive, finite and at most MAX_IPD_MM."""
+    check_range("ipd", ipd, "positive")
+    if ipd > MAX_IPD_MM:
+        raise ValueError(f"ipd must be at most {MAX_IPD_MM:g} mm, got {ipd}")
 
 
 class InfeasibleLayoutError(ValueError):
@@ -150,7 +159,7 @@ def compute_base_model(
     axis side on exact ties.  Raises InfeasibleLayoutError carrying the
     minimum achievable separation when no placement works.
     """
-    check_range("ipd", ipd, "positive")
+    check_ipd(ipd)
 
     wa, la, cax, cay = oriented_footprint(a, layout.orientation)
     body_a = Rect(0.0, 0.0, wa, la)

@@ -96,6 +96,14 @@ def _check_timestamps(frames: list[Frame | FrameRef], name: str) -> None:
             )
 
 
+def _root(parent: list[int], j: int) -> int:
+    """The root of `j` in the union-find `parent`, halving the path walked."""
+    while parent[j] != j:
+        parent[j] = parent[parent[j]]
+        j = parent[j]
+    return j
+
+
 def pair_frames(
     left_stream: list[Frame | FrameRef],
     right_stream: list[Frame | FrameRef],
@@ -104,49 +112,40 @@ def pair_frames(
     """Greedy nearest-timestamp pairing.
 
     Walking the left stream in order, each frame takes the not-yet-matched
-    right frame closest in time within the tolerance (earlier frame wins a
-    tie; of right frames with one timestamp, the first in the stream).
-    Unmatched frames on either side are reported, never silently
-    discarded.  Only each frame's `timestamp` is read, so `FrameRef`s pair
-    without their pixels being loaded.
+    right frame with the least (|Δt|, t_right), Δt as computed in floats,
+    within the tolerance: the nearest, the earlier on a tie, and of right
+    frames with one timestamp the first in the stream.  Unmatched frames
+    on either side are reported, never silently discarded.  Only each
+    frame's `timestamp` is read, so `FrameRef`s pair without their pixels
+    being loaded.  The untaken right frames are kept in two union-finds
+    (Tarjan 1975), so pairing n left and m right frames costs
+    O((n + m) log m) at any tolerance.
     """
     check_range("tolerance", tolerance, "non-negative", MergeError)
     _check_timestamps(left_stream, "left")
     _check_timestamps(right_stream, "right")
 
-    right_ts = [f.timestamp for f in right_stream]
-    taken = [False] * len(right_stream)
+    ts = [f.timestamp for f in right_stream]
+    m = len(ts)
+    # _root(up, j) is the first untaken index >= j (m if none); _root(down, j) - 1 the
+    # last untaken index < j (-1 if none)
+    up, down = list(range(m + 1)), list(range(m + 1))
     pairs, dropped_left = [], []
     for lf in left_stream:
-        pos = bisect.bisect_left(right_ts, lf.timestamp)
-        best = -1
-        best_key = None
-        # nearest unmatched neighbor; scan outward from the insertion point
-        for j in range(pos - 1, -1, -1):
-            if lf.timestamp - right_ts[j] > tolerance:
-                break
-            if not taken[j]:
-                # of equal timestamps the first untaken, as the forward scan
-                # takes, so that pairs never cross
-                while j and right_ts[j - 1] == right_ts[j] and not taken[j - 1]:
-                    j -= 1
-                best = j
-                best_key = (lf.timestamp - right_ts[j], right_ts[j])
-                break
-        for j in range(pos, len(right_ts)):
-            if right_ts[j] - lf.timestamp > tolerance:
-                break
-            if not taken[j]:
-                key = (right_ts[j] - lf.timestamp, right_ts[j])
-                if best_key is None or key < best_key:
-                    best, best_key = j, key
-                break
-        if best >= 0:
-            taken[best] = True
-            pairs.append(FramePair(lf, right_stream[best], abs(lf.timestamp - right_ts[best])))
-        else:
+        t = lf.timestamp
+        pos = bisect.bisect_left(ts, t)
+        j, k = _root(up, pos), _root(down, pos) - 1
+        if k >= 0 and t - ts[k] <= tolerance and (j == m or t - ts[k] <= ts[j] - t):
+            # of the untaken frames as near to t as k (one timestamp, or ones whose
+            # distances to t round to one float), the first has the least key
+            j = _root(up, bisect.bisect_left(ts, ts[k] - t, 0, k, key=lambda v: v - t))
+        elif j == m or ts[j] - t > tolerance:
             dropped_left.append(lf)
-    return PairingResult(pairs, dropped_left, [f for f, t in zip(right_stream, taken) if not t])
+            continue
+        up[j], down[j + 1] = j + 1, j
+        pairs.append(FramePair(lf, right_stream[j], abs(t - ts[j])))
+    dropped_right = [f for j, f in enumerate(right_stream) if up[j] == j]  # still a root
+    return PairingResult(pairs, dropped_left, dropped_right)
 
 
 def _check_dims(pair: FramePair) -> None:

@@ -198,15 +198,18 @@ def write_manifest(path: str, entries: list[tuple[float, str]]) -> None:
 
     Every path is checked first: one that `read_manifest` would read back
     as another file (its relative form begins or ends with whitespace, or
-    holds a line break or a NUL byte) is a `PpmError`, and nothing is
-    written.  The lines go to `<path>.tmp` in the same directory, which
-    then replaces `path`; on any exception the temporary file is removed.
+    holds a line break or a NUL byte), or that is not UTF-8 text (it holds a
+    lone surrogate, as `os.fsdecode` makes of a non-UTF-8 byte), is a
+    `PpmError` naming the path, and nothing is written.  The lines go to
+    `<path>.tmp` in the same directory, which then replaces `path`; on any
+    exception the temporary file is removed.
     """
     base = os.path.dirname(os.path.abspath(path))
     lines = []
     for ts, p in entries:
         rel = os.path.relpath(p, base)
-        if rel != rel.strip() or any(c in rel for c in "\n\r\0"):
+        if (rel != rel.strip() or any(c in rel for c in "\n\r\0")
+                or any("\ud800" <= c <= "\udfff" for c in rel)):
             raise PpmError(f"{path}: ppm path {p!r} would not read back as written")
         lines.append(f"{_format_timestamp(ts)} {rel}\n")
     tmp = f"{path}.tmp"

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import (DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM,
                check_range)
-from .alignment import BaseModel, validate_placement
+from .alignment import BaseModel, check_ipd, validate_placement
 from .registry import DeviceSpec
 
 PIECE_KINDS = ("cut", "fold", "velcro", "aperture")
@@ -258,12 +258,12 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     panel width p solves p^2 - 3*p*c + 3*c^2 = ipd^2, i.e.
     p = (3c + ipd * sqrt(4 - 3*(c/ipd)^2)) / 2.
     """
-    check_range("ipd", ipd, "positive")
+    check_ipd(ipd)
     c = spec.camera_center[0]
     w = spec.body_width
     l = spec.body_length
-    # scaled by the ipd, whose square overflows above about 6.7e153 mm; a
-    # huge r makes r * r inf (where r ** 2 would raise), and so disc < 0
+    # scaled by the ipd, so that a huge r (a tiny ipd) makes r * r inf, where
+    # r ** 2 would raise, and so disc < 0
     r = c / ipd
     disc = 4.0 - 3.0 * r * r
     if disc < 0:
@@ -340,7 +340,7 @@ def mirror_rig_layout(
     axis; the far slot (red, single-sided) is one ipd away along +x.  Both
     slots are drawn as 45-degree cut segments through the mount plate.
     """
-    check_range("ipd", ipd, "positive")
+    check_ipd(ipd)
     w, l = spec.body_width, spec.body_length
     cx, cy = spec.camera_center
     near = (_MARGIN_MM + cx, _MARGIN_MM + cy)

@@ -277,28 +277,28 @@ class TestGenTemplate:
         assert not out.exists()
 
     def test_ipd_too_big_for_the_layout_exits_1_without_output(self, capsys, tmp_path):
-        # a finite ipd whose panel width overflows: exit 0 with x="inf" and x="nan" before
+        # a finite ipd whose panel width would overflow: the IPD bound refuses it by name
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", "three", "--device", "J7-fixture",
                    "--ipd", "1e308", "-o", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == "error: piece 'strip' bbox width must be finite, got inf\n"
+        assert captured.err == "error: ipd must be at most 1e+09 mm, got 1e+308\n"
         assert not out.exists()
 
     def test_huge_ipd_three_phone_layout_is_finite(self, capsys, tmp_path):
-        # 4 * ipd * ipd is inf here, so the panel width is solved without squaring the ipd
+        # the largest ipd accepted
         from stereorig.templates import aperture_separations
 
         out = tmp_path / "t.svg"
         rc = main(["gen-template", "--mode", "three", "--device", "J7-fixture",
-                   "--ipd", "1e154", "-o", str(out)])
+                   "--ipd", "1e9", "-o", str(out)])
         assert rc == 0
         text = out.read_text()
         layout = svgio.parse_svg(text)
         assert svgio.render_svg(layout) == text
-        assert aperture_separations(layout) == pytest.approx([1e154] * 3, rel=1e-9)
+        assert aperture_separations(layout) == pytest.approx([1e9] * 3, rel=1e-9)
 
     def test_tiny_ipd_three_phone_layout_names_the_camera_offset(self, capsys, tmp_path):
         # (c / ipd) ** 2 would raise OverflowError; (c / ipd) * (c / ipd) is inf
@@ -493,6 +493,14 @@ class TestSimulateSync:
         assert "capture start skew: 0.000 ms" in out
         assert "pair_request" in out
         assert "frame_tick" in out
+
+    def test_capture_without_duration_stops_at_capturing(self, capsys):
+        # --duration defaults to 0 ms, which runs no frame-sync stage at all
+        rc = main(["simulate-sync", "--capture", "50"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "final: A=capturing B=capturing" in out
+        assert "frame_tick" not in out
 
     def test_pairing_only_reaches_configured(self, capsys):
         rc = main(["simulate-sync"])
@@ -1542,6 +1550,18 @@ class TestNonFiniteFlags:
                 assert stdout.getvalue() == ""
                 assert stderr.getvalue().startswith("error: ")
                 assert sorted(os.listdir(work)) == before
+
+    @pytest.mark.parametrize("command", ["base-model", "gen-template", "grid-overlay"])
+    def test_ipd_above_the_bound_exits_1_naming_it(self, work, tmp_path, command):
+        # a float's step at 2e17 mm (32 mm) is wider than the 10 mm sheet margin
+        for argv in self._runs(work, tmp_path, command):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([*argv, "--ipd", "2e17"])
+            assert rc == 1, argv
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue() == "error: ipd must be at most 1e+09 mm, got 2e+17\n"
+            assert os.listdir(tmp_path) == []
 
 
 # a child that imports the CLI, runs one command and prints sys.modules; it

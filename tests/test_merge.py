@@ -53,6 +53,11 @@ def _stream(times, source="left"):
     return [_frame(t, source) for t in times]
 
 
+def _refs(times):
+    """Frames known only by their timestamps, each a distinct object."""
+    return [FrameRef(t, f"{i}.ppm", 1, 1) for i, t in enumerate(times)]
+
+
 def _rand_frame(rng: random.Random, ts: float, source: str, w=8, h=8) -> Frame:
     data = bytes(rng.randrange(256) for _ in range(w * h * 3))
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
@@ -133,19 +138,40 @@ class TestPairFrames:
             lefts = [p.left.timestamp for p in result.pairs]
             assert lefts == sorted(lefts)
 
-    def test_matches_independent_greedy_oracle(self):
-        rng = random.Random(77)
-        for _ in range(100):
-            lts = sorted(round(rng.uniform(0, 500), 3) for _ in range(rng.randrange(0, 40)))
-            rts = sorted(round(rng.uniform(0, 500), 3) for _ in range(rng.randrange(0, 40)))
-            tol = rng.choice([5.0, 16.7, 33.3])
-            result = pair_frames(_stream(lts), _stream(rts, "right"), tol)
-            got = [
-                (lts.index(p.left.timestamp), rts.index(p.right.timestamp))
-                for p in result.pairs
-            ]
-            want = greedy_pairs_oracle(lts, rts, tol)
-            assert got == want
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+           left=st.lists(st.integers(0, 5), max_size=30),
+           right=st.lists(st.integers(0, 5), max_size=30),
+           tol=st.sampled_from([0.0, 5.0, 16.7, 1e9]))
+    @example(pool=[10.0, 20.0], left=[0, 0, 0, 1], right=[0, 0, 1, 1], tol=0.0)
+    @example(pool=[0.0, 10.0, 20.0], left=[1, 1], right=[0, 0, 2, 2], tol=16.7)
+    # 1 - 0 and 1 - 7.9e-182 round to one float, so the key picks 0.0; the scan took the
+    # nearer 7.9e-182
+    @example(pool=[0.0, 7.90855567794431e-182, 1.0], left=[2], right=[0, 1], tol=5.0)
+    def test_matches_independent_greedy_oracle(self, pool, left, right, tol):
+        # timestamps from a small pool, so that many repeat; frames are told apart by
+        # identity, since equal timestamps make a frame's value ambiguous
+        lts = sorted(pool[i % len(pool)] for i in left)
+        rts = sorted(pool[i % len(pool)] for i in right)
+        left_frames, right_frames = _refs(lts), _refs(rts)
+        result = pair_frames(left_frames, right_frames, tol)
+        index = {id(f): i for frames in (left_frames, right_frames) for i, f in enumerate(frames)}
+        want = greedy_pairs_oracle(lts, rts, tol)
+        assert [(index[id(p.left)], index[id(p.right)]) for p in result.pairs] == want
+        assert [index[id(f)] for f in result.dropped_left] == sorted(
+            set(range(len(lts))) - {i for i, _ in want})
+        assert [index[id(f)] for f in result.dropped_right] == sorted(
+            set(range(len(rts))) - {j for _, j in want})
+
+    def test_any_tolerance_pairs_in_near_linear_time(self):
+        # every right frame is within the tolerance of every left frame; a scan over the
+        # taken frames near each left frame took 11 s here
+        n = 20_000
+        left, right = _refs([33.3 * i for i in range(n)]), _refs([33.3 * i + 5 for i in range(n)])
+        start = time.perf_counter()
+        result = pair_frames(left, right, 1e9)
+        assert time.perf_counter() - start < 2.0
+        assert [(p.left, p.right) for p in result.pairs] == list(zip(left, right))
 
     def test_matched_cadence_streams_are_optimally_paired(self):
         # both cameras at ~30 fps with small jitter: greedy equals optimal

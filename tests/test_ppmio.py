@@ -355,6 +355,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("name", [
         "f.ppm ", " f.ppm", "f.ppm\x0c", "a\nb.ppm", "f.ppm\n", "a\rb.ppm", "a\x00b.ppm",
+        "\ud800", "a\udcffb.ppm",
     ])
     def test_path_that_would_read_back_differently_is_refused(self, tmp_path, name):
         manifest = tmp_path / "m.txt"
@@ -368,6 +369,7 @@ class TestManifest:
     @given(name=st.text(st.one_of(st.sampled_from(" \t\n\r\x00\x0b\x0c\x1c\x85\u2028./"),
                                   st.characters()), min_size=1, max_size=8))
     @example(name="//")  # the root, which POSIX lets abspath keep as "//"
+    @example(name="\ud800")  # a lone surrogate, which UTF-8 cannot encode
     def test_written_path_reads_back_or_is_refused(self, tmp_path, name):
         manifest = tmp_path / "m.txt"
         frame = os.path.join(str(tmp_path), name)

@@ -90,6 +90,9 @@ class TestRender:
         # min() and max() of [1.0, nan] are 1.0, so the bbox alone misses this one
         (Piece("f", "fold", "segments", points=((1.0, 1.0), (math.nan, 2.0))),
          "piece 'f' point 1 must be finite, got nan"),
+        # finite points whose bbox width overflows
+        (Piece("f", "fold", "segments", points=((-1e308, 0.0), (1e308, 0.0))),
+         "piece 'f' bbox width must be finite, got inf"),
     ])
     def test_non_finite_number_in_a_piece_rejected(self, piece, message):
         layout = TemplateLayout((piece,), (0.0, 0.0, 10.0, 10.0), {"rig": "test"})
@@ -109,9 +112,10 @@ class TestRender:
             render_svg(TemplateLayout((piece,), sheet, metadata))
 
     def test_ipd_too_big_for_the_layout_rejected(self, j7):
-        # a finite ipd whose panel width overflows: the SVG held x="inf", x="nan" and Infinity
-        with pytest.raises(TemplateError, match="^piece 'strip' bbox width must be finite"):
-            render_svg(three_phone_layout(j7, ipd=1e308))
+        # a finite ipd whose panel width would overflow: the IPD bound refuses it before a
+        # layout is made
+        with pytest.raises(ValueError, match=r"^ipd must be at most 1e\+09 mm, got 1e\+308$"):
+            three_phone_layout(j7, ipd=1e308)
 
     def test_unknown_layer_kind_rejected(self):
         layout = TemplateLayout(

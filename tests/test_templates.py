@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from stereorig.alignment import (
     AXES,
+    MAX_IPD_MM,
     ORIENTATIONS,
     ROTATIONS,
     InfeasibleLayoutError,
@@ -384,20 +386,27 @@ def test_fold_point_between_folds_is_linear():
     assert (x, y) == pytest.approx((10.0, 4.0), abs=1e-12)
 
 
-# IPDs log-uniform over [1e-3, 1e300] mm, and every material within its range
-_IPDS = st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e)
+# IPDs log-uniform over [1e-3, 1e300] mm or, as often, over the accepted [1e-3, 1e9] mm, and
+# every material within its range
+_IPDS = st.one_of(st.floats(-3.0, 9.0), st.floats(-3.0, 300.0)).map(lambda e: 10.0 ** e)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _MATERIALS = st.builds(Materials, _POSITIVE, _POSITIVE, _POSITIVE,
                        st.floats(min_value=0.0, allow_infinity=False))
 _SPECS = st.randoms(use_true_random=False).map(lambda rng: random_spec(rng, "drawn"))
 
 
-def _holds_or_refuses(make, separations) -> None:
-    """`make()` is a TemplateError or InfeasibleLayoutError, or a layout that renders,
-    lies on its sheet, reads back byte-identically, and whose `separations(layout)` are
-    each one IPD within a relative 1e-9."""
+def _holds_or_refuses(make, ipd, separations) -> None:
+    """Above MAX_IPD_MM, `make()` is the ValueError naming the IPD.  At or below it,
+    `make()` is a TemplateError or InfeasibleLayoutError, or a layout that renders, lies on
+    its sheet, reads back byte-identically, and whose `separations(layout)` are each one
+    IPD within a relative 1e-9."""
+    if ipd > MAX_IPD_MM:
+        message = f"ipd must be at most 1e+09 mm, got {ipd}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+        return
     try:
-        layout, ipd = make()
+        layout = make()
         svg = render_svg(layout)
     except (TemplateError, InfeasibleLayoutError):
         return
@@ -412,8 +421,8 @@ class TestLayoutProperties:
     @given(spec=_SPECS, ipd=_IPDS, axis=st.sampled_from(AXES),
            orientation=st.sampled_from(ORIENTATIONS), rotation=st.sampled_from(ROTATIONS),
            materials=_MATERIALS)
-    # at this scale a float's step swallows the 10 mm panel border, so aperture_b
-    # leaves the sheet when the straps below the panel are thin
+    # at this scale a float's step (32 mm) swallows the 10 mm panel border, so the IPD
+    # bound refuses it
     @example(spec=random_spec(random.Random(24), "drawn"), ipd=2.2227101183392326e17,
              axis="vertical", orientation="landscape", rotation=90,
              materials=Materials(strap_width=0.001))
@@ -421,15 +430,15 @@ class TestLayoutProperties:
         def make():
             config = LayoutConfig(axis, "coplanar", orientation, rotation)
             base = compute_base_model(spec, spec, config, ipd)
-            return two_phone_layout(spec, base, materials), ipd
+            return two_phone_layout(spec, base, materials)
 
-        _holds_or_refuses(make, aperture_separations)
+        _holds_or_refuses(make, ipd, aperture_separations)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=_SPECS, ipd=_IPDS)
     def test_three_phone(self, spec, ipd):
         # the three sides of the assembled prism
-        _holds_or_refuses(lambda: (three_phone_layout(spec, ipd), ipd), aperture_separations)
+        _holds_or_refuses(lambda: three_phone_layout(spec, ipd), ipd, aperture_separations)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=_SPECS, ipd=_IPDS, materials=_MATERIALS)
@@ -438,4 +447,4 @@ class TestLayoutProperties:
             mirror = layout.metadata["mirror"]
             return [math.dist(mirror["mirror_a_center"], mirror["mirror_b_center"])]
 
-        _holds_or_refuses(lambda: (mirror_rig_layout(spec, ipd, materials), ipd), separation)
+        _holds_or_refuses(lambda: mirror_rig_layout(spec, ipd, materials), ipd, separation)
