@@ -23,15 +23,16 @@ STACKINGS = ("coplanar", "depth-stacked")
 ORIENTATIONS = ("portrait", "landscape")
 ROTATIONS = (0, 90, 180, 270)
 _PLACEMENT_TOL_MM = 0.01
-# a float's step at this IPD, 1.2e-7 mm, is far below the 0.001 mm an SVG prints
-MAX_IPD_MM = 1e9
+# a float's step at this length, 1.2e-7 mm, is far below the 0.001 mm an SVG prints
+MAX_LENGTH_MM = 1e9
 
 
-def check_ipd(ipd: float) -> None:
-    """Raise ValueError naming the IPD unless it is positive, finite and at most MAX_IPD_MM."""
-    check_range("ipd", ipd, "positive")
-    if ipd > MAX_IPD_MM:
-        raise ValueError(f"ipd must be at most {MAX_IPD_MM:g} mm, got {ipd}")
+def check_length(name: str, value: float, kind: str = "positive",
+                 error: type = ValueError) -> None:
+    """Raise `error` naming `name` unless `check_range` passes and `value` <= MAX_LENGTH_MM."""
+    check_range(name, value, kind, error)
+    if value > MAX_LENGTH_MM:
+        raise error(f"{name} must be at most {MAX_LENGTH_MM:g} mm, got {value}")
 
 
 class InfeasibleLayoutError(ValueError):
@@ -159,7 +160,7 @@ def compute_base_model(
     axis side on exact ties.  Raises InfeasibleLayoutError carrying the
     minimum achievable separation when no placement works.
     """
-    check_ipd(ipd)
+    check_length("ipd", ipd)
 
     wa, la, cax, cay = oriented_footprint(a, layout.orientation)
     body_a = Rect(0.0, 0.0, wa, la)

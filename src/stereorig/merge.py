@@ -229,18 +229,17 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
 
     The mode, every pair's dimensions and `out_dir` are checked before any
     directory is made or pixel read: an `out_dir` holding `pairs.txt` or a
-    merged frame of either mode is refused.  The pairs are then shared
-    among one worker per CPU, pair 0 alone on the caller first, the others
-    forked helper processes (`share_items`, so meant for a
-    single-threaded process such as the CLI), and a worker merges each
-    pair it takes into `<mode>_NNNN.ppm` by itself, through `raster_reader`
-    (a frame whose size has changed since `scan_stream` is a `PpmError`),
-    `raster_writer` and the one `_frame_merger` made first.  So a one-pair
-    stream merges on one CPU, a trade made for video streams of many
-    pairs.  On any exception, `KeyboardInterrupt` included, every frame
-    written or begun and every directory made (unless it holds other
-    files) is removed, after every helper has been reaped, before the
-    exception is re-raised.
+    merged frame of either mode is refused.  An anaglyph merge then imports
+    its kernel, so that every worker shares that one import.  The pairs
+    are shared among one worker per CPU, never more workers than pairs:
+    the caller and forked helper processes (`share_items`, so meant for a
+    single-threaded process such as the CLI).  A worker merges each pair
+    it takes into `<mode>_NNNN.ppm` by itself, through `raster_reader` (a
+    frame whose size has changed since `scan_stream` is a `PpmError`),
+    `raster_writer` and the one `_frame_merger` made first.  On any
+    exception, `KeyboardInterrupt` included, every frame written or begun
+    and every directory made (unless it holds other files) is removed,
+    after every helper has been reaped, before the exception is re-raised.
     """
     merge = _frame_merger(mode)
     for pair in pairs:
@@ -268,6 +267,8 @@ def write_merged(pairs: list[FramePair], mode: str, out_dir: str) -> None:
 
     try:
         os.makedirs(out_dir, exist_ok=True)
+        if mode == "anaglyph":  # imported once, before the fork, for every worker
+            from . import _kernels
         share_items(len(pairs), merge_pair)
         write_manifest(os.path.join(out_dir, "pairs.txt"),
                        [(pair.left.timestamp, path) for pair, path in zip(pairs, paths)])
@@ -289,15 +290,15 @@ def _cpus() -> int:
 
 
 def share_items(n: int, run) -> None:
-    """Run `run(i)` for items 0 .. n-1 on one worker per CPU, item 0 alone on the caller first.
+    """Run `run(i)` for items 0 .. n-1 on one worker per CPU, never more workers than items.
 
-    After item 0 the caller forks one helper process per further CPU this
-    process may run on, never more workers than items left: a helper
-    started sooner would slow item 0 down.  A helper is a copy of the
-    caller, so it calls its own copy of `run`, with whatever `run` holds
-    (its buffers, say) as item 0 left it.  Forking copies only the calling
-    thread, so this is meant for a single-threaded process such as the
-    CLI, and a helper's work reaches the caller only through files.
+    The caller forks one helper process per further CPU this process may
+    run on, and then every worker, the caller too, takes the next item
+    until none is left.  A helper is a copy of the caller, so it calls its
+    own copy of `run`, with whatever `run` holds (its buffers, say) as the
+    fork left it.  Forking copies only the calling thread, so this is
+    meant for a single-threaded process such as the CLI, and a helper's
+    work reaches the caller only through files.
     Once a worker has failed, no worker takes a further item, and a helper
     whose parent is gone takes none either.  Every helper is reaped before
     this returns; then the first exception is raised, the caller's before
@@ -305,15 +306,12 @@ def share_items(n: int, run) -> None:
     it.  With one CPU, one item, or no `os.fork`, every item runs on the
     caller and no process starts.
     """
-    if n < 1:
-        return
-    run(0)
-    forks = min(_cpus(), n - 1) - 1 if hasattr(os, "fork") else 0
-    # items 1 .. n-1 as 8-byte records in a file whose one open description,
+    forks = min(_cpus(), n) - 1 if hasattr(os, "fork") else 0
+    # items 0 .. n-1 as 8-byte records in a file whose one open description,
     # and so whose offset, every worker shares: each read takes the next
     # record whole, and a failed worker stops the rest by seeking to the end
     with tempfile.TemporaryFile() as queue:
-        queue.write(b"".join(i.to_bytes(8, "little") for i in range(1, n)))
+        queue.write(b"".join(i.to_bytes(8, "little") for i in range(n)))
         queue.seek(0)  # flushes every record to the file
         records = iter(lambda: os.read(queue.fileno(), 8), b"")
         items = (int.from_bytes(record, "little") for record in records)

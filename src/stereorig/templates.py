@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import (DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM,
-               check_range)
-from .alignment import BaseModel, check_ipd, validate_placement
+from . import DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM
+from .alignment import BaseModel, check_length, validate_placement
 from .registry import DeviceSpec
 
 PIECE_KINDS = ("cut", "fold", "velcro", "aperture")
@@ -43,10 +42,10 @@ class Materials:
     fillet: float = 0.0
 
     def __post_init__(self):
-        check_range("velcro length", self.velcro, "positive", TemplateError)
-        check_range("cardboard thickness", self.cardboard, "positive", TemplateError)
-        check_range("strap width", self.strap_width, "positive", TemplateError)
-        check_range("fillet radius", self.fillet, "non-negative", TemplateError)
+        check_length("velcro length", self.velcro, "positive", TemplateError)
+        check_length("cardboard thickness", self.cardboard, "positive", TemplateError)
+        check_length("strap width", self.strap_width, "positive", TemplateError)
+        check_length("fillet radius", self.fillet, "non-negative", TemplateError)
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     panel width p solves p^2 - 3*p*c + 3*c^2 = ipd^2, i.e.
     p = (3c + ipd * sqrt(4 - 3*(c/ipd)^2)) / 2.
     """
-    check_ipd(ipd)
+    check_length("ipd", ipd)
     c = spec.camera_center[0]
     w = spec.body_width
     l = spec.body_length
@@ -268,14 +267,14 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     disc = 4.0 - 3.0 * r * r
     if disc < 0:
         raise TemplateError(
-            f"camera offset {c:.1f} mm is too large for a {ipd:.1f} mm "
-            f"camera triangle; no panel width exists"
+            f"camera offset {c:.1f} mm is too large for a camera triangle of "
+            f"ipd {ipd} mm; no panel width exists"
         )
     p = (3.0 * c + ipd * math.sqrt(disc)) / 2.0
     if p < w:
         raise TemplateError(
-            f"derived panel width {p:.1f} mm is smaller than the device "
-            f"width {w:.1f} mm; panels would collide"
+            f"derived panel width {p:.1f} mm for ipd {ipd} mm is smaller than "
+            f"the device width {w:.1f} mm; panels would collide"
         )
 
     ox, oy = _MARGIN_MM, _MARGIN_MM
@@ -340,7 +339,7 @@ def mirror_rig_layout(
     axis; the far slot (red, single-sided) is one ipd away along +x.  Both
     slots are drawn as 45-degree cut segments through the mount plate.
     """
-    check_ipd(ipd)
+    check_length("ipd", ipd)
     w, l = spec.body_width, spec.body_length
     cx, cy = spec.camera_center
     near = (_MARGIN_MM + cx, _MARGIN_MM + cy)

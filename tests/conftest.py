@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import profiles  # registers the hypothesis profiles and loads `tier1`
 import stereorig
 from stereorig.registry import lookup, parse_device_specs
 

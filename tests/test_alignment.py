@@ -36,6 +36,7 @@ from oracles import (
     scan_min_separation,
     scan_placement,
 )
+from profiles import examples
 
 VERT180 = LayoutConfig(axis="vertical", stacking="coplanar", rotation_b=180)
 DEPTH = LayoutConfig(axis="vertical", stacking="depth-stacked", rotation_b=0)
@@ -322,7 +323,7 @@ class TestSerialization:
         assert doc["ipd"] == 65.0
         assert doc["camera_b_target"] == [39.0, 75.0]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ipd=st.floats(20.0, 120.0))
     def test_dict_matches_field_by_field_oracle(self, seed, ipd):
         rng = random.Random(seed)

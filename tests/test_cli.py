@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,7 @@ import forked
 from bytefuzz import mangled_bytes
 from jsonfuzz import CATALOG, READINGS, mangled
 from oracles import anaglyph_oracle, merge_outcome_oracle, sbs_oracle
+from profiles import examples
 
 
 def _write_stream(dirpath, name, times, fill):
@@ -262,6 +264,13 @@ class TestGenTemplate:
         ("mirror", "--velcro=-1", "velcro length must be positive and finite, got -1.0"),
         ("mirror", "--cardboard=inf", "cardboard thickness must be positive and finite, got inf"),
         ("mirror", "--strap-width=nan", "strap width must be positive and finite, got nan"),
+        # above the 1e9 mm bound: two-phone --strap-width 1e308 named a piece's infinite
+        # bbox, and the others wrote SVGs of 309-digit coordinates
+        ("two", "--strap-width=1e308", "strap width must be at most 1e+09 mm, got 1e+308"),
+        ("two", "--velcro=1e308", "velcro length must be at most 1e+09 mm, got 1e+308"),
+        ("three", "--cardboard=1e308",
+         "cardboard thickness must be at most 1e+09 mm, got 1e+308"),
+        ("mirror", "--fillet=1e308", "fillet radius must be at most 1e+09 mm, got 1e+308"),
     ])
     def test_bad_material_value_exits_1_without_output(self, capsys, tmp_path, mode, flag,
                                                        message):
@@ -752,8 +761,8 @@ class TestMerge:
                 raised_in.add()
                 failed.set()
                 raise OSError(errno.EIO, "Input/output error")
-            # pair 0 runs alone; once the helper has started, the caller waits
-            # in its pair, which leaves the next pair to the helper
+            # the helper starts before any pair; the caller waits in its
+            # pair, which leaves the next pair to the helper
             if helpers and not failed.wait(timeout=30):
                 raise AssertionError("no helper took a pair")
             return real(fd, buffers, offset)
@@ -789,8 +798,8 @@ class TestMerge:
     @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
     def test_interrupt_beside_a_helper_leaves_no_output_and_no_child(
             self, capsys, tmp_path, monkeypatch, mode, where):
-        # the caller waits past pair 0 until the helper holds a pair; then one
-        # of them is interrupted while the other is still merging its pair
+        # the caller waits until the helper holds a pair; then one of them
+        # is interrupted while the other is still merging its pair
         left = _write_stream(tmp_path, "left", [33.0 * i for i in range(6)], 255)
         right = _write_stream(tmp_path, "right", [33.0 * i + 1 for i in range(6)], 0)
         self._two_strips_a_frame(monkeypatch, cpus=2)
@@ -802,7 +811,7 @@ class TestMerge:
                 if where == "helper":
                     raise KeyboardInterrupt
                 time.sleep(0.2)  # still merging when the caller is interrupted
-            elif not path.endswith("_0000.ppm"):
+            else:
                 assert helper_took.wait(timeout=30), "no helper took a pair"
                 if where == "caller":
                     raise KeyboardInterrupt
@@ -1032,7 +1041,7 @@ class TestStripPipeline:
 
     # streams of 1-4 pairs of any sizes on 1-3 CPUs: some have fewer pairs
     # than workers, and a helper's buffers change size with its pairs
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(sizes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 9)),
                           min_size=1, max_size=4),
            strip_pixels=st.integers(1, 40), cpus=st.integers(1, 3),
@@ -1080,7 +1089,7 @@ class TestStripPipeline:
 
 
 class TestPairWorkers:
-    """`merge` gives each pair to one worker, pair 0 to the caller before any helper starts."""
+    """`merge` gives each pair to one worker: the caller or a helper forked before any pair."""
 
     @pytest.mark.parametrize("pairs", [1, 2, 3, 4])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -1112,14 +1121,9 @@ class TestPairWorkers:
             assert len({pid for pid, _ in frame_writes}) == 1
             offsets = [offset for _, offset in frame_writes]
             assert offsets == sorted(set(offsets))
-        assert {pid for pid, _ in by_frame[0]} == {caller}
-        helper_writes = [k for k, (pid, _, _) in enumerate(writes) if pid != caller]
-        if helper_writes:
-            frame_0_writes = [k for k, (_, ino, _) in enumerate(writes) if names[ino] == 0]
-            assert max(frame_0_writes) < min(helper_writes)
-        # one helper per further CPU, but no more workers than the pairs left
-        # after pair 0; every write is the caller's or a helper's
-        assert len(helpers) == max(0, min(cpus, pairs - 1) - 1)
+        # one helper per further CPU, but no more workers than pairs; every
+        # write is the caller's or a helper's
+        assert len(helpers) == min(cpus, pairs) - 1
         assert {pid for pid, _, _ in writes} <= {caller, *helpers}
         assert forked.no_child_left()
 
@@ -1328,7 +1332,7 @@ def _faulty_streams(draw):
 
 
 class TestManifestFaults:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(case=_faulty_streams(), mode=st.sampled_from(["sbs", "anaglyph"]))
     def test_exit_code_and_output_match_the_oracle(self, case, mode):
         fault, streams = case
@@ -1434,7 +1438,7 @@ class TestMangledJsonInput:
             rc = main(argv)
         return rc, err.getvalue()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(text=mangled(CATALOG))
     def test_base_model_specs(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "mangled_specs.json"
@@ -1443,7 +1447,7 @@ class TestMangledJsonInput:
                              "--specs", str(path)])
         assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(text=mangled(READINGS))
     def test_align_check_readings(self, tmp_path_factory, text):
         # tolerances under which every finite pair is aligned: exit 1 means an error
@@ -1470,7 +1474,7 @@ _MERGE_INPUTS = {
 class TestMangledMergeInput:
     """A mangled manifest or PPM exits 0, or 1 with an error line and no output directory."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(mangled=st.sampled_from(sorted(_MERGE_INPUTS)).flatmap(
                lambda name: st.tuples(st.just(name), mangled_bytes(_MERGE_INPUTS[name]))),
            mode=st.sampled_from(["sbs", "anaglyph"]))
@@ -1499,8 +1503,20 @@ class TestMangledMergeInput:
             assert not out.exists()
 
 
+# the values every float option is tried with: zeros, the least subnormal, a plain
+# value, magnitudes whose square or product overflows, and the non-finite ones
+_EXTREMES = ["0", "-0.0", "5e-324", "1.5", "1e17", "1e154", "1e308", "-1e308",
+             "nan", "inf", "-inf"]
+# a number printed as nan or inf; `infinity` alone is a focus mode
+_NON_FINITE_TEXT = re.compile(r"\b(?:nan|inf)\b|\bInfinity\b", re.IGNORECASE)
+# how a refusal names an option, where that is not its name with spaces for dashes
+_NAMED_AS = {"--offset-a": "clock offsets", "--offset-b": "clock offsets",
+             "--mag-tol": "mag_tolerance", "--gyro-tol": "gyro_tolerance"}
+
+
 class TestNonFiniteFlags:
-    """Every float option, set to a non-finite value, fails the run and writes nothing."""
+    """Every float option, set to a non-finite value, fails the run and writes nothing;
+    set to any of `_EXTREMES`, the run ends in one of the stated ways."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
@@ -1537,7 +1553,7 @@ class TestNonFiniteFlags:
                 assert main(argv) == 0, argv
 
     @pytest.mark.parametrize("command, option", _float_options())
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=examples(12), deadline=None)
     @given(value=_NON_FINITE)
     def test_non_finite_value_exits_1_with_no_output(self, work, command, option, value):
         before = sorted(os.listdir(work))
@@ -1550,6 +1566,34 @@ class TestNonFiniteFlags:
                 assert stdout.getvalue() == ""
                 assert stderr.getvalue().startswith("error: ")
                 assert sorted(os.listdir(work)) == before
+
+    @pytest.mark.parametrize("command, option", _float_options())
+    def test_every_extreme_value_ends_in_a_stated_way(self, work, tmp_path, command, option):
+        out = tmp_path / "out"
+        for value in _EXTREMES:
+            # simulate-sync's memory grows with --duration (1e6 ms peaks at about 100 MB)
+            # until its ticks are scheduled as they fall due, so longer runs are left out
+            if option == "--duration" and float(value) > 1e5:
+                continue
+            for argv in self._runs(work, out, command):
+                shutil.rmtree(out, ignore_errors=True)
+                out.mkdir()
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc = main([*argv, f"{option}={value}"])
+                text, err = stdout.getvalue(), stderr.getvalue()
+                case = (argv, option, value, rc, text[-200:], err)
+                if rc == 0:  # every number it prints is finite
+                    assert not _NON_FINITE_TEXT.search(text), case
+                elif rc == 2:
+                    assert "usage" in err, case
+                elif command == "simulate-sync" and not err:  # a failed session
+                    final = text.splitlines()[-1]
+                    assert rc == 1 and final.startswith("final: ") and "=failed" in final, case
+                else:  # a refusal that names the option and writes nothing
+                    assert rc == 1 and text == "" and err.startswith("error: "), case
+                    assert _NAMED_AS.get(option, option[2:].replace("-", " ")) in err, case
+                    assert list(out.iterdir()) == [], case
 
     @pytest.mark.parametrize("command", ["base-model", "gen-template", "grid-overlay"])
     def test_ipd_above_the_bound_exits_1_naming_it(self, work, tmp_path, command):
@@ -1572,6 +1616,27 @@ from stereorig.cli import main
 rc = main(sys.argv[1:])
 print("\\nMODULES " + " ".join(sorted(sys.modules)))
 sys.exit(rc)
+"""
+
+# the merge CLI on two CPUs, printing at each fork whether numpy is loaded
+_MODULES_AT_FORK = """\
+import os, sys
+from stereorig.cli import main
+
+os.sched_getaffinity = lambda pid: {0, 1}
+real = os.fork
+
+
+def fork():
+    loaded = "numpy" in sys.modules
+    pid = real()
+    if pid:
+        print("FORK numpy" if loaded else "FORK")
+    return pid
+
+
+os.fork = fork
+sys.exit(main(sys.argv[1:]))
 """
 
 _ONLY_MERGE_NEEDS = {"numpy"}
@@ -1625,6 +1690,29 @@ class TestImportFootprint:
         assert self._own(loaded) == {
             "stereorig.cli", "stereorig.merge", "stereorig.ppmio", "stereorig._kernels"}
         assert "numpy" in loaded
+
+    @pytest.mark.parametrize("mode", ["sbs", "anaglyph"])
+    def test_anaglyph_merge_loads_numpy_once_before_the_fork(
+            self, tmp_path, subprocess_env, mode):
+        # the caller imports the kernel, so a helper inherits it and imports nothing
+        left = _write_stream(tmp_path, "left", [0.0, 33.0, 66.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0, 71.0], 0)
+        res = subprocess.run(
+            [sys.executable, "-c", _MODULES_AT_FORK, "merge", "--left", left, "--right", right,
+             "--mode", mode, "-o", str(tmp_path / "out")],
+            env=subprocess_env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        forks = [line for line in res.stdout.splitlines() if line.startswith("FORK")]
+        assert forks == ["FORK numpy" if mode == "anaglyph" else "FORK"]
+
+    def test_refused_anaglyph_merge_loads_no_numpy(self, tmp_path, modules_after):
+        left = _write_stream(tmp_path, "left", [0.0, 33.0], 255)
+        right = _write_stream(tmp_path, "right", [5.0, 38.0], 0)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "sbs_0000.ppm").touch()  # an earlier merge's frame
+        loaded = modules_after("merge", "--left", left, "--right", right,
+                               "--mode", "anaglyph", "-o", str(tmp_path / "out"), rc=1)
+        assert not loaded & (_ONLY_MERGE_NEEDS | {"stereorig._kernels"})
 
     def test_sbs_merge_runs_without_numpy(self, tmp_path, subprocess_env):
         rng = np.random.default_rng(7)

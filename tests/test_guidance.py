@@ -26,6 +26,7 @@ from stereorig.guidance import (
 )
 
 from jsonfuzz import READINGS, assert_read_as_written, mangled
+from profiles import examples
 
 DEPTH = LayoutConfig(axis="vertical", stacking="depth-stacked")
 
@@ -391,7 +392,7 @@ class TestReadingFixtures:
         assert [check_alignment(a, b).aligned for a, b in pairs] == [True, False]
         assert pairs[0][1].timestamp_ms == 1003.0 and pairs[1][0].timestamp_ms == 0.0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(text=mangled(READINGS))
     def test_mangled_readings_load_typed_or_raise_guidance_error(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "mangled_readings.json"

@@ -42,6 +42,7 @@ from oracles import (
     optimal_pairs_oracle,
     sbs_oracle,
 )
+from profiles import examples
 
 
 def _frame(ts: float, source: str, fill=0, w=4, h=4) -> Frame:
@@ -138,7 +139,7 @@ class TestPairFrames:
             lefts = [p.left.timestamp for p in result.pairs]
             assert lefts == sorted(lefts)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(pool=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
            left=st.lists(st.integers(0, 5), max_size=30),
            right=st.lists(st.integers(0, 5), max_size=30),
@@ -340,7 +341,7 @@ class TestRecords:
         assert FrameRef._fields == ("timestamp", "path", "width", "height")
         assert FramePair._fields == ("left", "right", "timestamp_skew")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(st.lists(st.integers(0, 400), max_size=30), st.lists(st.integers(0, 400), max_size=30),
            st.integers(0, 40))
     @example([175, 176], [174, 174], 2)  # pairs (0, 1), (1, 0) would cross
@@ -425,13 +426,13 @@ class TestKernelBuffers:
         # a strided input is copied whole, so the measure sees a copy
         assert extra_bytes(left[:, ::-1], right) > left.nbytes
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(_same_shape_frame_pairs())
     def test_anaglyph_matches_oracle_fresh_and_reused(self, pairs):
         for left, right in pairs:
             assert (_merge_pixels("anaglyph", left, right) == anaglyph_oracle(left, right)).all()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(_same_shape_frame_pairs())
     def test_sbs_matches_oracle_fresh_and_reused(self, pairs):
         for left, right in pairs:
@@ -502,7 +503,7 @@ class TestAnaglyphTiling:
                 assert (out[y : y + 512, :, channel] == want).all()
         assert not out[..., 1].any()
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=examples(6), deadline=None)
     @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1))
     @example(shape=(1, 1), seed=0)
     @example(shape=(1, 65537), seed=1)
@@ -590,7 +591,7 @@ class TestShareStrips:
     def test_cpu_count_stands_in_for_the_affinity_mask(self, monkeypatch, cpu_count, helpers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        # three strips: strip 0 alone, then two left for two workers
+        # three strips, so one helper beside the caller on two CPUs
         with forked.forks() as started:
             done = _recorded_strips(5, 21846)
         assert len(started) == helpers
@@ -609,21 +610,11 @@ class TestShareStrips:
         assert started == []
         assert [d[1:] for d in done] == [(2, 0, 2)]
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_item_0_runs_alone_on_the_caller(self, cpus):
-        with _affinity(cpus), forked.forks() as started, forked.Records() as records:
-            share_items(6, lambda i: records.add(i, len(started)))
-            seen = records.read()
-        assert len(started) == cpus - 1
-        # no helper had started when item 0 ran
-        assert seen[0] == (os.getpid(), 0, 0)
-        assert sorted(i for _, i, _ in seen) == list(range(6))
-
     def test_a_strip_has_no_more_rows_than_the_frame(self):
         with _affinity(2):
             assert [d[1:] for d in _recorded_strips(3, 2)] == [(3, 0, 3)]
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(height=st.integers(1, 40), width=st.integers(1, 70000), cpus=st.integers(1, 8))
     @example(height=9, width=13108, cpus=2)
     @example(height=1, width=1, cpus=2)
@@ -633,9 +624,8 @@ class TestShareStrips:
         strips = -(-height // rows)
         with _affinity(cpus), forked.forks() as started:
             done = _recorded_strips(height, width)
-        # strip 0 alone, then one helper per further CPU, but no more workers
-        # than strips left
-        assert len(started) == max(0, min(cpus, strips - 1) - 1)
+        # one helper per further CPU, but no more workers than strips
+        assert len(started) == min(cpus, strips) - 1
         assert forked.no_child_left()
         assert sorted(d[2:] for d in done) == [
             (y, min(y + rows, height)) for y in range(0, height, rows)]
@@ -646,8 +636,6 @@ class TestShareStrips:
         caller = os.getpid()
         with forked.Event() as failed, forked.Records() as records:
             def strip(i):
-                if i == 0:  # runs alone, before any helper starts
-                    return
                 if (os.getpid() == caller) == (failing == "caller"):
                     failed.set()
                     raise RuntimeError(f"strip failed in the {failing}")
@@ -678,8 +666,8 @@ class TestShareStrips:
         caller = os.getpid()
         with forked.Event() as took:
             def run(i):
-                if os.getpid() == caller:  # past item 0, wait for the helper
-                    assert i == 0 or took.wait(timeout=30), "no helper took an item"
+                if os.getpid() == caller:  # wait for the helper
+                    assert took.wait(timeout=30), "no helper took an item"
                     return
                 took.set()
                 if end == "signal":
@@ -716,7 +704,7 @@ class TestShareStrips:
 class TestAnaglyphWorkers:
     """The in-memory driver runs its strips on the calling thread, whatever the CPUs."""
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=examples(6), deadline=None)
     @given(shape=_EDGE_SHAPES, seed=st.integers(0, 2**32 - 1), cpus=st.integers(1, 8))
     @example(shape=(9, 13108), seed=4, cpus=2)
     @example(shape=(2, 65537), seed=5, cpus=2)
@@ -819,8 +807,7 @@ class TestLoadStream:
             records.add("took", int(path[-8:-4]))
             if os.getpid() != caller:
                 helper_took_a_pair.set()
-            elif cpus > 1 and not path.endswith("_0000.ppm"):
-                # past pair 0 the caller lets a helper take a pair first
+            elif cpus > 1:  # the caller lets a helper take a pair first
                 assert helper_took_a_pair.wait(timeout=30), "no helper took a pair"
             return real_writer(path, *args)
 
@@ -829,19 +816,20 @@ class TestLoadStream:
         for cpus in (1, 2):
             out = tmp_path / f"out{cpus}"
             with forked.Records() as records, forked.Event() as helper_took_a_pair:
-                with _affinity(cpus):
+                with _affinity(cpus), forked.forks() as started:
                     write_merged(pairs, mode, str(out))
                 log = records.read()
+            assert len(started) == cpus - 1
             taken = [(pid, i) for pid, what, i in log if what == "took"]
             made = [(pid, args) for pid, what, args in log if what == "made"]
             workers = {pid for pid, _ in taken}
             assert len(workers) == cpus
             # each worker makes new buffers only where the size of the pairs it
             # takes changes; with one worker that is (4, 6), (3, 5), (4, 6).  A
-            # helper starts with a copy of the caller's, made for pair 0
+            # helper is forked before any pair, so it starts with none
             for worker in workers:
                 seq = [sizes[i] for pid, i in taken if pid == worker]
-                before = [None if worker == caller else sizes[0], *seq[:-1]]
+                before = [None, *seq[:-1]]
                 assert [args for pid, args in made if pid == worker] == [
                     (mode, *size) for size, last in zip(seq, before) if size != last]
             for i, pair in enumerate(pairs):

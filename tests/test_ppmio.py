@@ -21,6 +21,7 @@ from stereorig.ppmio import (
 
 from bytefuzz import mangled_bytes
 from oracles import sbs_oracle
+from profiles import examples
 
 
 def _random_pixels(seed=0, w=6, h=4):
@@ -211,6 +212,46 @@ class TestWriteRaster:
         write_ppm(str(q), left)
         assert q.read_bytes() == b"P6\n37 23\n255\n" + left.tobytes()
 
+    @pytest.mark.parametrize("stops", [
+        [8],  # at a view boundary, past two whole views
+        [9],  # inside a view, past two whole views
+        [3, 6, 6, 2],  # at a boundary, inside a view, at a boundary, then 2 bytes a call
+    ])
+    def test_short_write_resumes_at_its_first_unwritten_byte(self, tmp_path, monkeypatch,
+                                                               stops):
+        # views of 3, 5, 7, ... bytes; the k-th pwritev call writes at most
+        # stops[k] bytes (the last stop repeats), and the next call starts
+        # where it stopped
+        real_pwritev, calls = os.pwritev, []
+
+        def short_pwritev(fd, buffers, offset):
+            room = stops[min(len(calls), len(stops) - 1)]
+            data = b"".join(bytes(b) for b in buffers)[:room]
+            calls.append((offset, data))
+            return real_pwritev(fd, [data], offset)
+
+        views = [memoryview(bytes(range(10 * i, 10 * i + 2 * i + 3))) for i in range(6)]
+        fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(os, "pwritev", short_pwritev)
+            ppmio._write_at(fd, views, 4, "f")
+        finally:
+            os.close(fd)
+        want = b"".join(views)
+        assert (tmp_path / "f").read_bytes() == bytes(4) + want
+        assert b"".join(data for _, data in calls) == want
+        assert [offset for offset, _ in calls] == [
+            4 + sum(len(data) for _, data in calls[:k]) for k in range(len(calls))]
+
+    @pytest.mark.parametrize("umask", [0, 0o077])
+    def test_written_frame_has_the_mode_the_umask_allows(self, tmp_path, umask):
+        was = os.umask(umask)
+        try:
+            write_ppm(str(tmp_path / "f.ppm"), _random_pixels())
+        finally:
+            os.umask(was)
+        assert os.stat(tmp_path / "f.ppm").st_mode & 0o777 == 0o666 & ~umask
+
     def test_more_chunks_than_one_pwritev_takes(self, tmp_path):
         h = ppmio._IOV_MAX  # 2h row chunks, two pwritev calls' worth
         left, right = _random_pixels(5, w=2, h=h), _random_pixels(6, w=2, h=h)
@@ -364,7 +405,7 @@ class TestManifest:
             write_manifest(str(manifest), entries)
         assert list(tmp_path.iterdir()) == []
 
-    @settings(max_examples=100, deadline=None,
+    @settings(max_examples=examples(100), deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(name=st.text(st.one_of(st.sampled_from(" \t\n\r\x00\x0b\x0c\x1c\x85\u2028./"),
                                   st.characters()), min_size=1, max_size=8))
@@ -383,7 +424,7 @@ class TestManifest:
         assert os.path.realpath(back) == os.path.realpath(frame)
 
 
-_FUZZ = settings(max_examples=250, deadline=None,
+_FUZZ = settings(max_examples=examples(250), deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

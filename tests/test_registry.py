@@ -30,6 +30,7 @@ from oracles import (
     serialized_specs_oracle,
     validate_spec_dict,
 )
+from profiles import examples
 
 
 _TINY = 5e-324  # the smallest positive float
@@ -171,7 +172,7 @@ class TestParse:
         assert spec.model_id == "J7-fixture" and spec.resolutions == {(1280, 720), (1920, 1080)}
         assert spec.capture_modes == {"video", "mono"}
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(text=mangled(CATALOG))
     def test_mangled_catalog_loads_typed_or_raises_registry_error(self, text):
         try:
@@ -240,7 +241,7 @@ class TestParse:
     def test_packaged_catalog_serializes_like_the_oracle(self, registry):
         assert serialize_device_specs(registry) == serialized_specs_oracle(registry)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 8))
     def test_random_catalogs_serialize_like_the_oracle(self, seed, count):
         rng = random.Random(seed)
@@ -291,7 +292,7 @@ class TestSpecSelfCheck:
         with pytest.raises(RegistryError, match=f"^J7-fixture: {field} must be positive and fin"):
             dataclasses.replace(j7, **{field: bad})
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         field=st.sampled_from(_NUMERIC_FIELDS),
         slot=st.integers(0, 1),

@@ -22,6 +22,8 @@ from stereorig.templates import (
     two_phone_layout,
 )
 
+from profiles import examples
+
 GOLDEN = Path(__file__).parent / "golden" / "j7_two_phone.svg"
 VERT180 = LayoutConfig(axis="vertical", stacking="coplanar", rotation_b=180)
 
@@ -265,7 +267,7 @@ class TestMangledSvg:
         with pytest.raises(TemplateError, match=r"^metadata must be a JSON object, got '\[1\]'$"):
             parse_svg('<svg viewBox="0 0 1 1"><metadata>[1]</metadata></svg>')
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(data=st.sampled_from(_SVG_GOLDENS).flatmap(
         lambda path: mangled_bytes(path.read_bytes(), noise=False)))
     def test_mangled_golden_parses_or_raises_template_error(self, data):

@@ -33,6 +33,7 @@ from stereorig.syncproto import (
 )
 
 from oracles import awaiting_oracle, step_oracle
+from profiles import examples
 
 LOSSLESS = SimulatedTransport(base_latency=10.0, jitter=0.0, loss_rate=0.0)
 
@@ -357,7 +358,7 @@ _HAPPY_PATH = {
 
 
 class TestUnacked:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         role=st.sampled_from(["initiator", "responder"]),
         picks=st.lists(
@@ -447,7 +448,7 @@ class TestTransitionTable:
                         cases += 1
         assert cases == 2 * 8 * 20 * 2
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         role=st.sampled_from(["initiator", "responder"]),
         picks=st.lists(

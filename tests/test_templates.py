@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from stereorig.alignment import (
     AXES,
-    MAX_IPD_MM,
+    MAX_LENGTH_MM,
     ORIENTATIONS,
     ROTATIONS,
     InfeasibleLayoutError,
@@ -38,6 +38,7 @@ from oracles import (
     random_spec,
     strap_oracle,
 )
+from profiles import examples
 
 VERT180 = LayoutConfig(axis="vertical", stacking="coplanar", rotation_b=180)
 
@@ -113,10 +114,14 @@ class TestStrapLengths:
 
 _BAD_WIDTHS = [math.nan, math.inf, -math.inf, -5.0, 0.0]
 _BAD_FILLETS = [math.nan, math.inf, -math.inf, -5.0]
+# each `Materials` field and the name its messages give it, in the order it is checked
+_LENGTH_NAMES = {"velcro": "velcro length", "cardboard": "cardboard thickness",
+                 "strap_width": "strap width", "fillet": "fillet radius"}
 
 
 class TestMaterialChecks:
-    """Strap widths and fillet radii are lengths: finite, the width also positive.
+    """Strap widths and fillet radii are lengths: finite, the width also positive, and
+    like every `Materials` length at most MAX_LENGTH_MM.
 
     `Materials` checks them when built, so no layout can draw a bad one.
     """
@@ -135,6 +140,14 @@ class TestMaterialChecks:
         message = f"^fillet radius must be finite and non-negative, got {radius}$"
         with pytest.raises(TemplateError, match=message):
             Materials(fillet=radius)
+
+    @pytest.mark.parametrize("field, name", _LENGTH_NAMES.items())
+    def test_each_length_is_at_most_the_bound(self, field, name):
+        Materials(**{field: MAX_LENGTH_MM})
+        above = math.nextafter(MAX_LENGTH_MM, math.inf)
+        message = f"{name} must be at most 1e+09 mm, got {above}"
+        with pytest.raises(TemplateError, match=f"^{re.escape(message)}$"):
+            Materials(**{field: above})
 
     def test_zero_fillet_and_small_positive_values_accepted(self, j7, base):
         small = Materials(velcro=1e-3, cardboard=1e-3, strap_width=1e-3, fillet=0.0)
@@ -355,6 +368,14 @@ class TestMirrorRigLayout:
     def test_deterministic(self, j7):
         assert mirror_rig_layout(j7) == mirror_rig_layout(j7)
 
+    def test_plate_takes_a_body_wider_than_the_far_slot_reaches(self, j7):
+        # the far slot reaches 10 + 39 + 65 + 14.1 mm; this body is 300 mm wide
+        wide = dataclasses.replace(j7, body_width=300.0)
+        layout = mirror_rig_layout(wide)
+        plate = next(p for p in layout.pieces if p.piece_id == "plate")
+        assert plate.rect == (0.0, 0.0, 10.0 + 300.0 + 10.0, 10.0 + 152.0 + 10.0)
+        assert _inside_sheet(layout)
+
 
 class TestRandomCorpus:
     def test_two_and_three_phone_hold_ipd(self):
@@ -387,28 +408,44 @@ def test_fold_point_between_folds_is_linear():
 
 
 # IPDs log-uniform over [1e-3, 1e300] mm or, as often, over the accepted [1e-3, 1e9] mm, and
-# every material within its range
+# `Materials` keyword arguments, each length within its range and, one time in eight, above
+# the accepted 1e9 mm
 _IPDS = st.one_of(st.floats(-3.0, 9.0), st.floats(-3.0, 300.0)).map(lambda e: 10.0 ** e)
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_MATERIALS = st.builds(Materials, _POSITIVE, _POSITIVE, _POSITIVE,
-                       st.floats(min_value=0.0, allow_infinity=False))
+
+
+def _lengths(exclude_min: bool):
+    accepted = st.floats(min_value=0.0, max_value=MAX_LENGTH_MM, exclude_min=exclude_min)
+    too_long = st.floats(min_value=MAX_LENGTH_MM, exclude_min=True, allow_infinity=False)
+    return st.one_of(*[accepted] * 7, too_long)
+
+
+_MATERIALS = st.fixed_dictionaries({"velcro": _lengths(True), "cardboard": _lengths(True),
+                                    "strap_width": _lengths(True), "fillet": _lengths(False)})
 _SPECS = st.randoms(use_true_random=False).map(lambda rng: random_spec(rng, "drawn"))
 
 
-def _holds_or_refuses(make, ipd, separations) -> None:
-    """Above MAX_IPD_MM, `make()` is the ValueError naming the IPD.  At or below it,
-    `make()` is a TemplateError or InfeasibleLayoutError, or a layout that renders, lies on
-    its sheet, reads back byte-identically, and whose `separations(layout)` are each one
-    IPD within a relative 1e-9."""
-    if ipd > MAX_IPD_MM:
-        message = f"ipd must be at most 1e+09 mm, got {ipd}"
+def _holds_or_refuses(make, ipd, separations, materials=None, refusal="") -> None:
+    """`make()` builds `Materials(**materials)`, if given, before its layout.
+
+    Above MAX_LENGTH_MM, the first material length or else the IPD makes `make()` the
+    ValueError naming it.  At or below it, `make()` is an InfeasibleLayoutError, a
+    TemplateError whose message holds `refusal`, or a layout that renders, lies on its
+    sheet, reads back byte-identically, and whose `separations(layout)` are each one IPD
+    within a relative 1e-9."""
+    lengths = [(name, (materials or {}).get(field, 0.0)) for field, name in _LENGTH_NAMES.items()]
+    too_long = [(name, value) for name, value in [*lengths, ("ipd", ipd)] if value > MAX_LENGTH_MM]
+    if too_long:
+        message = "{} must be at most 1e+09 mm, got {}".format(*too_long[0])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
         return
     try:
         layout = make()
         svg = render_svg(layout)
-    except (TemplateError, InfeasibleLayoutError):
+    except TemplateError as exc:
+        assert refusal in str(exc)
+        return
+    except InfeasibleLayoutError:
         return
     assert _inside_sheet(layout)
     assert render_svg(parse_svg(svg)) == svg
@@ -417,7 +454,7 @@ def _holds_or_refuses(make, ipd, separations) -> None:
 
 
 class TestLayoutProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(spec=_SPECS, ipd=_IPDS, axis=st.sampled_from(AXES),
            orientation=st.sampled_from(ORIENTATIONS), rotation=st.sampled_from(ROTATIONS),
            materials=_MATERIALS)
@@ -425,26 +462,32 @@ class TestLayoutProperties:
     # bound refuses it
     @example(spec=random_spec(random.Random(24), "drawn"), ipd=2.2227101183392326e17,
              axis="vertical", orientation="landscape", rotation=90,
-             materials=Materials(strap_width=0.001))
+             materials=dict(strap_width=0.001))
     def test_two_phone(self, spec, ipd, axis, orientation, rotation, materials):
         def make():
+            built = Materials(**materials)
             config = LayoutConfig(axis, "coplanar", orientation, rotation)
             base = compute_base_model(spec, spec, config, ipd)
-            return two_phone_layout(spec, base, materials)
+            return two_phone_layout(spec, base, built)
 
-        _holds_or_refuses(make, ipd, aperture_separations)
+        _holds_or_refuses(make, ipd, aperture_separations, materials)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(spec=_SPECS, ipd=_IPDS)
+    # too small for any camera offset: the refusal names the IPD, unrounded
+    @example(spec=random_spec(random.Random(3), "drawn"), ipd=1.5)
+    @example(spec=random_spec(random.Random(3), "drawn"), ipd=5e-324)
     def test_three_phone(self, spec, ipd):
         # the three sides of the assembled prism
-        _holds_or_refuses(lambda: three_phone_layout(spec, ipd), ipd, aperture_separations)
+        _holds_or_refuses(lambda: three_phone_layout(spec, ipd), ipd, aperture_separations,
+                          refusal=f"ipd {ipd} mm")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(spec=_SPECS, ipd=_IPDS, materials=_MATERIALS)
     def test_mirror_rig(self, spec, ipd, materials):
         def separation(layout):
             mirror = layout.metadata["mirror"]
             return [math.dist(mirror["mirror_a_center"], mirror["mirror_b_center"])]
 
-        _holds_or_refuses(lambda: mirror_rig_layout(spec, ipd, materials), ipd, separation)
+        _holds_or_refuses(lambda: mirror_rig_layout(spec, ipd, Materials(**materials)), ipd,
+                          separation, materials)
