@@ -164,7 +164,8 @@ def compute_base_model(
 
     wa, la, cax, cay = oriented_footprint(a, layout.orientation)
     body_a = Rect(0.0, 0.0, wa, la)
-    horizontal = layout.axis == "horizontal"
+    size_a, cam_a = (wa, la), (cax, cay)
+    k = AXES.index(layout.axis)  # the coordinate the layout axis runs along: 0 is x, 1 is y
 
     rotations = [0]
     if layout.rotation_b != 0:
@@ -173,36 +174,30 @@ def compute_base_model(
     min_separations: list[float] = []
     for rot in rotations:
         wb, lb, cbx, cby = rotate_footprint(*oriented_footprint(b, layout.orientation), rot)
+        size_b, cam_b = (wb, lb), (cbx, cby)
         candidates = []
         for side in (1, -1):
-            if horizontal:
-                tx = cax + side * ipd - cbx
-                ty = cay - cby
-            else:
-                tx = cax - cbx
-                ty = cay + side * ipd - cby
-            box = Rect(tx, ty, wb, lb)
+            t = [cam_a[0] - cam_b[0], cam_a[1] - cam_b[1]]
+            t[k] = cam_a[k] + side * ipd - cam_b[k]
+            box = Rect(t[0], t[1], wb, lb)
             if layout.stacking == "coplanar":
                 feasible = not body_a.overlaps(box)
             else:
                 feasible = not box.contains_point(cax, cay)
             if not feasible:
                 continue
-            if horizontal:
-                gap = _interval_gap(0.0, wa, tx, tx + wb)
-            else:
-                gap = _interval_gap(0.0, la, ty, ty + lb)
+            gap = _interval_gap(0.0, size_a[k], t[k], t[k] + size_b[k])
             rig = body_a.union(box)
             rank = (rig.width * rig.height, gap, 0 if side == 1 else 1)
-            candidates.append((rank, box, (tx + cbx, ty + cby), gap))
+            candidates.append((rank, box, (t[0] + cbx, t[1] + cby), gap))
         if candidates:
-            _, box, cam_b, gap = min(candidates, key=lambda c: c[0])
+            _, box, cam_target, gap = min(candidates, key=lambda c: c[0])
             return BaseModel(
-                camera_a=(cax, cay),
-                camera_b_target=cam_b,
+                camera_a=cam_a,
+                camera_b_target=cam_target,
                 box_b=box,
                 body_a=body_a,
-                camera_b_offset=(cbx, cby),
+                camera_b_offset=cam_b,
                 layout=layout,
                 ipd=ipd,
                 rotation_applied=rot,
@@ -213,19 +208,14 @@ def compute_base_model(
 
         # record the closest the cameras can get under this rotation
         if layout.stacking == "coplanar":
-            if horizontal:
-                min_separations.append((wa - cax) + cbx)
-                min_separations.append(cax + (wb - cbx))
-            else:
-                min_separations.append((la - cay) + cby)
-                min_separations.append(cay + (lb - cby))
+            min_separations.append((size_a[k] - cam_a[k]) + cam_b[k])
+            min_separations.append(cam_a[k] + (size_b[k] - cam_b[k]))
         else:
-            ax_len, cb_ax = (wb, cbx) if horizontal else (lb, cby)
-            min_separations.append(min(cb_ax, ax_len - cb_ax))
+            min_separations.append(min(cam_b[k], size_b[k] - cam_b[k]))
 
     min_sep = min(min_separations)
     raise InfeasibleLayoutError(
-        f"no placement of {b.model_id} reaches ipd {ipd:.1f} mm in a "
+        f"no placement of {b.model_id} reaches ipd {ipd} mm in a "
         f"{layout.axis} {layout.stacking} layout; minimum achievable "
         f"separation is {min_sep:.1f} mm",
         min_separation=min_sep,

@@ -126,21 +126,22 @@ def grid_overlay(
         raise GuidanceError(
             f"grid pitch {pitch_mm} mm is under one pixel on {spec.model_id} ({d} px/mm)"
         )
-    verticals = []
-    i = 0
-    while i * step < screen[0]:
-        verticals.append(i * step)
-        i += 1
-    horizontals = []
-    i = 0
-    while i * step < screen[1]:
-        horizontals.append(i * step)
-        i += 1
+    if step >= min(screen):
+        raise GuidanceError(
+            f"grid pitch {pitch_mm} mm is not under the shorter side of the "
+            f"{screen[0]} x {screen[1]} px screen on {spec.model_id} ({d} px/mm)"
+        )
+    lines = ([], [])  # vertical lines cross the screen's width, horizontal ones its height
+    for extent, positions in zip(screen, lines):
+        i = 0
+        while i * step < extent:
+            positions.append(i * step)
+            i += 1
 
     return GridOverlay(
         screen_px=screen,
-        vertical_lines=tuple(verticals),
-        horizontal_lines=tuple(horizontals),
+        vertical_lines=tuple(lines[0]),
+        horizontal_lines=tuple(lines[1]),
         target_marker=(tx, ty),
         box_marker=box,
         pixel_density=d,

@@ -623,9 +623,10 @@ def run_frame_sync(
     Sessions must already be Capturing with a capture start recorded (the
     normal path is run_capture_sync first).  `directives` are
     (global_send_time, directive) pairs sent by the initiator mid-capture.
-    A duration whose count of ticks is no finite float is a `ValueError`.
+    A negative duration, or one whose count of ticks is no finite float, is a
+    `ValueError`.
     """
-    check_range("duration", duration)
+    check_range("duration", duration, "non-negative")
     sa, sb = sessions
     for s in (sa, sb):
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:
@@ -675,7 +676,7 @@ def run_session(
     """
     if capture_delay is not None:
         _check_time("capture delay", capture_delay)
-    check_range("duration", duration)
+    check_range("duration", duration, "non-negative")
     pairing = run_pairing(spec_a, spec_b, transport, seed, clock_offsets)
     capture = frames = None
     if capture_delay is not None and pairing.state_a.phase is Phase.CONFIGURED:

@@ -102,6 +102,11 @@ def strap_lengths(spec: DeviceSpec, velcro_mm: float, cardboard_mm: float) -> St
     )
 
 
+def _aperture(piece_id: str, center: tuple[float, float], panel: str = "") -> Piece:
+    return Piece(piece_id, "aperture", "circle", center=center, radius=_APERTURE_RADIUS_MM,
+                 panel=panel)
+
+
 def _strap_pieces(
     name: str,
     x: float,
@@ -183,20 +188,8 @@ def two_phone_layout(
             "rect",
             rect=(base.box_b.x + sx, base.box_b.y + sy, base.box_b.width, base.box_b.height),
         ),
-        Piece(
-            "aperture_a",
-            "aperture",
-            "circle",
-            center=(base.camera_a[0] + sx, base.camera_a[1] + sy),
-            radius=_APERTURE_RADIUS_MM,
-        ),
-        Piece(
-            "aperture_b",
-            "aperture",
-            "circle",
-            center=(base.camera_b_target[0] + sx, base.camera_b_target[1] + sy),
-            radius=_APERTURE_RADIUS_MM,
-        ),
+        _aperture("aperture_a", (base.camera_a[0] + sx, base.camera_a[1] + sy)),
+        _aperture("aperture_b", (base.camera_b_target[0] + sx, base.camera_b_target[1] + sy)),
     ]
 
     long_folds = (velcro_mm, straps.short_strap_length, straps.short_strap_length + w)
@@ -302,16 +295,8 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
             )
         )
     for i in range(3):
-        pieces.append(
-            Piece(
-                f"aperture_{i}",
-                "aperture",
-                "circle",
-                center=(ox + i * p + c, oy + spec.camera_center[1]),
-                radius=_APERTURE_RADIUS_MM,
-                panel="strip",
-            )
-        )
+        pieces.append(_aperture(f"aperture_{i}", (ox + i * p + c, oy + spec.camera_center[1]),
+                                "strip"))
 
     metadata = {
         "rig": "three-phone",
@@ -361,19 +346,9 @@ def mirror_rig_layout(
             rect=(_MARGIN_MM, _MARGIN_MM, w, l),
             corner_radius=materials.fillet,
         ),
-        Piece(
-            "slot_blue",
-            "cut",
-            "segments",
-            points=((near[0] - dx, near[1] - dy), (near[0] + dx, near[1] + dy)),
-        ),
-        Piece(
-            "slot_red",
-            "cut",
-            "segments",
-            points=((far[0] - dx, far[1] - dy), (far[0] + dx, far[1] + dy)),
-        ),
-        Piece("aperture", "aperture", "circle", center=near, radius=_APERTURE_RADIUS_MM),
+        *(Piece(name, "cut", "segments", points=((x - dx, y - dy), (x + dx, y + dy)))
+          for name, (x, y) in (("slot_blue", near), ("slot_red", far))),
+        _aperture("aperture", near),
     )
     metadata = {
         "rig": "mirror",

@@ -139,6 +139,13 @@ class TestComputeBaseModel:
             assert camera_separation(model) == pytest.approx(ipd, abs=0.01)
             assert validate_placement(model) == []
 
+    @pytest.mark.parametrize("ipd", [5e-324, 65.0])
+    def test_infeasible_message_prints_the_ipd_unrounded(self, j7, ipd):
+        # rounded, 5e-324 printed as "ipd 0.0 mm", an IPD that is refused
+        layout = LayoutConfig(axis="horizontal", stacking="coplanar", rotation_b=0)
+        with pytest.raises(InfeasibleLayoutError, match=rf"reaches ipd {ipd} mm in a horizontal"):
+            compute_base_model(j7, j7, layout, ipd=ipd)
+
     def test_nonpositive_ipd_rejected(self, j7):
         with pytest.raises(ValueError):
             compute_base_model(j7, j7, VERT180, ipd=0.0)
@@ -217,6 +224,64 @@ class TestComputeBaseModel:
             scan_min_separation(j7, compact, layout, 65.0), abs=0.05
         )
         assert scan_placement(j7, compact, layout, 65.0) is None
+
+
+class TestUnequalBodies:
+    """Each rule reads A's size or B's: bodies of unequal sizes tell the two apart."""
+
+    @staticmethod
+    def _infeasible(a, b, layout):
+        with pytest.raises(InfeasibleLayoutError) as exc:
+            compute_base_model(a, b, layout)
+        assert exc.value.min_separation == pytest.approx(
+            scan_min_separation(a, b, layout, 65.0), abs=0.05
+        )
+        return exc.value
+
+    @pytest.mark.parametrize("axis, size, camera, want", [
+        # B's camera sits 150 mm from both axis edges, A's 39 or 10 mm from its nearer one
+        ("horizontal", {"body_width": 300.0}, (150.0, 10.0), 150.0),
+        ("vertical", {"body_length": 300.0}, (39.0, 150.0), 150.0),
+    ])
+    def test_depth_stacked_min_separation_reads_b(self, j7, axis, size, camera, want):
+        b = dataclasses.replace(j7, model_id="long-b", camera_center=camera, **size)
+        layout = LayoutConfig(axis=axis, stacking="depth-stacked", rotation_b=0)
+        err = self._infeasible(j7, b, layout)
+        assert err.min_separation == want
+        assert str(err).endswith(f"minimum achievable separation is {want:.1f} mm")
+
+    @pytest.mark.parametrize("axis, size, camera, want", [
+        # B before A: A's camera to its near edge, then B's camera to its far edge
+        ("horizontal", {"body_width": 200.0}, (120.0, 10.0), 39.0 + (200.0 - 120.0)),
+        ("vertical", {"body_length": 300.0}, (39.0, 200.0), 10.0 + (300.0 - 200.0)),
+    ])
+    def test_coplanar_min_separation_reads_b(self, j7, axis, size, camera, want):
+        b = dataclasses.replace(j7, model_id="long-b", camera_center=camera, **size)
+        layout = LayoutConfig(axis=axis, stacking="coplanar", rotation_b=0)
+        assert self._infeasible(j7, b, layout).min_separation == want
+
+    @pytest.mark.parametrize("axis, a_camera, b_size, b_camera, box_b, gap", [
+        # B lands after A, so the gap runs from A's far edge: 125 - 78 and 197 - 152
+        ("horizontal", (70.0, 10.0), {"body_width": 40.0}, (10.0, 10.0),
+         Rect(125.0, 0.0, 40.0, 152.0), 47.0),
+        ("vertical", (39.0, 142.0), {"body_length": 100.0}, (39.0, 10.0),
+         Rect(0.0, 197.0, 78.0, 100.0), 45.0),
+    ])
+    def test_axis_gap_reads_a(self, j7, axis, a_camera, b_size, b_camera, box_b, gap):
+        a = dataclasses.replace(j7, model_id="a", camera_center=a_camera)
+        b = dataclasses.replace(j7, model_id="b", camera_center=b_camera, **b_size)
+        model = compute_base_model(a, b, LayoutConfig(axis=axis, stacking="coplanar"))
+        assert (model.box_b, model.axis_gap) == (box_b, gap)
+        assert validate_placement(model) == []
+
+    def test_equal_areas_prefer_the_smaller_gap(self, j7):
+        # B fits within A's length on either side, so both rigs are 78 x 300: the
+        # gaps, -145 at y = 155 and -125 at y = 25, decide
+        a = dataclasses.replace(j7, model_id="a", body_length=300.0, camera_center=(39.0, 140.0))
+        b = dataclasses.replace(j7, model_id="b", body_length=100.0, camera_center=(39.0, 50.0))
+        model = compute_base_model(a, b, DEPTH)
+        assert (model.box_b, model.axis_gap) == (Rect(0.0, 155.0, 78.0, 100.0), -145.0)
+        assert validate_placement(model) == []
 
 
 def _bbox_area(model: BaseModel) -> float:

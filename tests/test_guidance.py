@@ -142,6 +142,18 @@ class TestGridOverlay:
         with pytest.raises(GuidanceError, match=message):
             grid_overlay(depth_base, j7, pitch_mm=0.001)
 
+    def test_pitch_not_under_the_screen_rejected(self, j7, depth_base):
+        # 72 mm on 10 px/mm spans the 720 px short side: one line on it, and none
+        # at all for a pitch of 1e308 mm, whose step is inf
+        below = math.nextafter(72.0, 0.0)
+        overlay = grid_overlay(depth_base, j7, pitch_mm=below)
+        assert overlay.vertical_lines == (0.0, below * 10.0)
+        for pitch in (72.0, 1e17, 1e308):
+            message = (rf"^grid pitch {re.escape(str(pitch))} mm is not under the shorter "
+                       rf"side of the 720 x 1480 px screen on J7-fixture \(10\.0 px/mm\)$")
+            with pytest.raises(GuidanceError, match=message):
+                grid_overlay(depth_base, j7, pitch_mm=pitch)
+
     def test_box_marker_clamped_to_screen(self, j7, depth_base):
         overlay = grid_overlay(depth_base, j7)
         x, y, w, h = overlay.box_marker

@@ -779,6 +779,18 @@ class TestTransport:
         with pytest.raises(ValueError, match="duration must be finite"):
             run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, value)
 
+    def test_runners_reject_negative_duration(self, j7, a5):
+        message = r"^duration must be finite and non-negative, got -1e\+308$"
+        with pytest.raises(ValueError, match=message):
+            run_session(j7, a5, LOSSLESS, capture_delay=50.0, duration=-1e308)
+        capture = run_session(j7, a5, LOSSLESS, capture_delay=50.0).capture
+        with pytest.raises(ValueError, match=message):
+            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, -1e308)
+        for duration in (0.0, -0.0):
+            run = run_session(j7, a5, LOSSLESS, capture_delay=50.0, duration=duration)
+            assert run.frames is None
+            assert run.final.state_a.phase is Phase.CAPTURING
+
     def test_latency_bound_is_inclusive(self, j7, a5):
         # MAX_TIME_MS keeps every simulated time far inside the finite floats
         SimulatedTransport(base_latency=syncproto.MAX_TIME_MS, jitter=syncproto.MAX_TIME_MS)
