@@ -79,7 +79,7 @@ def _cmd_base_model(args) -> int:
 
 
 def _cmd_gen_template(args) -> int:
-    from . import alignment, svgio, templates
+    from . import alignment, svgio, templates, write_text
 
     (spec,) = _devices(args, args.device)
     # every mode checks every material flag, also one it does not draw
@@ -91,9 +91,7 @@ def _cmd_gen_template(args) -> int:
         layout = templates.three_phone_layout(spec, ipd=args.ipd)
     else:
         layout = templates.mirror_rig_layout(spec, args.ipd, materials)
-    svg = svgio.render_svg(layout)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    write_text(args.output, svgio.render_svg(layout))
     sys.stderr.write(f"wrote {args.output}\n")
     return 0
 
@@ -114,7 +112,7 @@ def _cmd_align_check(args) -> int:
 
 
 def _cmd_grid_overlay(args) -> int:
-    from . import alignment, dump_json, guidance
+    from . import alignment, dump_json, guidance, write_text
 
     (spec,) = _devices(args, args.device)
     base = alignment.compute_base_model(spec, spec, _layout_from_args(args), ipd=args.ipd)
@@ -122,9 +120,7 @@ def _cmd_grid_overlay(args) -> int:
     # both texts first, and the file before stdout, so that a failure prints nothing
     text = dump_json(guidance.overlay_to_dict(overlay))
     if args.svg:
-        svg = guidance.overlay_to_svg(overlay)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        write_text(args.svg, guidance.overlay_to_svg(overlay))
         sys.stderr.write(f"wrote {args.svg}\n")
     sys.stdout.write(text)
     return 0

@@ -11,7 +11,7 @@ import math
 import os
 from typing import TYPE_CHECKING
 
-from . import read_text
+from . import read_text, write_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,9 +200,8 @@ def write_manifest(path: str, entries: list[tuple[float, str]]) -> None:
     as another file (its relative form begins or ends with whitespace, or
     holds a line break or a NUL byte), or that is not UTF-8 text (it holds a
     lone surrogate, as `os.fsdecode` makes of a non-UTF-8 byte), is a
-    `PpmError` naming the path, and nothing is written.  The lines go to
-    `<path>.tmp` in the same directory, which then replaces `path`; on any
-    exception the temporary file is removed.
+    `PpmError` naming the path, and nothing is written.  The lines go
+    through `write_text`.
     """
     base = os.path.dirname(os.path.abspath(path))
     lines = []
@@ -212,18 +211,7 @@ def write_manifest(path: str, entries: list[tuple[float, str]]) -> None:
                 or any("\ud800" <= c <= "\udfff" for c in rel)):
             raise PpmError(f"{path}: ppm path {p!r} would not read back as written")
         lines.append(f"{_format_timestamp(ts)} {rel}\n")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # never made, or not removable: the first error matters
-            pass
-        raise
+    write_text(path, "".join(lines))
 
 
 def _format_timestamp(ts: float) -> str:

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM
-from .alignment import BaseModel, check_length, validate_placement
+from . import (DEFAULT_CARDBOARD_MM, DEFAULT_IPD_MM, DEFAULT_STRAP_WIDTH_MM, DEFAULT_VELCRO_MM,
+               check_range)
+from .alignment import BaseModel, validate_placement
 from .registry import DeviceSpec
 
 PIECE_KINDS = ("cut", "fold", "velcro", "aperture")
@@ -42,10 +43,10 @@ class Materials:
     fillet: float = 0.0
 
     def __post_init__(self):
-        check_length("velcro length", self.velcro, "positive", TemplateError)
-        check_length("cardboard thickness", self.cardboard, "positive", TemplateError)
-        check_length("strap width", self.strap_width, "positive", TemplateError)
-        check_length("fillet radius", self.fillet, "non-negative", TemplateError)
+        check_range("velcro length", self.velcro, "length", TemplateError)
+        check_range("cardboard thickness", self.cardboard, "length", TemplateError)
+        check_range("strap width", self.strap_width, "length", TemplateError)
+        check_range("fillet radius", self.fillet, "non-negative length", TemplateError)
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def three_phone_layout(spec: DeviceSpec, ipd: float = DEFAULT_IPD_MM) -> Templat
     panel width p solves p^2 - 3*p*c + 3*c^2 = ipd^2, i.e.
     p = (3c + ipd * sqrt(4 - 3*(c/ipd)^2)) / 2.
     """
-    check_length("ipd", ipd)
+    check_range("ipd", ipd, "length")
     c = spec.camera_center[0]
     w = spec.body_width
     l = spec.body_length
@@ -324,7 +325,7 @@ def mirror_rig_layout(
     axis; the far slot (red, single-sided) is one ipd away along +x.  Both
     slots are drawn as 45-degree cut segments through the mount plate.
     """
-    check_length("ipd", ipd)
+    check_range("ipd", ipd, "length")
     w, l = spec.body_width, spec.body_length
     cx, cy = spec.camera_center
     near = (_MARGIN_MM + cx, _MARGIN_MM + cy)

@@ -30,10 +30,10 @@ def subprocess_env():
 
 
 class _FullDisk:
-    """A text file whose writes after the first fail with ENOSPC."""
+    """A text file that takes the first half of what it is given, then fails with ENOSPC."""
 
     def __init__(self, fh):
-        self.fh, self.writes = fh, 0
+        self.fh = fh
 
     def __enter__(self):
         return self
@@ -42,32 +42,28 @@ class _FullDisk:
         self.fh.close()
 
     def write(self, text):
-        self.writes += 1
-        if self.writes > 1:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self.fh.write(text)
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.fixture
 def manifest_fault(monkeypatch):
-    """Call with "write" or "replace" to make `ppmio.write_manifest` fail there.
+    """Call with "write" or "replace" to make `stereorig.write_text` fail there.
 
-    "write" fails the second line written to a file that `ppmio` opens for
-    writing; "replace" fails the `os.replace` that puts the finished file in
-    place.
+    "write" fails a write to a file that `write_text` opens for writing,
+    after half its text is written; "replace" fails the `os.replace` that
+    puts the finished file in place.
     """
-    from stereorig import ppmio
-
     def inject(where: str) -> None:
         if where == "write":
             def open_full(file, mode="r", **kwargs):
                 fh = open(file, mode, **kwargs)
                 return _FullDisk(fh) if "w" in mode else fh
-            monkeypatch.setattr(ppmio, "open", open_full, raising=False)
+            monkeypatch.setattr(stereorig, "open", open_full, raising=False)
         else:
             def replace(src, dst):
                 raise OSError(errno.EIO, "Input/output error")
-            monkeypatch.setattr(ppmio.os, "replace", replace)
+            monkeypatch.setattr(stereorig.os, "replace", replace)
 
     return inject
 

@@ -14,11 +14,17 @@ from stereorig.templates import TemplateError
 _TINY = 5e-324  # the smallest positive float
 _HUGE = 1e308
 
-# each range: the words that reject a value, and the table's values it admits
+# each range: the words that refuse a value failing its test, the table's values that pass
+# it, and the bound, with its unit, that refuses a value past it
 _RANGES = {
-    "finite": ("finite", {-1.0, 0.0, _TINY, _HUGE}),
-    "non-negative": ("finite and non-negative", {0.0, _TINY, _HUGE}),
-    "positive": ("positive and finite", {_TINY, _HUGE}),
+    "finite": ("finite", {-1.0, 0.0, _TINY, _HUGE}, None),
+    "non-negative": ("finite and non-negative", {0.0, _TINY, _HUGE}, None),
+    "positive": ("positive and finite", {_TINY, _HUGE}, None),
+    "length": ("positive and finite", {_TINY, _HUGE}, "1e+09 mm"),
+    "non-negative length": ("finite and non-negative", {0.0, _TINY, _HUGE}, "1e+09 mm"),
+    "time": ("finite", {-1.0, 0.0, _TINY, _HUGE}, "1e+10 ms"),
+    "non-negative time": ("finite and non-negative", {0.0, _TINY, _HUGE}, "1e+10 ms"),
+    "probability": ("in [0, 1]", {0.0, _TINY}, None),
 }
 
 
@@ -27,22 +33,40 @@ _RANGES = {
 @pytest.mark.parametrize("kind", list(_RANGES))
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0, _TINY, _HUGE])
 def test_check_range_admits_its_range_and_names_the_rest(kind, value, error):
-    words, admitted = _RANGES[kind]
-    if value in admitted:
+    words, passing, bound = _RANGES[kind]
+    if value not in passing:
+        message = f"width must be {words}, got {value}"
+    elif bound and value == _HUGE:
+        message = f"width must be at most {bound}, got {value}"
+    else:
         assert check_range("width", value, kind, error) is None
         return
     with pytest.raises(error) as err:
         check_range("width", value, kind, error)
     assert type(err.value) is error
-    assert str(err.value) == f"width must be {words}, got {value}"
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, bound", [
+    ("length", 1e9), ("non-negative length", 1e9), ("time", 1e10), ("non-negative time", 1e10),
+])
+def test_check_range_admits_its_bound_and_refuses_the_next_float(kind, bound):
+    words, _, text = _RANGES[kind]
+    sides = [(bound, "at most")] + ([(-bound, "at least")] if words == "finite" else [])
+    for edge, limit in sides:
+        assert check_range("width", edge, kind) is None
+        past = math.nextafter(edge, math.copysign(math.inf, edge))
+        message = f"width must be {limit} {'-' if edge < 0 else ''}{text}, got {past}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_range("width", past, kind)
 
 
 @pytest.mark.parametrize("kind", list(_RANGES))
 @pytest.mark.parametrize("value", [10**400, -10**400])
 def test_check_range_refuses_an_integer_too_big_for_a_float(kind, value):
     # `0 < 10**400 < inf` holds, but float(10**400) raises OverflowError
-    words, _ = _RANGES[kind]
-    with pytest.raises(ValueError, match=f"^width must be {words}, got {value}$"):
+    words, _, _ = _RANGES[kind]
+    with pytest.raises(ValueError, match=f"^width must be {re.escape(words)}, got {value}$"):
         check_range("width", value, kind)
 
 

@@ -9,9 +9,11 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -515,6 +517,75 @@ class TestGridOverlay:
         assert "depth-stacked" in capsys.readouterr().err
 
 
+# a child that runs the CLI with files limited to argv[1] bytes, where a longer write
+# fails with EFBIG rather than killing the process
+_LIMITED_FILES = """\
+import resource, signal, sys
+from stereorig.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestSvgFile:
+    """`gen-template -o` and `grid-overlay --svg` write a whole SVG or none."""
+
+    @staticmethod
+    def _argv(command: str, svg: Path) -> list[str]:
+        if command == "gen-template":
+            return [command, "--mode", "two", "--device", "J7-fixture", "-o", str(svg)]
+        return [command, "--device", "J7-fixture", "--svg", str(svg)]
+
+    @pytest.mark.parametrize("command, limit", [("gen-template", 2000), ("grid-overlay", 100)])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, subprocess_env, command, limit):
+        # each left a file of exactly `limit` bytes before
+        res = subprocess.run(
+            [sys.executable, "-c", _LIMITED_FILES, str(limit),
+             *self._argv(command, tmp_path / "out.svg")],
+            env=subprocess_env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: [Errno 27] File too large\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["gen-template", "grid-overlay"])
+    def test_a_missing_directory_is_refused_naming_the_file_asked_for(
+            self, capsys, tmp_path, command):
+        svg = tmp_path / "missing" / "out.svg"
+        assert main(self._argv(command, svg)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{svg}'\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["gen-template", "grid-overlay"])
+    def test_a_fifo_is_written_in_place(self, capsys, tmp_path, command):
+        assert main(self._argv(command, tmp_path / "file.svg")) == 0
+        fifo = tmp_path / "fifo.svg"
+        os.mkfifo(fifo)
+        got = []
+        # opening a FIFO blocks until both ends are open, so the reader opens it apart
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(self._argv(command, fifo)) == 0
+        reader.join(timeout=30)
+        assert got == [(tmp_path / "file.svg").read_text()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["fifo.svg", "file.svg"]
+
+    @pytest.mark.parametrize("command", ["gen-template", "grid-overlay"])
+    def test_a_symlink_is_written_through(self, capsys, tmp_path, command):
+        assert main(self._argv(command, tmp_path / "file.svg")) == 0
+        target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert main(self._argv(command, link)) == 0
+        assert link.is_symlink()
+        assert target.read_text() == (tmp_path / "file.svg").read_text()
+
+
 class TestSimulateSync:
     def test_full_chain_lossless(self, capsys):
         rc = main(["simulate-sync", "--capture", "50", "--duration", "1000"])
@@ -609,15 +680,32 @@ class TestSimulateSync:
         assert rc == 0
         assert out.endswith("final: A=done B=done\ncapture start skew: 20000000000.000 ms\n")
 
-    def test_duration_too_long_to_count_its_ticks_exits_1(self, capsys):
-        # finite, but duration * fps overflows: an OverflowError traceback before.  Only
-        # 1e308: a large finite duration would schedule that many tick events
-        rc = main(["simulate-sync", "--capture", "50", "--duration", "1e308"])
+    @pytest.mark.parametrize("duration", ["1e17", "1e154", "1e308"])
+    def test_duration_beyond_the_bound_exits_1_at_once(self, capsys, duration):
+        # 1e17 scheduled 3e15 tick events, and 1e308 held too many ticks to count
+        rc = main(["simulate-sync", "--capture", "50", "--duration", duration])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: duration 1e+308 ms holds too many frame ticks to count\n")
+            f"error: duration must be at most 1e+10 ms, got {float(duration)}\n")
+
+    def test_duration_too_long_to_count_its_ticks_exits_1(self, capsys, tmp_path, j7, a5):
+        # a duration within the bound, but duration * fps overflows: an OverflowError
+        # traceback before
+        from stereorig.registry import serialize_device_specs
+        doc = json.loads(serialize_device_specs([j7, a5]))
+        for spec in doc:
+            spec["frame_rates"] = [1e305]
+        specs = tmp_path / "devices.json"
+        specs.write_text(json.dumps(doc))
+        rc = main(["simulate-sync", "--specs", str(specs), "--capture", "50",
+                   "--duration", "1e10"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: duration 10000000000.0 ms holds too many frame ticks to count\n")
 
     def test_ipd_is_a_usage_error(self, capsys):
         assert main(["simulate-sync", "--ipd", "60"]) == 2
@@ -1596,10 +1684,6 @@ class TestNonFiniteFlags:
     def test_every_extreme_value_ends_in_a_stated_way(self, work, tmp_path, command, option):
         out = tmp_path / "out"
         for value in _EXTREMES:
-            # simulate-sync's memory grows with --duration (1e6 ms peaks at about 100 MB)
-            # until its ticks are scheduled as they fall due, so longer runs are left out
-            if option == "--duration" and float(value) > 1e5:
-                continue
             for argv in self._runs(work, out, command):
                 shutil.rmtree(out, ignore_errors=True)
                 out.mkdir()

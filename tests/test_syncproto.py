@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereorig import syncproto
+from stereorig import MAX_TIME_MS, syncproto
 from stereorig.registry import CapabilityProfile, negotiate
 from stereorig.syncproto import (
     TRANSITIONS,
@@ -23,6 +24,7 @@ from stereorig.syncproto import (
     Simulator,
     TickStamp,
     Timer,
+    TranscriptEntry,
     new_session,
     run_capture_sync,
     run_frame_sync,
@@ -190,6 +192,18 @@ class TestStepTransitions:
         s, out = step(s, Timer("tick_due"), 50.0)
         assert out == []
         assert s.phase is Phase.CONFIGURED
+
+    @pytest.mark.parametrize("off", [0.5e-6, -0.5e-6, 2e-6, -2e-6])
+    def test_frame_tick_cadence_holds_to_a_microsecond(self, j7, a5, off):
+        s = _capturing("B", "responder", a5, negotiate(j7, a5), start=50.0)
+        tick = Message(MsgKind.FRAME_TICK, "A", TickStamp(1, 50.0 + 1000.0 / 30.0 + off))
+        after, out = step(s, tick, 90.0)
+        if abs(off) < 1e-6:
+            assert (after, out) == (s, [])
+        else:
+            assert after.phase is Phase.FAILED
+            assert after.fail_reason.startswith("frame cadence mismatch at seq 1: got ")
+            assert [m.kind for m in out] == [MsgKind.ERROR]
 
     def test_frame_tick_cadence_checked(self, j7, a5):
         profile = negotiate(j7, a5)
@@ -735,6 +749,30 @@ class TestRunSession:
         assert (frames.start_a, frames.start_b, frames.skew) == (None, None, None)
         assert len(frames.ticks_a) == len(frames.ticks_b) == 30
 
+    def test_each_runners_defaults_are_the_values_they_state(self, j7, a5):
+        # under loss and jitter, a seed other than the stated one shows, and so does a
+        # clock offset in every stage that reads a local time: pairing reads none
+        lossy = SimulatedTransport(10.0, 5.0, 0.1)
+        pairing = run_pairing(j7, a5, LOSSLESS)
+        configured = (pairing.state_a, pairing.state_b)
+        capture = run_capture_sync(configured, LOSSLESS, 50.0)
+        capturing = (capture.state_a, capture.state_b)
+        for run, reads_local_time in [
+            (functools.partial(run_pairing, j7, a5, lossy), False),
+            (functools.partial(run_capture_sync, configured, lossy, 50.0), True),
+            (functools.partial(run_frame_sync, capturing, lossy, 300.0), True),
+            (functools.partial(run_session, j7, a5, lossy, capture_delay=50.0, duration=300.0),
+             True),
+        ]:
+            stated = run(seed=0, clock_offsets=(0.0, 0.0))
+            assert run() == stated
+            assert run(seed=1) != stated
+            for offsets in [(1.0, 0.0), (0.0, 1.0)]:
+                assert (run(clock_offsets=offsets) != stated) is reads_local_time
+
+    def test_transport_defaults_are_the_values_they_state(self):
+        assert SimulatedTransport() == SimulatedTransport(10.0, 0.0, 0.0)
+
 
 class TestTransport:
     @pytest.mark.parametrize(
@@ -749,6 +787,14 @@ class TestTransport:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimulatedTransport(**kwargs)
+
+    @pytest.mark.parametrize("rate", [-0.0, 1, math.nextafter(1, 2), math.nan])
+    def test_loss_rate_is_a_probability(self, rate):
+        if 0 <= rate <= 1:
+            assert SimulatedTransport(loss_rate=rate).loss_rate == rate
+            return
+        with pytest.raises(ValueError, match=rf"^loss_rate must be in \[0, 1\], got {rate}$"):
+            SimulatedTransport(loss_rate=rate)
 
     @pytest.mark.parametrize("field", ["base_latency", "jitter"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -793,8 +839,8 @@ class TestTransport:
 
     def test_latency_bound_is_inclusive(self, j7, a5):
         # MAX_TIME_MS keeps every simulated time far inside the finite floats
-        SimulatedTransport(base_latency=syncproto.MAX_TIME_MS, jitter=syncproto.MAX_TIME_MS)
-        above = math.nextafter(syncproto.MAX_TIME_MS, math.inf)
+        SimulatedTransport(base_latency=MAX_TIME_MS, jitter=MAX_TIME_MS)
+        above = math.nextafter(MAX_TIME_MS, math.inf)
         for field in ("base_latency", "jitter"):
             with pytest.raises(ValueError, match=r"must be at most 1e\+10 ms, got 1000000000\d\.\d+$"):
                 SimulatedTransport(**{field: above})
@@ -808,13 +854,24 @@ class TestTransport:
         with pytest.raises(ValueError, match=rf"^capture delay must be {limit} ms, got"):
             run_capture_sync((pairing.state_a, pairing.state_b), LOSSLESS, value)
 
+    @pytest.mark.parametrize("duration", [math.nextafter(MAX_TIME_MS, math.inf), 1e17, 1e308])
+    def test_runners_reject_a_duration_beyond_the_bound(self, j7, a5, duration):
+        # 1e17 scheduled 3e15 tick events before, and 1e308 held too many ticks to count
+        message = rf"^duration must be at most 1e\+10 ms, got {re.escape(str(duration))}$"
+        with pytest.raises(ValueError, match=message):
+            run_session(j7, a5, LOSSLESS, capture_delay=50.0, duration=duration)
+        capture = run_session(j7, a5, LOSSLESS, capture_delay=50.0).capture
+        with pytest.raises(ValueError, match=message):
+            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, duration)
+
     def test_frame_sync_rejects_a_duration_too_long_to_count(self, j7, a5):
-        # only 1e308, whose tick count overflows: a large finite duration would
-        # schedule that many tick events
-        pairing = run_pairing(j7, a5, LOSSLESS)
+        # a duration within the bound whose tick count overflows, at a frame rate of 1e305
+        fast = [dataclasses.replace(s, frame_rates=frozenset({1e305})) for s in (j7, a5)]
+        pairing = run_pairing(*fast, LOSSLESS)
         capture = run_capture_sync((pairing.state_a, pairing.state_b), LOSSLESS, 50.0)
-        with pytest.raises(ValueError, match=r"^duration 1e\+308 ms holds too many frame ticks"):
-            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, 1e308)
+        message = r"^duration 10000000000\.0 ms holds too many frame ticks to count$"
+        with pytest.raises(ValueError, match=message):
+            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, MAX_TIME_MS)
 
     def test_simulator_needs_two_sessions(self, j7):
         with pytest.raises(ValueError, match="two sessions"):
@@ -850,6 +907,11 @@ class TestTranscriptEntries:
                      and e.what.kind is MsgKind.CAPABILITY_OFFER)
         assert offer.what.payload == a5
         assert offer.detail == 'capability_offer {"model":"A5-fixture"}'
+
+    def test_focus_set_shows_its_depth_to_a_micrometre(self):
+        directive = FocusDirective(mode="manual", depth=1.23456, effective_seq=10)
+        entry = TranscriptEntry(0.0, "A->B", "send", Message(MsgKind.FOCUS_SET, "A", directive))
+        assert entry.detail == 'focus_set {"depth":1.235,"mode":"manual","seq":10}'
 
     def test_retransmit_entry_holds_its_attempt(self, j7, a5):
         run = run_pairing(j7, a5, SimulatedTransport(10.0, 0.0, 1.0), seed=0)

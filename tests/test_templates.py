@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stereorig import MAX_LENGTH_MM
 from stereorig.alignment import (
     AXES,
-    MAX_LENGTH_MM,
     ORIENTATIONS,
     ROTATIONS,
     InfeasibleLayoutError,
