@@ -30,7 +30,9 @@ MAX_LENGTH_MM = 1e9
 MAX_TIME_MS = 1e10
 
 # each range a finite number may be held to: its test, the words that refuse a value failing
-# it, and the largest magnitude it admits, with its unit
+# it, and the largest magnitude it admits, with its unit.  A screen or frame side is at most
+# 1e5 px, 13 times an 8K frame's, so a 1 px grid stays 1e5 lines a side; a frame rate is at
+# most 1,000 fps, past the fastest phone's 960, so a run at MAX_TIME_MS counts its 1e10 ticks
 _FINITE = (math.isfinite, "finite")
 _NON_NEGATIVE = (lambda v: v >= 0, "finite and non-negative")
 _POSITIVE = (lambda v: v > 0, "positive and finite")
@@ -42,6 +44,8 @@ _RANGES = {
     "non-negative length": (*_NON_NEGATIVE, MAX_LENGTH_MM, "mm"),
     "time": (*_FINITE, MAX_TIME_MS, "ms"),
     "non-negative time": (*_NON_NEGATIVE, MAX_TIME_MS, "ms"),
+    "pixels": (*_POSITIVE, 1e5, "px"),
+    "rate": (*_POSITIVE, 1e3, "fps"),
     "probability": (lambda v: 0 <= v <= 1, "in [0, 1]", math.inf, ""),
 }
 

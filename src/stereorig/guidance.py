@@ -42,9 +42,10 @@ class SensorReading:
     timestamp_ms: float = 0.0
 
     def __post_init__(self):
-        for v in (*self.magnetometer, *self.gyroscope, self.timestamp_ms):
-            if not math.isfinite(v):
-                raise GuidanceError(f"non-finite sensor value {v!r}")
+        for name, values in (("magnetometer", self.magnetometer), ("gyroscope", self.gyroscope),
+                             ("timestamp_ms", (self.timestamp_ms,))):
+            for v in values:
+                check_range(name, v, "finite", GuidanceError)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ class DeviceSpec:
             raise RegistryError("model_id must be a non-empty string")
         for name in ("body_width", "body_length", "body_thickness", "screen_width_px",
                      "screen_height_px", "pixel_density"):
-            check_range(f"{self.model_id}: {name}", getattr(self, name), "positive", RegistryError)
+            kind = "pixels" if name.endswith("_px") else "positive"
+            check_range(f"{self.model_id}: {name}", getattr(self, name), kind, RegistryError)
         cx, cy = self.camera_center
         if not (0 <= cx <= self.body_width and 0 <= cy <= self.body_length):
             raise RegistryError(
@@ -49,11 +50,12 @@ class DeviceSpec:
                 f"{self.body_width} x {self.body_length} body"
             )
         sizes = [n for size in self.resolutions for n in size]
-        for name, values in (("resolutions", sizes), ("frame_rates", self.frame_rates)):
+        for name, kind, values in (("resolutions", "pixels", sizes),
+                                   ("frame_rates", "rate", self.frame_rates)):
             if not values:
                 raise RegistryError(f"{self.model_id}: {name} must be non-empty")
             for value in values:
-                check_range(f"{self.model_id}: {name}", value, "positive", RegistryError)
+                check_range(f"{self.model_id}: {name}", value, kind, RegistryError)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ a row that takes the answer, or fails, empties it.  The Simulator resends
 exactly those messages up to RETRY_BUDGET times, with doubling timeouts
 starting at RETRY_FACTOR x base_latency (x 1 ms at zero latency);
 exhausting the budget fails the session and the simulator then forces the
-peer to Failed as well.  CaptureStart, FocusSet and ModeSet are sent once,
-so a lost CaptureStart leaves one end Configured while the other captures.
+peer to Failed as well.  CaptureStart is sent once, so a lost CaptureStart
+leaves one end Configured while the other captures.
 
 Clock model: one global simulation clock plus a constant per-endpoint
 offset (no drift).  CaptureStart carries a local timestamp; both devices
@@ -66,23 +66,8 @@ class MsgKind(Enum):
     CAPABILITY_OFFER = "capability_offer"
     CAPABILITY_ACK = "capability_ack"
     CAPTURE_START = "capture_start"
-    FOCUS_SET = "focus_set"
     FRAME_TICK = "frame_tick"
-    MODE_SET = "mode_set"
     ERROR = "error"
-
-
-@dataclass(frozen=True)
-class FocusDirective:
-    mode: str
-    depth: float
-    effective_seq: int
-
-
-@dataclass(frozen=True)
-class ModeDirective:
-    mode: str
-    effective_seq: int
 
 
 @dataclass(frozen=True)
@@ -113,11 +98,6 @@ class SessionState:
     negotiated: CapabilityProfile | None = None
     capture_start: float | None = None  # local clock ms
     next_tick_seq: int = 0
-    focus_mode: str | None = None
-    focus_depth: float | None = None
-    capture_mode: str | None = None
-    pending_focus: FocusDirective | None = None
-    pending_mode: ModeDirective | None = None
     fail_reason: str | None = None
     unacked: tuple[Message, ...] = ()  # sent, resent until the peer answers
 
@@ -142,15 +122,6 @@ def _profile_within(profile: CapabilityProfile, spec: DeviceSpec) -> bool:
     own_fps = max(spec.frame_rates)
     own_px = max(w * h for w, h in spec.resolutions)
     return profile.frame_rate <= own_fps and profile.resolution[0] * profile.resolution[1] <= own_px
-
-
-def _apply_due_directives(state: SessionState) -> SessionState:
-    focus, mode, seq = state.pending_focus, state.pending_mode, state.next_tick_seq
-    if focus and focus.effective_seq <= seq:
-        state = replace(state, focus_mode=focus.mode, focus_depth=focus.depth, pending_focus=None)
-    if mode and mode.effective_seq <= seq:
-        state = replace(state, capture_mode=mode.mode, pending_mode=None)
-    return state
 
 
 # --------------------------------------------------------------------------
@@ -227,8 +198,7 @@ def _tick_due(s: SessionState, seq: int) -> float:
 
 
 def _tick(s: SessionState, timer: Timer, now: float) -> Step:
-    """apply due directives, send FrameTick(seq, ts)"""
-    s = _apply_due_directives(s)
+    """send FrameTick(seq, ts)"""
     seq = s.next_tick_seq
     ts = _tick_due(s, seq)
     tick = Message(MsgKind.FRAME_TICK, s.endpoint_id, TickStamp(seq, ts))
@@ -243,18 +213,6 @@ def _check_cadence(s: SessionState, msg: Message, now: float) -> Step:
         return s, []
     got = f"got {tick.timestamp:.6f}, expected {expected:.6f}"
     return _fail(s, f"frame cadence mismatch at seq {tick.seq}: {got}", emit=True)
-
-
-def _stage(s: SessionState, event: Message | Timer, now: float) -> Step:
-    """stage directive until its effective seq"""
-    field = "pending_focus" if isinstance(event.payload, FocusDirective) else "pending_mode"
-    return _apply_due_directives(replace(s, **{field: event.payload})), []
-
-
-def _send_directive(s: SessionState, timer: Timer, now: float) -> Step:
-    """stage directive, send it as FocusSet or ModeSet"""
-    kind = MsgKind.FOCUS_SET if isinstance(timer.payload, FocusDirective) else MsgKind.MODE_SET
-    return _stage(s, timer, now)[0], [Message(kind, s.endpoint_id, timer.payload)]
 
 
 def _failing(reason: str) -> Callable[..., Step]:
@@ -285,8 +243,6 @@ _ROWS = (
     (ROLES, Phase.CAPTURING, "tick_due", _tick),
     (ROLES, Phase.CAPTURING, MsgKind.FRAME_TICK, _check_cadence),
     (ROLES, Phase.CAPTURING, "capture_end", _goto(Phase.DONE)),
-    (ROLES, (Phase.CONFIGURED, Phase.CAPTURING), "send_directive", _send_directive),
-    (ROLES, (Phase.CONFIGURED, Phase.CAPTURING), (MsgKind.FOCUS_SET, MsgKind.MODE_SET), _stage),
     (ROLES, _LIVE[:3] + _LIVE[4:], "capture_begin", _unchanged),  # stale: not configured
     (ROLES, _LIVE[:4], ("tick_due", "capture_end"), _unchanged),  # stale: not capturing
     (ROLES, _LIVE, MsgKind.ERROR, _failing("peer error: {}")),
@@ -310,9 +266,8 @@ _TIMER_KINDS = {kind for _, _, kind in TRANSITIONS if isinstance(kind, str)}
 
 
 def _name(kind: MsgKind | str) -> str:
-    if isinstance(kind, str) or kind in (MsgKind.FOCUS_SET, MsgKind.MODE_SET):
-        return getattr(kind, "value", kind)
-    return kind.value.title().replace("_", "")  # pair_request -> PairRequest
+    # a timer keeps its name; pair_request -> PairRequest
+    return kind if isinstance(kind, str) else kind.value.title().replace("_", "")
 
 
 if __doc__:  # None under python -OO
@@ -325,7 +280,7 @@ if __doc__:  # None under python -OO
 
 
 def step(state: SessionState, event: Message | Timer, local_now: float = 0.0) -> Step:
-    """Pure protocol transition: apply the TRANSITIONS row for the event."""
+    """Pure protocol transition: run the TRANSITIONS row for the event."""
     aborted = isinstance(event, Timer) and event.kind == "abort"
     if state.phase is Phase.FAILED or state.phase is Phase.DONE and not aborted:
         return state, []  # terminal
@@ -368,10 +323,6 @@ _PAYLOAD_FIELDS: dict[MsgKind, Callable[[Any], dict]] = {
     },
     MsgKind.CAPTURE_START: lambda start: {"start_ms": round(start, 3)},
     MsgKind.FRAME_TICK: lambda t: {"seq": t.seq, "ts_ms": round(t.timestamp, 3)},
-    MsgKind.FOCUS_SET: lambda d: {
-        "mode": d.mode, "depth": round(d.depth, 3), "seq": d.effective_seq
-    },
-    MsgKind.MODE_SET: lambda d: {"mode": d.mode, "seq": d.effective_seq},
     MsgKind.ERROR: lambda reason: {"reason": reason},
 }
 
@@ -384,15 +335,14 @@ def _payload_json(msg: Message) -> str:
 class TranscriptEntry(NamedTuple):
     """What happened, as data; `detail` renders its transcript text only when asked.
 
-    `what` is the Message sent, dropped or delivered, the Timer that fired, the
-    (old, new) Phase pair, or the focus or capture setting applied, whose
-    `effective_seq` holds the end's next tick seq.
+    `what` is the Message sent, dropped or delivered, the Timer that fired, or
+    the (old, new) Phase pair.
     """
 
     time: float
     who: str  # endpoint id, or "A->B" for wire events
-    kind: str  # send | drop | deliver | timer | phase | apply
-    what: Message | Timer | tuple[Phase, Phase] | FocusDirective | ModeDirective
+    kind: str  # send | drop | deliver | timer | phase
+    what: Message | Timer | tuple[Phase, Phase]
 
     @property
     def detail(self) -> str:
@@ -401,10 +351,6 @@ class TranscriptEntry(NamedTuple):
             return f"{what.kind.value} {_payload_json(what)}"
         if isinstance(what, Timer):  # a retransmit timer's payload counts its attempts
             return f"retransmit attempt {what.payload}" if what.kind == "retransmit" else what.kind
-        if isinstance(what, FocusDirective):
-            return f"focus mode={what.mode} depth={what.depth} next_seq={what.effective_seq}"
-        if isinstance(what, ModeDirective):
-            return f"capture mode={what.mode} next_seq={what.effective_seq}"
         return f"{what[0].value}->{what[1].value}"
 
 
@@ -499,12 +445,6 @@ class Simulator:
             self._log(t_global, endpoint, "phase", (old.phase, new.phase))
             if new.phase is Phase.CAPTURING:
                 self.capture_begin_global[endpoint] = t_global
-        seq = new.next_tick_seq
-        if (new.focus_mode, new.focus_depth) != (old.focus_mode, old.focus_depth):
-            focus = FocusDirective(new.focus_mode, new.focus_depth, seq)
-            self._log(t_global, endpoint, "apply", focus)
-        if new.capture_mode != old.capture_mode:
-            self._log(t_global, endpoint, "apply", ModeDirective(new.capture_mode, seq))
         if new.capture_start is not None and old.capture_start is None:
             begin_global = new.capture_start - self.offsets[endpoint]
             self.schedule(begin_global, endpoint, Timer("capture_begin"))
@@ -604,19 +544,16 @@ def run_frame_sync(
     duration: float,
     seed: int = 0,
     clock_offsets: tuple[float, float] = (0.0, 0.0),
-    directives: tuple[tuple[float, FocusDirective | ModeDirective], ...] = (),
 ) -> StageRun:
     """Emit FrameTicks at the negotiated fps for `duration` ms on both ends.
 
     Sessions must already be Capturing with a capture start recorded (the
-    normal path is run_capture_sync first).  `directives` are
-    (global_send_time, directive) pairs sent by the initiator mid-capture.
-    A negative duration, one above MAX_TIME_MS, or one whose count of ticks is
-    no finite float, is a `ValueError`.
+    normal path is run_capture_sync first).  A negative duration, one above
+    MAX_TIME_MS, or one whose count of ticks is no finite float, is a
+    `ValueError`.
     """
     check_range("duration", duration, "non-negative time")
-    sa, sb = sessions
-    for s in (sa, sb):
+    for s in sessions:
         if s.phase is not Phase.CAPTURING or s.capture_start is None or s.negotiated is None:
             raise ValueError(f"session {s.endpoint_id} is not mid-capture")
     events = []
@@ -627,8 +564,6 @@ def run_frame_sync(
         for k in range(s.next_tick_seq, math.floor(ticks)):
             events.append((_tick_due(s, k) - offset, s.endpoint_id, Timer("tick_due")))
         events.append((s.capture_start + duration - offset, s.endpoint_id, Timer("capture_end")))
-    initiator = sa if sa.role == "initiator" else sb
-    events += [(when, initiator.endpoint_id, Timer("send_directive", d)) for when, d in directives]
     return _simulate(sessions, transport, seed, clock_offsets, events)
 
 
@@ -655,7 +590,6 @@ def run_session(
     clock_offsets: tuple[float, float] = (0.0, 0.0),
     capture_delay: float | None = None,
     duration: float = 0.0,
-    directives: tuple[tuple[float, FocusDirective | ModeDirective], ...] = (),
 ) -> SessionRun:
     """Pair; given a capture delay, start capture; then emit ticks for `duration` ms.
 
@@ -672,5 +606,5 @@ def run_session(
         capture = run_capture_sync(ends, transport, capture_delay, seed + 1, clock_offsets)
         if capture.skew is not None and duration > 0:
             ends = (capture.state_a, capture.state_b)
-            frames = run_frame_sync(ends, transport, duration, seed + 2, clock_offsets, directives)
+            frames = run_frame_sync(ends, transport, duration, seed + 2, clock_offsets)
     return SessionRun(pairing, capture, frames)

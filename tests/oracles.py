@@ -20,9 +20,7 @@ import numpy as np
 from stereorig.registry import negotiate
 from stereorig.syncproto import (
     _CADENCE_TOL_MS,
-    FocusDirective,
     Message,
-    ModeDirective,
     MsgKind,
     Phase,
     SessionState,
@@ -218,8 +216,12 @@ def validate_spec_dict(entry: dict) -> list[str]:
         problems.append("no resolutions")
     if not entry["frame_rates"]:
         problems.append("no frame rates")
-    if entry["screen_width_px"] <= 0 or entry["screen_height_px"] <= 0:
+    if not (0 < entry["screen_width_px"] <= 1e5 and 0 < entry["screen_height_px"] <= 1e5):
         problems.append("bad screen")
+    if not all(0 < side <= 1e5 for size in entry["resolutions"] for side in size):
+        problems.append("bad resolution")
+    if not all(0 < fps <= 1e3 for fps in entry["frame_rates"]):
+        problems.append("bad frame rate")
     return problems
 
 
@@ -554,29 +556,6 @@ def _profile_within(profile: CapabilityProfile, spec: DeviceSpec) -> bool:
     return profile.frame_rate <= own_fps and profile.resolution[0] * profile.resolution[1] <= own_px
 
 
-def _apply_due_directives(state: SessionState) -> SessionState:
-    if state.pending_focus and state.pending_focus.effective_seq <= state.next_tick_seq:
-        state = replace(
-            state,
-            focus_mode=state.pending_focus.mode,
-            focus_depth=state.pending_focus.depth,
-            pending_focus=None,
-        )
-    if state.pending_mode and state.pending_mode.effective_seq <= state.next_tick_seq:
-        state = replace(state, capture_mode=state.pending_mode.mode, pending_mode=None)
-    return state
-
-
-def _stage_directive(
-    state: SessionState, directive: FocusDirective | ModeDirective
-) -> SessionState:
-    if isinstance(directive, FocusDirective):
-        state = replace(state, pending_focus=directive)
-    else:
-        state = replace(state, pending_mode=directive)
-    return _apply_due_directives(state)
-
-
 def _on_timer(
     state: SessionState, timer: Timer, now: float
 ) -> tuple[SessionState, list[Message]]:
@@ -609,7 +588,6 @@ def _on_timer(
     if kind == "tick_due":
         if state.phase is not Phase.CAPTURING:
             return state, []
-        state = _apply_due_directives(state)
         period = 1000.0 / state.negotiated.frame_rate
         seq = state.next_tick_seq
         ts = state.capture_start + seq * period
@@ -620,13 +598,6 @@ def _on_timer(
         if state.phase is not Phase.CAPTURING:
             return state, []
         return replace(state, phase=Phase.DONE), []
-
-    if kind == "send_directive":
-        if state.phase not in (Phase.CONFIGURED, Phase.CAPTURING):
-            return _fail(state, f"unexpected send_directive in {state.phase.value}")
-        directive = timer.payload
-        mk = MsgKind.FOCUS_SET if isinstance(directive, FocusDirective) else MsgKind.MODE_SET
-        return _stage_directive(state, directive), [Message(mk, me, directive)]
 
     return _fail(state, f"unknown timer {kind!r}")
 
@@ -691,11 +662,6 @@ def _on_message(
                 return _fail(state, "start time in past", emit=True)
             return replace(state, capture_start=start), []
         return _fail(state, f"unexpected CaptureStart in {phase.value}", emit=True)
-
-    if kind in (MsgKind.FOCUS_SET, MsgKind.MODE_SET):
-        if phase in (Phase.CONFIGURED, Phase.CAPTURING):
-            return _stage_directive(state, msg.payload), []
-        return _fail(state, f"unexpected {kind.value} in {phase.value}", emit=True)
 
     if kind is MsgKind.FRAME_TICK:
         if phase is Phase.CAPTURING:

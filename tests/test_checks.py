@@ -24,6 +24,8 @@ _RANGES = {
     "non-negative length": ("finite and non-negative", {0.0, _TINY, _HUGE}, "1e+09 mm"),
     "time": ("finite", {-1.0, 0.0, _TINY, _HUGE}, "1e+10 ms"),
     "non-negative time": ("finite and non-negative", {0.0, _TINY, _HUGE}, "1e+10 ms"),
+    "pixels": ("positive and finite", {_TINY, _HUGE}, "100000 px"),
+    "rate": ("positive and finite", {_TINY, _HUGE}, "1000 fps"),
     "probability": ("in [0, 1]", {0.0, _TINY}, None),
 }
 
@@ -49,6 +51,7 @@ def test_check_range_admits_its_range_and_names_the_rest(kind, value, error):
 
 @pytest.mark.parametrize("kind, bound", [
     ("length", 1e9), ("non-negative length", 1e9), ("time", 1e10), ("non-negative time", 1e10),
+    ("pixels", 1e5), ("rate", 1e3),
 ])
 def test_check_range_admits_its_bound_and_refuses_the_next_float(kind, bound):
     words, _, text = _RANGES[kind]

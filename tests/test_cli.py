@@ -397,6 +397,16 @@ class TestAlignCheck:
         assert captured.out == ""
         assert "error: mag_tolerance must be finite and non-negative, got nan" in captured.err
 
+    def test_non_finite_reading_names_its_field_and_exits_1(self, capsys, tmp_path):
+        # json.dumps writes Infinity, which the readings reader reads back as inf
+        zero = [0.0, 0.0, 0.0]
+        path = self._fixture(tmp_path, [self._entry(zero, zero, float("inf"))])
+        rc = main(["align-check", "--readings", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: timestamp_ms must be finite, got inf\n"
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         assert main(["align-check", "--readings", str(tmp_path / "nope.json")]) == 1
 
@@ -691,8 +701,8 @@ class TestSimulateSync:
             f"error: duration must be at most 1e+10 ms, got {float(duration)}\n")
 
     def test_duration_too_long_to_count_its_ticks_exits_1(self, capsys, tmp_path, j7, a5):
-        # a duration within the bound, but duration * fps overflows: an OverflowError
-        # traceback before
+        # at 1e305 fps, duration * fps overflows even within the duration bound; such a
+        # catalog is refused as it loads, before any frame sync
         from stereorig.registry import serialize_device_specs
         doc = json.loads(serialize_device_specs([j7, a5]))
         for spec in doc:
@@ -705,7 +715,7 @@ class TestSimulateSync:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: duration 10000000000.0 ms holds too many frame ticks to count\n")
+            "error: J7-fixture: frame_rates must be at most 1000 fps, got 1e+305\n")
 
     def test_ipd_is_a_usage_error(self, capsys):
         assert main(["simulate-sync", "--ipd", "60"]) == 2

@@ -256,6 +256,15 @@ class TestCheckAlignment:
         with pytest.raises(GuidanceError, match="finite"):
             check_alignment(_reading(mag=(float("nan"), 0.0, 0.0)), _reading())
 
+    @pytest.mark.parametrize("field", ["magnetometer", "gyroscope", "timestamp_ms"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reading_is_refused_by_field(self, field, value):
+        fields = {"magnetometer": (0.0, 0.0, 0.0), "gyroscope": (0.0, 0.0, 0.0),
+                  "timestamp_ms": 0.0}
+        fields[field] = value if field == "timestamp_ms" else (0.0, value, 0.0)
+        with pytest.raises(GuidanceError, match=rf"^{field} must be finite, got {value}$"):
+            SensorReading(**fields)
+
     @pytest.mark.parametrize("name", ["mag_tolerance", "gyro_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
     def test_non_finite_or_negative_tolerance_rejected(self, name, value):

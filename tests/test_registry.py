@@ -98,6 +98,23 @@ class TestParse:
         assert str(err.value).startswith("unit-fixture: ")
         assert field in str(err.value)
 
+    @pytest.mark.parametrize("field, bound, unit", [
+        ("screen_width_px", 100000, "px"), ("screen_height_px", 100000, "px"),
+        ("resolutions", 100000, "px"), ("frame_rates", 1000, "fps"),
+    ])
+    def test_pixels_and_rates_past_their_bound_name_model_and_field(self, field, bound, unit):
+        # a catalog screen 10**12 px wide ran grid-overlay out of memory, and a frame
+        # rate of 1e305 fps made simulate-sync count 1e302 ticks until it was killed
+        def one_device(value):
+            wrapped = {"resolutions": [[1280, value]], "frame_rates": [value]}
+            return _one_device(**{field: wrapped.get(field, value)})
+        parse_device_specs(one_device(bound))
+        for past in (bound + 1, 10**12):
+            read = float(past) if field == "frame_rates" else past
+            message = f"unit-fixture: {field} must be at most {bound} {unit}, got {read}"
+            with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+                parse_device_specs(one_device(past))
+
     @pytest.mark.parametrize("entry", [{"screen_width_px": math.inf},
                                        {"resolutions": [[1280, -math.inf]]}])
     def test_infinite_integer_field_is_a_registry_error(self, entry):

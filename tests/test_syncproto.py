@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,7 @@ from stereorig import MAX_TIME_MS, syncproto
 from stereorig.registry import CapabilityProfile, negotiate
 from stereorig.syncproto import (
     TRANSITIONS,
-    FocusDirective,
     Message,
-    ModeDirective,
     MsgKind,
     Phase,
     SimulatedTransport,
@@ -41,7 +41,7 @@ LOSSLESS = SimulatedTransport(base_latency=10.0, jitter=0.0, loss_rate=0.0)
 
 # digest of _sweep_digest, fixed when the transcripts were known good; any
 # protocol or simulator change that alters behaviour must change it on purpose
-SWEEP_DIGEST = "c5884cbff791d2e222cbed7df03034ed808c9b9c5bdf4d8d8c3e5df5eacc0461"
+SWEEP_DIGEST = "e6e46b5a7f17d0bd084b9973a5323839258a982beab37100b451e929c57b44a1"
 
 
 def _configured(endpoint, role, spec, profile, **extra):
@@ -62,9 +62,9 @@ def _capturing(endpoint, role, spec, profile, start=50.0, **extra):
 
 
 def _chain(spec_a, spec_b, transport, seed=0, offsets=(0.0, 0.0),
-           capture_delay=50.0, duration=1000.0, directives=()):
+           capture_delay=50.0, duration=1000.0):
     return run_session(spec_a, spec_b, transport, seed, offsets,
-                       capture_delay=capture_delay, duration=duration, directives=directives)
+                       capture_delay=capture_delay, duration=duration)
 
 
 class TestStepTransitions:
@@ -262,41 +262,6 @@ class TestStepTransitions:
         with pytest.raises(TypeError):
             step(new_session("A", "initiator", j7), "not an event", 0.0)
 
-    def test_directive_staged_until_effective_seq(self, j7, a5):
-        profile = negotiate(j7, a5)
-        s = _capturing("A", "initiator", j7, profile, start=0.0)
-        directive = FocusDirective(mode="infinity", depth=2.5, effective_seq=2)
-        s, out = step(s, Message(MsgKind.FOCUS_SET, "B", directive), 1.0)
-        assert out == []
-        assert s.focus_mode is None and s.pending_focus == directive
-        s, _ = step(s, Timer("tick_due"), 0.0)     # emits seq 0
-        assert s.focus_mode is None
-        s, _ = step(s, Timer("tick_due"), 33.3)    # emits seq 1
-        assert s.focus_mode is None
-        s, out = step(s, Timer("tick_due"), 66.7)  # applies, then emits seq 2
-        assert s.focus_mode == "infinity" and s.focus_depth == 2.5
-        assert s.pending_focus is None
-        assert out[0].payload.seq == 2
-
-    def test_mode_directive_applies_like_focus(self, j7, a5):
-        profile = negotiate(j7, a5)
-        s = _capturing("B", "responder", a5, profile, start=0.0,
-                       next_tick_seq=0)
-        s = dataclasses.replace(s, next_tick_seq=5)
-        directive = ModeDirective(mode="mono", effective_seq=3)
-        s, out = step(s, Message(MsgKind.MODE_SET, "A", directive), 10.0)
-        # already past seq 3: applied immediately
-        assert s.capture_mode == "mono"
-        assert s.pending_mode is None
-        assert out == []
-
-    def test_directive_outside_session_fails(self, j7):
-        s = new_session("A", "initiator", j7)
-        s, _ = step(s, Timer("start"), 0.0)
-        d = FocusDirective(mode="auto", depth=0.0, effective_seq=0)
-        s, out = step(s, Message(MsgKind.FOCUS_SET, "B", d), 1.0)
-        assert s.phase is Phase.FAILED
-
 
 class TestExhaustiveInterleavings:
     def test_pairing_exchange_with_any_single_reorder(self, j7, a5):
@@ -346,8 +311,6 @@ def _peer_events(spec, peer_spec):
         Timer("capture_begin"),
         Timer("tick_due"),
         Timer("capture_end"),
-        Timer("send_directive", FocusDirective(mode="auto", depth=1.0, effective_seq=2)),
-        Timer("send_directive", ModeDirective(mode="video", effective_seq=1)),
         Timer("retransmit", 1),
         Timer("give_up"),
         Timer("abort"),
@@ -356,8 +319,6 @@ def _peer_events(spec, peer_spec):
         Message(MsgKind.CAPABILITY_OFFER, peer, peer_spec),
         Message(MsgKind.CAPABILITY_ACK, peer, negotiate(peer_spec, spec)),
         Message(MsgKind.CAPTURE_START, peer, 150.0),
-        Message(MsgKind.FOCUS_SET, peer, FocusDirective(mode="macro", depth=0.5, effective_seq=1)),
-        Message(MsgKind.MODE_SET, peer, ModeDirective(mode="video", effective_seq=3)),
         Message(MsgKind.FRAME_TICK, peer, TickStamp(0, 150.0)),
         Message(MsgKind.ERROR, peer, "boom"),
     ]
@@ -366,8 +327,8 @@ def _peer_events(spec, peer_spec):
 # indices into _peer_events along each role's successful session, with
 # duplicates, so that random runs get past pairing
 _HAPPY_PATH = {
-    "initiator": [0, 11, 11, 12, 12, 1, 2, 3, 5, 3, 4],
-    "responder": [0, 10, 10, 13, 13, 14, 2, 17, 3, 16, 4],
+    "initiator": [0, 9, 9, 10, 10, 1, 2, 3, 3, 4],
+    "responder": [0, 8, 8, 11, 11, 12, 2, 13, 3, 4],
 }
 
 
@@ -376,7 +337,7 @@ class TestUnacked:
     @given(
         role=st.sampled_from(["initiator", "responder"]),
         picks=st.lists(
-            st.tuples(st.none() | st.integers(0, 18), st.floats(0.0, 100.0)), max_size=14
+            st.tuples(st.none() | st.integers(0, 14), st.floats(0.0, 100.0)), max_size=14
         ),
     )
     def test_unacked_matches_role_phase_rule(self, j7, a5, role, picks):
@@ -460,13 +421,13 @@ class TestTransitionTable:
                         expected = step_oracle(state, event, now)
                         assert step(state, event, now) == expected, (role, state.phase, event, now)
                         cases += 1
-        assert cases == 2 * 8 * 20 * 2
+        assert cases == 2 * 8 * 16 * 2
 
     @settings(max_examples=examples(300), deadline=None)
     @given(
         role=st.sampled_from(["initiator", "responder"]),
         picks=st.lists(
-            st.tuples(st.none() | st.integers(0, 18), st.floats(0.0, 200.0)), max_size=14
+            st.tuples(st.none() | st.integers(0, 14), st.floats(0.0, 200.0)), max_size=14
         ),
     )
     def test_random_event_sequences_match_the_oracle(self, j7, a5, role, picks):
@@ -558,6 +519,57 @@ class TestRunPairing:
                 recovered = True
                 break
         assert recovered
+
+
+class _DropScript:
+    """Stands in for `random.Random(seed)`: under loss 0.5 it drops exactly the sends in `drops`.
+
+    `Simulator._send` draws `random()` once per send, so send `i` is dropped
+    when it draws 0.0 and delivered when it draws 0.75; jitter draws its low end.
+    """
+
+    def __init__(self, drops):
+        self.drops = drops
+        self.sends = itertools.count()
+
+    def random(self):
+        return 0.0 if next(self.sends) in self.drops else 0.75
+
+    def uniform(self, a, b):
+        return a
+
+
+class TestDropSets:
+    """Every drop set of pairing's first sends, run with exactly those sends lost.
+
+    The small-scope hypothesis (Jackson, *Software Abstractions*): a protocol
+    fault shows in some short run, so checking every short run finds it.
+    Equal phases alone cannot tell a lost session from a sound one, because
+    a failure on one end aborts the other; so one lost send must be survived.
+    """
+
+    FIRST_SENDS = 12
+
+    def test_pairing_ends_alike_and_survives_any_one_drop(self, j7, a5, monkeypatch):
+        # each Simulator's `Random` reads `drops` when the run builds it: the run's own set
+        monkeypatch.setattr(syncproto, "random", types.SimpleNamespace(
+            Random=lambda seed: _DropScript(drops)))
+        transport = SimulatedTransport(10.0, 5.0, 0.5)
+        bad, phases = [], set()
+        for mask in range(1 << self.FIRST_SENDS):
+            drops = {i for i in range(self.FIRST_SENDS) if mask >> i & 1}
+            run = run_pairing(j7, a5, transport)
+            a, b = run.state_a, run.state_b
+            phases.add(a.phase)
+            sound = a.phase is b.phase and a.phase in (Phase.CONFIGURED, Phase.FAILED)
+            if a.phase is Phase.CONFIGURED:
+                sound = sound and a.negotiated == b.negotiated
+            if len(drops) <= 1:
+                sound = sound and a.phase is Phase.CONFIGURED
+            if not sound:
+                bad.append((sorted(drops), a.phase, b.phase))
+        assert bad == []
+        assert phases == {Phase.CONFIGURED, Phase.FAILED}  # the drops bite
 
 
 class TestRunCaptureSync:
@@ -667,36 +679,6 @@ class TestRunFrameSync:
         reasons = (frames.state_a.fail_reason or "") + (frames.state_b.fail_reason or "")
         assert "cadence mismatch" in reasons
 
-    def test_focus_directive_applied_before_later_ticks(self, j7, a5):
-        directive = FocusDirective(mode="auto", depth=1.25, effective_seq=10)
-        _, _, frames = _chain(
-            j7, a5, LOSSLESS, duration=500.0, directives=((100.0, directive),),
-        )
-        assert frames.state_a.focus_mode == "auto"
-        assert frames.state_b.focus_mode == "auto"
-        applied_by = {e.who for e in frames.transcript
-                      if e.kind == "apply" and isinstance(e.what, FocusDirective)}
-        assert applied_by == {"A", "B"}
-        # transcript-order oracle: each endpoint applies before sending seq >= 10
-        entries = frames.transcript
-        for endpoint in ("A", "B"):
-            apply_idx = next(
-                i for i, e in enumerate(entries)
-                if e.who == endpoint and e.kind == "apply" and isinstance(e.what, FocusDirective)
-            )
-            for i, e in enumerate(entries):
-                if e.kind == "send" and e.what.sender == endpoint \
-                        and e.what.kind is MsgKind.FRAME_TICK and e.what.payload.seq >= 10:
-                    assert i > apply_idx
-
-    def test_mode_directive_round_trip(self, j7, a5):
-        directive = ModeDirective(mode="video", effective_seq=5)
-        _, _, frames = _chain(
-            j7, a5, LOSSLESS, duration=300.0, directives=((80.0, directive),),
-        )
-        assert frames.state_a.capture_mode == "video"
-        assert frames.state_b.capture_mode == "video"
-
     def test_chain_is_deterministic(self, j7, a5):
         t = SimulatedTransport(10.0, 2.0, 0.0)
         runs = []
@@ -717,7 +699,6 @@ class TestRunFrameSync:
 
 class TestRunSession:
     OFFSETS = (3.0, -4.0)
-    DIRECTIVES = ((100.0, FocusDirective(mode="auto", depth=1.25, effective_seq=10)),)
 
     # (loss, jitter, seed, stages that run): every stage, a capture start
     # lost on the way, and a pairing that fails
@@ -726,8 +707,7 @@ class TestRunSession:
     ])
     def test_stages_equal_the_hand_chained_runners(self, j7, a5, loss, jitter, seed, stages):
         transport = SimulatedTransport(10.0, jitter, loss)
-        run = _chain(j7, a5, transport, seed, self.OFFSETS, duration=300.0,
-                     directives=self.DIRECTIVES)
+        run = _chain(j7, a5, transport, seed, self.OFFSETS, duration=300.0)
         pairing = run_pairing(j7, a5, transport, seed, self.OFFSETS)
         capture = frames = None
         if pairing.state_a.phase is Phase.CONFIGURED:
@@ -735,8 +715,7 @@ class TestRunSession:
             capture = run_capture_sync(ends, transport, 50.0, seed + 1, self.OFFSETS)
             if capture.skew is not None:
                 ends = (capture.state_a, capture.state_b)
-                frames = run_frame_sync(ends, transport, 300.0, seed + 2, self.OFFSETS,
-                                        self.DIRECTIVES)
+                frames = run_frame_sync(ends, transport, 300.0, seed + 2, self.OFFSETS)
         assert run == (pairing, capture, frames)
         assert sum(stage is not None for stage in run) == stages
 
@@ -865,13 +844,14 @@ class TestTransport:
             run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, duration)
 
     def test_frame_sync_rejects_a_duration_too_long_to_count(self, j7, a5):
-        # a duration within the bound whose tick count overflows, at a frame rate of 1e305
-        fast = [dataclasses.replace(s, frame_rates=frozenset({1e305})) for s in (j7, a5)]
-        pairing = run_pairing(*fast, LOSSLESS)
-        capture = run_capture_sync((pairing.state_a, pairing.state_b), LOSSLESS, 50.0)
+        # a duration within the bound whose tick count overflows, at a negotiated frame
+        # rate of 1e305 that no catalog admits
+        capture = _chain(j7, a5, LOSSLESS, duration=0.0).capture
+        fast = [dataclasses.replace(s, negotiated=CapabilityProfile((1280, 720), 1e305))
+                for s in (capture.state_a, capture.state_b)]
         message = r"^duration 10000000000\.0 ms holds too many frame ticks to count$"
         with pytest.raises(ValueError, match=message):
-            run_frame_sync((capture.state_a, capture.state_b), LOSSLESS, MAX_TIME_MS)
+            run_frame_sync(fast, LOSSLESS, MAX_TIME_MS)
 
     def test_simulator_needs_two_sessions(self, j7):
         with pytest.raises(ValueError, match="two sessions"):
@@ -908,10 +888,12 @@ class TestTranscriptEntries:
         assert offer.what.payload == a5
         assert offer.detail == 'capability_offer {"model":"A5-fixture"}'
 
-    def test_focus_set_shows_its_depth_to_a_micrometre(self):
-        directive = FocusDirective(mode="manual", depth=1.23456, effective_seq=10)
-        entry = TranscriptEntry(0.0, "A->B", "send", Message(MsgKind.FOCUS_SET, "A", directive))
-        assert entry.detail == 'focus_set {"depth":1.235,"mode":"manual","seq":10}'
+    def test_capture_start_and_tick_show_their_times_to_a_microsecond(self):
+        start = TranscriptEntry(0.0, "A->B", "send", Message(MsgKind.CAPTURE_START, "A", 53.12345))
+        assert start.detail == 'capture_start {"start_ms":53.123}'
+        tick = Message(MsgKind.FRAME_TICK, "A", TickStamp(2, 119.78765))
+        assert TranscriptEntry(0.0, "A->B", "send", tick).detail == \
+            'frame_tick {"seq":2,"ts_ms":119.788}'
 
     def test_retransmit_entry_holds_its_attempt(self, j7, a5):
         run = run_pairing(j7, a5, SimulatedTransport(10.0, 0.0, 1.0), seed=0)
@@ -925,23 +907,12 @@ class TestTranscriptEntries:
             "   600.000 A      timer   give_up",
         ]
 
-    def test_apply_entries_hold_the_setting_and_next_seq(self, j7, a5):
-        directives = ((100.0, FocusDirective("auto", 1.25, 10)), (150.0, ModeDirective("video", 8)))
-        _, _, frames = _chain(j7, a5, LOSSLESS, duration=500.0, directives=directives)
-        applied = [e for e in frames.transcript if e.kind == "apply" and e.who == "A"]
-        # each is applied as its effective tick is sent, so the next seq is one past it
-        assert [e.what for e in applied] == [
-            ModeDirective("video", 9), FocusDirective("auto", 1.25, 11)]
-        assert [e.detail for e in applied] == [
-            "capture mode=video next_seq=9", "focus mode=auto depth=1.25 next_seq=11"]
-
     def test_running_formats_nothing(self, j7, a5, monkeypatch):
         calls = []
         real = syncproto._payload_json
         monkeypatch.setattr(syncproto, "_payload_json", lambda msg: calls.append(msg) or real(msg))
-        directives = ((100.0, FocusDirective("auto", 1.25, 10)),)
         run = run_session(j7, a5, SimulatedTransport(10.0, 5.0, 0.3), seed=2,
-                          capture_delay=50.0, duration=500.0, directives=directives)
+                          capture_delay=50.0, duration=500.0)
         assert calls == []
         transcript_text(run.transcript)
         assert len(calls) == sum(isinstance(e.what, Message) for e in run.transcript) > 0
@@ -960,30 +931,23 @@ class TestTranscriptEntries:
 def _sweep_digest(j7, a5) -> str:
     """sha256 over a fixed 300-session pairing -> capture -> frame-sync sweep.
 
-    Covers every transcript plus each end's final phase, fail reason, focus,
-    mode and capture skew, so any change to what the simulator sends, drops,
+    Covers every transcript plus each end's final phase and fail reason and
+    the capture skew, so any change to what the simulator sends, drops,
     resends or decides shows as a different digest.
     """
     digest = hashlib.sha256()
-    directives = (
-        (100.0, FocusDirective(mode="auto", depth=1.25, effective_seq=10)),
-        (150.0, ModeDirective(mode="video", effective_seq=8)),
-    )
     for loss in (0.0, 0.1, 0.3, 0.5, 1.0):
         for jitter in (0.0, 5.0):
             transport = SimulatedTransport(10.0, jitter, loss)
             for seed in range(30):
                 offsets = (((seed % 5) - 2) * 1.5, ((seed % 3) - 1) * 2.5)
                 run = run_session(j7, a5, transport, seed, offsets,
-                                  capture_delay=50.0, duration=500.0, directives=directives)
+                                  capture_delay=50.0, duration=500.0)
                 text = [transcript_text(run.transcript)]
                 ends = (run.final.state_a, run.final.state_b)
                 skew = run.capture.skew if run.capture else None
                 for s in ends:
-                    text.append(
-                        f"{s.endpoint_id} {s.phase.value} {s.fail_reason!r} "
-                        f"{s.focus_mode!r} {s.focus_depth!r} {s.capture_mode!r}\n"
-                    )
+                    text.append(f"{s.endpoint_id} {s.phase.value} {s.fail_reason!r}\n")
                 text.append(f"skew {skew!r}\n")
                 digest.update("".join(text).encode())
     return digest.hexdigest()
