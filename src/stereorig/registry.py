@@ -39,23 +39,22 @@ class DeviceSpec:
     def __post_init__(self):
         if not self.model_id:
             raise RegistryError("model_id must be a non-empty string")
-        for name in ("body_width", "body_length", "body_thickness", "screen_width_px",
-                     "screen_height_px", "pixel_density"):
-            kind = "pixels" if name.endswith("_px") else "positive"
+        for name, kind in (("body_width", "length"), ("body_length", "length"),
+                           ("body_thickness", "length"), ("screen_width_px", "pixels"),
+                           ("screen_height_px", "pixels"), ("pixel_density", "positive")):
             check_range(f"{self.model_id}: {name}", getattr(self, name), kind, RegistryError)
-        cx, cy = self.camera_center
-        if not (0 <= cx <= self.body_width and 0 <= cy <= self.body_length):
-            raise RegistryError(
-                f"{self.model_id}: camera_center ({cx}, {cy}) lies outside the "
-                f"{self.body_width} x {self.body_length} body"
-            )
         sizes = [n for size in self.resolutions for n in size]
-        for name, kind, values in (("resolutions", "pixels", sizes),
+        for name, kind, values in (("camera_center", "non-negative length", self.camera_center),
+                                   ("resolutions", "pixels", sizes),
                                    ("frame_rates", "rate", self.frame_rates)):
             if not values:
                 raise RegistryError(f"{self.model_id}: {name} must be non-empty")
             for value in values:
                 check_range(f"{self.model_id}: {name}", value, kind, RegistryError)
+        cx, cy = self.camera_center
+        if cx > self.body_width or cy > self.body_length:
+            raise RegistryError(f"{self.model_id}: camera_center ({cx}, {cy}) lies outside "
+                                f"the {self.body_width} x {self.body_length} body")
 
 
 @dataclass(frozen=True)

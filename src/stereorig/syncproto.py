@@ -20,9 +20,8 @@ still waits to have answered (the rows that send "until answered/acked");
 a row that takes the answer, or fails, empties it.  The Simulator resends
 exactly those messages up to RETRY_BUDGET times, with doubling timeouts
 starting at RETRY_FACTOR x base_latency (x 1 ms at zero latency);
-exhausting the budget fails the session and the simulator then forces the
-peer to Failed as well.  CaptureStart is sent once, so a lost CaptureStart
-leaves one end Configured while the other captures.
+exhausting the budget fails the session.  Unless both ends then rest in
+one phase other than Failed, the simulator forces every live end to Failed.
 
 Clock model: one global simulation clock plus a constant per-endpoint
 offset (no drift).  CaptureStart carries a local timestamp; both devices
@@ -66,6 +65,7 @@ class MsgKind(Enum):
     CAPABILITY_OFFER = "capability_offer"
     CAPABILITY_ACK = "capability_ack"
     CAPTURE_START = "capture_start"
+    CAPTURE_ACK = "capture_ack"
     FRAME_TICK = "frame_tick"
     ERROR = "error"
 
@@ -137,7 +137,7 @@ def _unchanged(s: SessionState, event: Message | Timer, now: float) -> Step:
 def _goto(phase: Phase, **changes: Any) -> Callable[..., Step]:
     def handler(s: SessionState, event: Message | Timer, now: float) -> Step:
         return replace(s, phase=phase, **changes), []
-    handler.__doc__ = f"-> {phase.value}"
+    handler.__doc__ = f"-> {phase.value}" + ", stop resending" * ("unacked" in changes)
     return handler
 
 
@@ -174,17 +174,18 @@ def _adopt_ack(s: SessionState, msg: Message, now: float) -> Step:
 
 
 def _propose_capture(s: SessionState, timer: Timer, now: float) -> Step:
-    """record and send CaptureStart(now + delay)"""
-    start = now + float(timer.payload)
-    return replace(s, capture_start=start), [Message(MsgKind.CAPTURE_START, s.endpoint_id, start)]
+    """record and send CaptureStart(now + delay) until acked"""
+    start = Message(MsgKind.CAPTURE_START, s.endpoint_id, now + float(timer.payload))
+    return replace(s, capture_start=start.payload, unacked=(start,)), [start]
 
 
 def _record_start(s: SessionState, msg: Message, now: float) -> Step:
-    """record start s; failed + Error if s <= now"""
-    start = float(msg.payload)
-    if start <= now:
-        return _fail(s, "start time in past", emit=True)
-    return replace(s, capture_start=start), []
+    """record start s once, send CaptureAck; failed + Error if first and s <= now"""
+    if s.capture_start is None:
+        if float(msg.payload) <= now:
+            return _fail(s, "start time in past", emit=True)
+        s = replace(s, capture_start=float(msg.payload))
+    return s, [Message(MsgKind.CAPTURE_ACK, s.endpoint_id)]
 
 
 def _begin_capture(s: SessionState, timer: Timer, now: float) -> Step:
@@ -237,7 +238,9 @@ _ROWS = (
     ("responder", (Phase.PAIRING, Phase.NEGOTIATING), MsgKind.PAIR_REQUEST, _answer_request),
     ("responder", Phase.NEGOTIATING, MsgKind.CAPABILITY_ACK, _adopt_ack),
     ("responder", Phase.CONFIGURED, MsgKind.CAPABILITY_ACK, _unchanged),
-    (ROLES, Phase.CONFIGURED, MsgKind.CAPTURE_START, _record_start),
+    ("initiator", Phase.CONFIGURED, MsgKind.CAPTURE_ACK, _goto(Phase.CONFIGURED, unacked=())),
+    ("initiator", Phase.CAPTURING, MsgKind.CAPTURE_ACK, _goto(Phase.CAPTURING, unacked=())),
+    (ROLES, (Phase.CONFIGURED, Phase.CAPTURING), MsgKind.CAPTURE_START, _record_start),
     (ROLES, Phase.CONFIGURED, "capture_begin", _begin_capture),
     (ROLES, Phase.CONFIGURED, MsgKind.FRAME_TICK, _unchanged),  # the peer began first
     (ROLES, Phase.CAPTURING, "tick_due", _tick),
@@ -363,8 +366,8 @@ class Simulator:
 
     Owns the event heap, the seeded transport randomness, timer policy
     (resending each session's `unacked`, capture scheduling), and the
-    transcript.  If either session fails, the other is aborted at
-    quiescence so that neither is left running.  `clock_offsets[i]` is the
+    transcript.  Unless both sessions rest in one phase other than Failed,
+    each live one is aborted at quiescence.  `clock_offsets[i]` is the
     local clock offset of `sessions[i]`.
     """
 
@@ -461,11 +464,9 @@ class Simulator:
         self._force_symmetric_outcome(t)
 
     def _force_symmetric_outcome(self, t: float) -> None:
-        ok = (Phase.CONFIGURED, Phase.CAPTURING, Phase.DONE)
-        if all(s.phase in ok for s in self.states.values()):
-            return
+        a, b = self.states.values()
         for endpoint, state in sorted(self.states.items()):
-            if state.phase is not Phase.FAILED:
+            if state.phase is not Phase.FAILED and a.phase is not b.phase:
                 self.dispatch(endpoint, Timer("abort"), t)
 
 
@@ -602,9 +603,7 @@ def run_session(
     pairing = run_pairing(spec_a, spec_b, transport, seed, clock_offsets)
     capture = frames = None
     if capture_delay is not None and pairing.state_a.phase is Phase.CONFIGURED:
-        ends = (pairing.state_a, pairing.state_b)
-        capture = run_capture_sync(ends, transport, capture_delay, seed + 1, clock_offsets)
-        if capture.skew is not None and duration > 0:
-            ends = (capture.state_a, capture.state_b)
-            frames = run_frame_sync(ends, transport, duration, seed + 2, clock_offsets)
+        capture = run_capture_sync(pairing[:2], transport, capture_delay, seed + 1, clock_offsets)
+        if capture.state_a.phase is Phase.CAPTURING and duration > 0:
+            frames = run_frame_sync(capture[:2], transport, duration, seed + 2, clock_offsets)
     return SessionRun(pairing, capture, frames)

@@ -207,6 +207,9 @@ def validate_spec_dict(entry: dict) -> list[str]:
     for name in ("body_width", "body_length", "body_thickness", "pixel_density"):
         if not entry[name] > 0:
             problems.append(f"{name} not positive")
+    for name in ("body_width", "body_length", "body_thickness"):
+        if not entry[name] <= 1e9:
+            problems.append(f"{name} over 1e9 mm")
     cx, cy = entry["camera_center"]
     if not (0 <= cx <= entry["body_width"]):
         problems.append("camera x outside body")
@@ -467,14 +470,18 @@ def random_spec(rng, model_id: str):
 # --- sync retransmission ------------------------------------------------------
 
 
-def awaiting_oracle(state) -> bool:
-    """Whether a session still waits for its pairing messages to be answered.
+def awaiting_oracle(state, proposed: bool) -> bool:
+    """Whether a session still waits for a message it sent to be answered.
 
     The simulator's earlier role/phase rule: the initiator waits while
     Pairing (for PairAccept or CapabilityOffer), the responder while
-    Negotiating (for CapabilityAck).
+    Negotiating (for CapabilityAck).  The initiator also waits for a
+    CaptureAck after `proposed`, a propose_capture timer taken while
+    Configured with no CaptureAck taken since, until its session fails.
     """
     phase = state.phase.value
+    if state.role == "initiator" and proposed and phase in ("configured", "capturing", "done"):
+        return True
     return (state.role, phase) in (("initiator", "pairing"), ("responder", "negotiating"))
 
 
@@ -539,7 +546,8 @@ def serialized_specs_oracle(specs) -> str:
 
 # --- sync protocol transitions -----------------------------------------------
 # The hand-written if-chains that `syncproto.step` used before its
-# TRANSITIONS table, kept unchanged as the reference the table must match.
+# TRANSITIONS table, kept as the reference the table must match.  CaptureStart
+# waiting for a CaptureAck was added to them by hand, not copied from the table.
 
 
 def _fail(
@@ -578,7 +586,8 @@ def _on_timer(
         if state.role != "initiator" or state.phase is not Phase.CONFIGURED:
             return _fail(state, f"unexpected propose_capture in {state.phase.value}")
         start = now + float(timer.payload)
-        return replace(state, capture_start=start), [Message(MsgKind.CAPTURE_START, me, start)]
+        proposal = Message(MsgKind.CAPTURE_START, me, start)
+        return replace(state, capture_start=start, unacked=(proposal,)), [proposal]
 
     if kind == "capture_begin":
         if state.phase is not Phase.CONFIGURED or state.capture_start is None:
@@ -656,12 +665,19 @@ def _on_message(
         return _fail(state, f"unexpected CapabilityAck in {phase.value}", emit=True)
 
     if kind is MsgKind.CAPTURE_START:
-        if phase is Phase.CONFIGURED:
-            start = float(msg.payload)
-            if start <= now:
-                return _fail(state, "start time in past", emit=True)
-            return replace(state, capture_start=start), []
+        if phase in (Phase.CONFIGURED, Phase.CAPTURING):
+            if state.capture_start is None:  # the first copy; later ones are only acked
+                start = float(msg.payload)
+                if start <= now:
+                    return _fail(state, "start time in past", emit=True)
+                state = replace(state, capture_start=start)
+            return state, [Message(MsgKind.CAPTURE_ACK, me)]
         return _fail(state, f"unexpected CaptureStart in {phase.value}", emit=True)
+
+    if kind is MsgKind.CAPTURE_ACK:
+        if state.role == "initiator" and phase in (Phase.CONFIGURED, Phase.CAPTURING):
+            return replace(state, unacked=()), []  # every copy, also a late one
+        return _fail(state, f"unexpected CaptureAck in {phase.value}", emit=True)
 
     if kind is MsgKind.FRAME_TICK:
         if phase is Phase.CAPTURING:

@@ -474,6 +474,24 @@ class TestGridOverlay:
         assert captured.err.startswith("error: J7-fixture: pixel_density 1e+308 ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("field", ["body_width", "body_length"])
+    def test_body_past_its_bound_in_registry_exits_1(self, capsys, tmp_path, j7, a5, field):
+        # at 1e300 mm, body_length failed the solver's own check ("base model invalid:
+        # ipd: separation 1.000 mm != 65.000 mm") and body_width wrote a 300-digit width
+        from stereorig.registry import serialize_device_specs
+        doc = json.loads(serialize_device_specs([j7, a5]))
+        for spec in doc:
+            spec[field], spec["camera_center"] = 1e300, [1.0, 1.0]
+        specs, svg = tmp_path / "devices.json", tmp_path / "t.svg"
+        specs.write_text(json.dumps(doc))
+        rc = main(["gen-template", "--mode", "two", "--device", "J7-fixture", "-o", str(svg),
+                   "--specs", str(specs)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"error: J7-fixture: {field} must be at most 1e+09 mm, got 1e+300\n"
+        assert not svg.exists()
+
     def test_screen_width_too_big_for_a_float_exits_1(self, capsys, tmp_path, j7):
         from stereorig.registry import serialize_device_specs
         doc = json.loads(serialize_device_specs([j7]))
@@ -634,6 +652,17 @@ class TestSimulateSync:
         out = capsys.readouterr().out
         assert rc == 0
         assert "capture start skew: 7.000 ms" in out
+
+    @pytest.mark.parametrize("seed", ["2", "3", "7"])
+    def test_lost_capture_start_fails_both_ends_and_exits_1(self, capsys, seed):
+        # each run's first CaptureStart is lost; they ended "final: A=capturing
+        # B=configured" and exited 0 while CaptureStart was sent once and never resent
+        rc = main(["simulate-sync", "--loss", "0.3", "--jitter", "5", "--capture", "50",
+                   "--duration", "200", "--seed", seed])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.endswith("final: A=failed B=failed\n")
+        assert "A->B   drop    capture_start" in out
 
     def test_same_seed_same_transcript(self, capsys):
         outs = []

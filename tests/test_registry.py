@@ -76,6 +76,16 @@ class TestParse:
         with pytest.raises(RegistryError, match="outside"):
             parse_device_specs(_one_device(camera_center=[39.0, 160.0]))
 
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_camera_center_coordinate_is_a_non_negative_length(self, slot):
+        center = [39.0, 10.0]
+        center[slot] = -1.0
+        message = "unit-fixture: camera_center must be finite and non-negative, got -1.0"
+        with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+            parse_device_specs(_one_device(camera_center=center))
+        center[slot] = 0.0
+        assert parse_device_specs(_one_device(camera_center=center))[0].camera_center == tuple(center)
+
     def test_negative_width_errors(self):
         with pytest.raises(RegistryError, match="positive"):
             parse_device_specs(_one_device(body_width=-1.0))
@@ -101,17 +111,19 @@ class TestParse:
     @pytest.mark.parametrize("field, bound, unit", [
         ("screen_width_px", 100000, "px"), ("screen_height_px", 100000, "px"),
         ("resolutions", 100000, "px"), ("frame_rates", 1000, "fps"),
+        ("body_width", 10**9, "mm"), ("body_length", 10**9, "mm"), ("body_thickness", 10**9, "mm"),
     ])
     def test_pixels_and_rates_past_their_bound_name_model_and_field(self, field, bound, unit):
-        # a catalog screen 10**12 px wide ran grid-overlay out of memory, and a frame
-        # rate of 1e305 fps made simulate-sync count 1e302 ticks until it was killed
+        # a catalog screen 10**12 px wide ran grid-overlay out of memory, a frame rate of
+        # 1e305 fps made simulate-sync count 1e302 ticks until it was killed, and a body
+        # 1e300 mm wide wrote an SVG width of 300 digits
         def one_device(value):
             wrapped = {"resolutions": [[1280, value]], "frame_rates": [value]}
             return _one_device(**{field: wrapped.get(field, value)})
         parse_device_specs(one_device(bound))
         for past in (bound + 1, 10**12):
-            read = float(past) if field == "frame_rates" else past
-            message = f"unit-fixture: {field} must be at most {bound} {unit}, got {read}"
+            read = past if field.endswith(("_px", "resolutions")) else float(past)
+            message = f"unit-fixture: {field} must be at most {bound:g} {unit}, got {read}"
             with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
                 parse_device_specs(one_device(past))
 
