@@ -32,7 +32,8 @@ MAX_TIME_MS = 1e10
 # each range a finite number may be held to: its test, the words that refuse a value failing
 # it, and the largest magnitude it admits, with its unit.  A screen or frame side is at most
 # 1e5 px, 13 times an 8K frame's, so a 1 px grid stays 1e5 lines a side; a frame rate is at
-# most 1,000 fps, past the fastest phone's 960, so a run at MAX_TIME_MS counts its 1e10 ticks
+# most 1,000 fps, past the fastest phone's 960, so a run at MAX_TIME_MS counts its 1e10 ticks;
+# a pixel density is at most 1,000 px/mm, about 30 times the densest phone screen's 32 (806 ppi)
 _FINITE = (math.isfinite, "finite")
 _NON_NEGATIVE = (lambda v: v >= 0, "finite and non-negative")
 _POSITIVE = (lambda v: v > 0, "positive and finite")
@@ -46,6 +47,7 @@ _RANGES = {
     "non-negative time": (*_NON_NEGATIVE, MAX_TIME_MS, "ms"),
     "pixels": (*_POSITIVE, 1e5, "px"),
     "rate": (*_POSITIVE, 1e3, "fps"),
+    "density": (*_POSITIVE, 1e3, "px/mm"),
     "probability": (lambda v: 0 <= v <= 1, "in [0, 1]", math.inf, ""),
 }
 

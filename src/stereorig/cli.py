@@ -137,12 +137,11 @@ def _cmd_simulate_sync(args) -> int:
         a, b, transport, seed=args.seed, clock_offsets=(args.offset_a, args.offset_b),
         capture_delay=args.capture, duration=args.duration,
     )
-    end = run.final
     sys.stdout.write(syncproto.transcript_text(run.transcript))
-    print(f"final: A={end.state_a.phase.value} B={end.state_b.phase.value}")
-    if run.capture and run.capture.skew is not None:
-        print(f"capture start skew: {run.capture.skew:.3f} ms")
-    return 1 if syncproto.Phase.FAILED in (end.state_a.phase, end.state_b.phase) else 0
+    print(f"final: A={run.state_a.phase.value} B={run.state_b.phase.value}")
+    if run.skew is not None:
+        print(f"capture start skew: {run.skew:.3f} ms")
+    return 1 if syncproto.Phase.FAILED in (run.state_a.phase, run.state_b.phase) else 0
 
 
 def _cmd_merge(args) -> int:

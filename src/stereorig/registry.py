@@ -41,7 +41,7 @@ class DeviceSpec:
             raise RegistryError("model_id must be a non-empty string")
         for name, kind in (("body_width", "length"), ("body_length", "length"),
                            ("body_thickness", "length"), ("screen_width_px", "pixels"),
-                           ("screen_height_px", "pixels"), ("pixel_density", "positive")):
+                           ("screen_height_px", "pixels"), ("pixel_density", "density")):
             check_range(f"{self.model_id}: {name}", getattr(self, name), kind, RegistryError)
         sizes = [n for size in self.resolutions for n in size]
         for name, kind, values in (("camera_center", "non-negative length", self.camera_center),
@@ -65,6 +65,11 @@ class CapabilityProfile:
     frame_rate: float
     focus_modes: frozenset[str] = field(default_factory=frozenset)
     capture_modes: frozenset[str] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        for side in self.resolution:
+            check_range("resolution", side, "pixels", RegistryError)
+        check_range("frame_rate", self.frame_rate, "rate", RegistryError)
 
 
 def json_field(name: str, value, hint):

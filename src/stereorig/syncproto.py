@@ -471,10 +471,12 @@ class Simulator:
 
 
 class StageRun(NamedTuple):
-    """One stage's outcome, ends in endpoint-id order; a field it does not produce is None or empty.
+    """A run's outcome, ends in endpoint-id order; a field it does not produce is None or empty.
 
-    `start_*` is the global time an end began capturing in this stage, `skew`
-    their difference once both did, and `ticks_*` the FrameTicks each end sent.
+    `start_*` is the global time an end began capturing in the capture stage,
+    `skew` their difference once both did, and `ticks_*` the FrameTicks each
+    end sent in the frame stage.  Each runner returns one for its stage;
+    `run_session` returns one for the stages it ran, as described there.
     """
 
     state_a: SessionState
@@ -549,9 +551,8 @@ def run_frame_sync(
     """Emit FrameTicks at the negotiated fps for `duration` ms on both ends.
 
     Sessions must already be Capturing with a capture start recorded (the
-    normal path is run_capture_sync first).  A negative duration, one above
-    MAX_TIME_MS, or one whose count of ticks is no finite float, is a
-    `ValueError`.
+    normal path is run_capture_sync first).  A negative duration, or one above
+    MAX_TIME_MS, is a `ValueError`.
     """
     check_range("duration", duration, "non-negative time")
     for s in sessions:
@@ -559,28 +560,12 @@ def run_frame_sync(
             raise ValueError(f"session {s.endpoint_id} is not mid-capture")
     events = []
     for s, offset in zip(sessions, clock_offsets):
+        # at most 1e10: the duration is at most 1e10 ms, and a profile at most 1,000 fps
         ticks = duration * s.negotiated.frame_rate / 1000.0 + 1e-9
-        if not math.isfinite(ticks):
-            raise ValueError(f"duration {duration} ms holds too many frame ticks to count")
         for k in range(s.next_tick_seq, math.floor(ticks)):
             events.append((_tick_due(s, k) - offset, s.endpoint_id, Timer("tick_due")))
         events.append((s.capture_start + duration - offset, s.endpoint_id, Timer("capture_end")))
     return _simulate(sessions, transport, seed, clock_offsets, events)
-
-
-class SessionRun(NamedTuple):
-    pairing: StageRun
-    capture: StageRun | None
-    frames: StageRun | None
-
-    @property
-    def final(self) -> StageRun:
-        """The last stage that ran: its states are the ones the session ended in."""
-        return self.frames or self.capture or self.pairing
-
-    @property
-    def transcript(self) -> list[TranscriptEntry]:
-        return [entry for stage in self if stage for entry in stage.transcript]
 
 
 def run_session(
@@ -591,19 +576,23 @@ def run_session(
     clock_offsets: tuple[float, float] = (0.0, 0.0),
     capture_delay: float | None = None,
     duration: float = 0.0,
-) -> SessionRun:
+) -> StageRun:
     """Pair; given a capture delay, start capture; then emit ticks for `duration` ms.
 
     A stage runs on the next seed if the one before left both ends ready for
-    it.  Every number is checked first, also one that no stage will use.
+    it.  The record holds the last stage's end states, every stage's
+    transcript in order, the capture stage's starts and skew, and the frame
+    stage's ticks.  Every number is checked first, also one that no stage will use.
     """
     if capture_delay is not None:
         check_range("capture delay", capture_delay, "time")
     check_range("duration", duration, "non-negative time")
-    pairing = run_pairing(spec_a, spec_b, transport, seed, clock_offsets)
-    capture = frames = None
-    if capture_delay is not None and pairing.state_a.phase is Phase.CONFIGURED:
-        capture = run_capture_sync(pairing[:2], transport, capture_delay, seed + 1, clock_offsets)
-        if capture.state_a.phase is Phase.CAPTURING and duration > 0:
-            frames = run_frame_sync(capture[:2], transport, duration, seed + 2, clock_offsets)
-    return SessionRun(pairing, capture, frames)
+    run = run_pairing(spec_a, spec_b, transport, seed, clock_offsets)
+    if capture_delay is not None and run.state_a.phase is Phase.CONFIGURED:
+        capture = run_capture_sync(run[:2], transport, capture_delay, seed + 1, clock_offsets)
+        run = capture._replace(transcript=run.transcript + capture.transcript)
+        if run.state_a.phase is Phase.CAPTURING and duration > 0:
+            frames = run_frame_sync(run[:2], transport, duration, seed + 2, clock_offsets)
+            run = frames._replace(transcript=run.transcript + frames.transcript,
+                                  start_a=run.start_a, start_b=run.start_b, skew=run.skew)
+    return run

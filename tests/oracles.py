@@ -210,6 +210,8 @@ def validate_spec_dict(entry: dict) -> list[str]:
     for name in ("body_width", "body_length", "body_thickness"):
         if not entry[name] <= 1e9:
             problems.append(f"{name} over 1e9 mm")
+    if not entry["pixel_density"] <= 1e3:
+        problems.append("pixel_density over 1e3 px/mm")
     cx, cy = entry["camera_center"]
     if not (0 <= cx <= entry["body_width"]):
         problems.append("camera x outside body")

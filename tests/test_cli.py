@@ -464,15 +464,15 @@ class TestGridOverlay:
     def test_huge_pixel_density_in_registry_exits_1(self, capsys, tmp_path, j7):
         from stereorig.registry import serialize_device_specs
         doc = json.loads(serialize_device_specs([j7]))
-        doc[0]["pixel_density"] = 1e308  # finite, but the target marker overflows
+        doc[0]["pixel_density"] = 1e308  # finite, but it put the target marker at inf
         specs = tmp_path / "devices.json"
         specs.write_text(json.dumps(doc))
         rc = main(["grid-overlay", "--specs", str(specs), "--device", "J7-fixture"])
         captured = capsys.readouterr()
         assert rc == 1  # an OverflowError traceback before
         assert captured.out == ""
-        assert captured.err.startswith("error: J7-fixture: pixel_density 1e+308 ")
-        assert "Traceback" not in captured.err
+        assert captured.err == (
+            "error: J7-fixture: pixel_density must be at most 1000 px/mm, got 1e+308\n")
 
     @pytest.mark.parametrize("field", ["body_width", "body_length"])
     def test_body_past_its_bound_in_registry_exits_1(self, capsys, tmp_path, j7, a5, field):
@@ -1754,6 +1754,41 @@ class TestNonFiniteFlags:
             assert stdout.getvalue() == ""
             assert stderr.getvalue() == "error: ipd must be at most 1e+09 mm, got 2e+17\n"
             assert os.listdir(tmp_path) == []
+
+
+# each number a catalog entry holds: its field, then the index of the item inside it
+_CATALOG_NUMBERS = [("body_width",), ("body_length",), ("body_thickness",),
+                    ("camera_center", 0), ("camera_center", 1), ("screen_width_px",),
+                    ("screen_height_px",), ("pixel_density",), ("resolutions", 0, 0),
+                    ("resolutions", 0, 1), ("frame_rates", 0)]
+
+
+@pytest.mark.parametrize("place", _CATALOG_NUMBERS, ids=lambda p: "-".join(map(str, p)))
+def test_every_extreme_catalog_value_ends_in_a_stated_way(tmp_path, j7, a5, place):
+    # exit 0 with finite output, or exit 1 with one error line naming the field; of these
+    # values the catalog admits only a camera-centre coordinate of 0, so a check dropped
+    # from any one field shows as an exit 0
+    from stereorig.registry import serialize_device_specs
+
+    specs = tmp_path / "devices.json"
+    *path, last = place
+    for value in (0, -1, 1e308, -1e308, float("inf"), float("nan")):
+        doc = json.loads(serialize_device_specs([j7, a5]))
+        functools.reduce(lambda item, key: item[key], path, doc[0])[last] = value
+        specs.write_text(json.dumps(doc))  # writes Infinity and NaN as such
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["base-model", "--specs", str(specs), "--a", "J7-fixture",
+                       "--b", "A5-fixture"])
+        text, err = stdout.getvalue(), stderr.getvalue()
+        case = (place, value, rc, text[-200:], err)
+        assert (rc == 0) is (place[0] == "camera_center" and value == 0), case
+        if rc == 0:
+            assert err == "" and not _NON_FINITE_TEXT.search(text), case
+        else:
+            assert rc == 1 and text == "", case
+            assert err.startswith("error: ") and err.count("\n") == 1, case
+            assert place[0] in err, case
 
 
 # a child that imports the CLI, runs one command and prints sys.modules; it

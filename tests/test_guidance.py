@@ -114,11 +114,13 @@ class TestGridOverlay:
         with pytest.raises(GuidanceError, match="off the"):
             grid_overlay(depth_base, tiny)
 
-    @pytest.mark.parametrize("density", [1e308, sys.float_info.max])
-    def test_overflowing_pixel_density_rejected(self, j7, depth_base, density):
-        huge = dataclasses.replace(j7, pixel_density=density)  # finite, target overflows
-        with pytest.raises(GuidanceError, match=r"^J7-fixture: pixel_density .* beyond any"):
-            grid_overlay(depth_base, huge)
+    @pytest.mark.parametrize("target", [1e308, sys.float_info.max])
+    def test_overflowing_pixel_density_rejected(self, j7, depth_base, target):
+        # a catalog holds a density to 1,000 px/mm, but a hand-built base can still put
+        # the target so far out that target x density overflows
+        far = dataclasses.replace(depth_base, camera_b_target=(target, target))
+        with pytest.raises(GuidanceError, match=r"^J7-fixture: pixel_density 10\.0 .* beyond any"):
+            grid_overlay(far, j7)
 
     def test_nonpositive_pitch_rejected(self, j7, depth_base):
         with pytest.raises(GuidanceError, match="pitch"):

@@ -112,11 +112,13 @@ class TestParse:
         ("screen_width_px", 100000, "px"), ("screen_height_px", 100000, "px"),
         ("resolutions", 100000, "px"), ("frame_rates", 1000, "fps"),
         ("body_width", 10**9, "mm"), ("body_length", 10**9, "mm"), ("body_thickness", 10**9, "mm"),
+        ("pixel_density", 1000, "px/mm"),
     ])
     def test_pixels_and_rates_past_their_bound_name_model_and_field(self, field, bound, unit):
         # a catalog screen 10**12 px wide ran grid-overlay out of memory, a frame rate of
-        # 1e305 fps made simulate-sync count 1e302 ticks until it was killed, and a body
-        # 1e300 mm wide wrote an SVG width of 300 digits
+        # 1e305 fps made simulate-sync count 1e302 ticks until it was killed, a body
+        # 1e300 mm wide wrote an SVG width of 300 digits, and a pixel density of 1e308
+        # put grid-overlay's target marker at an infinite pixel
         def one_device(value):
             wrapped = {"resolutions": [[1280, value]], "frame_rates": [value]}
             return _one_device(**{field: wrapped.get(field, value)})
@@ -410,6 +412,18 @@ class TestNegotiate:
                 pass
             else:
                 assert not (a.frame_rates & b.frame_rates)
+
+    @pytest.mark.parametrize("resolution, frame_rate, message", [
+        # at 1e305 fps, run_frame_sync's tick count over a 1e10 ms duration overflowed
+        ((1280, 720), 1e305, "frame_rate must be at most 1000 fps, got 1e+305"),
+        ((1280, 720), 0.0, "frame_rate must be positive and finite, got 0.0"),
+        ((1280, 720), math.nan, "frame_rate must be positive and finite, got nan"),
+        ((100001, 720), 30.0, "resolution must be at most 100000 px, got 100001"),
+        ((1280, 0), 30.0, "resolution must be positive and finite, got 0"),
+    ], ids=["1e305-fps", "0-fps", "nan-fps", "100001-px", "0-px"])
+    def test_profile_past_its_ranges_names_the_field(self, resolution, frame_rate, message):
+        with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+            CapabilityProfile(resolution, frame_rate)
 
     def test_profile_is_a_plain_value(self):
         p = CapabilityProfile(resolution=(1, 1), frame_rate=1.0)
